@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     except (NonPoissonError, NonExactError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return 3

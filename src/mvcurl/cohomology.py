@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
 from mvcurl.poisson import require_poisson
 from mvcurl.ring import Polynomial, RationalFunc
-from mvcurl.solver import collect_linear_system, monomial_exponents
+from mvcurl.solver import SearchSpace, collect_linear_system, monomial_exponents
 
 __all__ = [
     "NonExactError",
@@ -33,23 +33,21 @@ class NonExactError(ValueError):
     """Raised when the bivector fails to be curl-free for the chosen volume."""
 
 
-class MultivectorBasis:
+class MultivectorBasis(SearchSpace):
     """Monomial-coefficient basis of grade-k multivectors up to a degree.
 
     Elements are ordered blade-major (ascending index mask), monomials
     ascending graded lexicographic within each blade.
     """
 
-    __slots__ = ("chart", "grade", "max_degree", "basis", "_index")
+    __slots__ = ("grade", "_index")
 
     def __init__(self, chart: Chart, grade: int, max_degree: int):
         if not 0 <= grade <= chart.dim:
             raise ValueError(f"grade {grade} out of range for dimension {chart.dim}")
         if max_degree < 0:
             raise ValueError("degree bound must be non-negative")
-        self.chart = chart
         self.grade = grade
-        self.max_degree = max_degree
         n = chart.dim
         exponents = monomial_exponents(n, max_degree)
         basis: List[Multivector] = []
@@ -61,21 +59,8 @@ class MultivectorBasis:
                 index[(mask, exps)] = len(basis)
                 coeff = RationalFunc(Polynomial.monomial(n, exps))
                 basis.append(Multivector(chart, grade, {mask: coeff}))
-        self.basis = basis
+        super().__init__(chart, basis)
         self._index = index
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def combine(self, coeffs: Sequence[Fraction]) -> Multivector:
-        if len(coeffs) != len(self.basis):
-            raise ValueError("coefficient count does not match basis")
-        total = Multivector.zero(self.chart, self.grade)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                total = total + b.scale(c)
-        return total
 
     def coordinates(self, a: Multivector) -> List[Fraction]:
         """Exact coefficient vector of a member; rejects anything outside."""
@@ -91,26 +76,6 @@ class MultivectorBasis:
                     raise ValueError("multivector exceeds the degree bound")
                 out[slot] = value
         return out
-
-
-class _SpanSpace:
-    """Search space spanned by precomputed multivectors rather than atoms."""
-
-    __slots__ = ("chart", "basis")
-
-    def __init__(self, chart: Chart, elements: Sequence[Multivector]):
-        self.chart = chart
-        self.basis = list(elements)
-
-    def combine(self, coeffs: Sequence[Fraction]) -> Multivector:
-        total = None
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                term = b.scale(c)
-                total = term if total is None else total + term
-        if total is None:
-            raise ValueError("empty combination has no defined grade")
-        return total
 
 
 def lichnerowicz_delta(pi: Multivector, a: Multivector) -> Multivector:
@@ -165,26 +130,22 @@ def truncated_exact_cohomology(volume: VolumeForm, pi: Multivector, k: int,
     if not curl(volume, pi).is_zero():
         raise NonExactError("bivector has non-zero curl for this volume")
 
-    chart = volume.chart
     deg_pi = max((c.num.total_degree() for c in pi.terms.values()), default=0)
+
+    def delta_rank(elements: List[Multivector]) -> int:
+        if not elements:
+            return 0
+        space = SearchSpace(volume.chart, elements)
+        return collect_linear_system(lambda a: schouten(pi, a), space).rank()
 
     domain = exact_basis(volume, k, max_degree)
     dim_exact_k = len(domain)
-    if domain:
-        span = _SpanSpace(chart, domain)
-        delta = collect_linear_system(lambda a: schouten(pi, a), span)
-        dim_kernel = dim_exact_k - delta.rank()
-    else:
-        dim_kernel = 0
+    dim_kernel = dim_exact_k - delta_rank(domain)
 
     dim_image = 0
     lower_degree = max_degree - deg_pi + 1
     if k > 0 and lower_degree >= 0:
-        sources = exact_basis(volume, k - 1, lower_degree)
-        if sources:
-            span = _SpanSpace(chart, sources)
-            delta = collect_linear_system(lambda a: schouten(pi, a), span)
-            dim_image = delta.rank()
+        dim_image = delta_rank(exact_basis(volume, k - 1, lower_degree))
 
     if not dim_image <= dim_kernel <= dim_exact_k:
         raise RuntimeError("truncated complex dimensions are inconsistent")

@@ -84,11 +84,7 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
             coeff = -coeff
         mask = contracted_mask | other_mask
         prev = out.get(mask)
-        s = coeff if prev is None else prev + coeff
-        if s.is_zero():
-            out.pop(mask, None)
-        else:
-            out[mask] = s
+        out[mask] = coeff if prev is None else prev + coeff
 
     for mi, ca in a.terms.items():
         for mj, cb in b.terms.items():

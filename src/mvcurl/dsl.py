@@ -11,7 +11,9 @@ Grammar (one statement per line, `#` starts a comment):
 
 `^` takes integer exponents and applies to scalars only; `^^` is the wedge.
 Basis symbols e1..en are coordinate vector fields, d1..dn coordinate
-differentials.  Division is restricted to scalar divisors.
+differentials.  Division is restricted to scalar divisors.  Parentheses and
+unary minus signs may nest at most MAX_NESTING deep; chains of binary
+operators are unbounded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ __all__ = [
 Value = Union[RationalFunc, Multivector, DifferentialForm]
 
 _KEYWORDS = ("chart", "func", "mv", "form", "volume", "lie")
+# parsing and evaluating take a few stack frames per level of parentheses or
+# unary minus; this bound keeps both inside Python's default recursion limit
+MAX_NESTING = 100
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<num>[0-9]+)"
@@ -146,6 +151,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -167,6 +173,16 @@ class _Parser:
     def skip_newlines(self) -> None:
         while self.peek().kind == "NEWLINE":
             self.advance()
+
+    def nested(self, parse, tok: _Token):
+        """Run a sub-parser one nesting level down from ``tok``."""
+        if self.depth == MAX_NESTING:
+            raise DslError(f"expression nested deeper than {MAX_NESTING} levels",
+                           tok.line, tok.col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- statements ---------------------------------------------------------
 
@@ -252,7 +268,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return _Unary(self.unary(), tok.line, tok.col)
+            return _Unary(self.nested(self.unary, tok), tok.line, tok.col)
         return self.power()
 
     def power(self):
@@ -278,7 +294,7 @@ class _Parser:
             return _Name(tok.text, tok.line, tok.col)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
-            node = self.additive()
+            node = self.nested(self.additive, tok)
             self.expect("OP", ")")
             return node
         got = tok.text if tok.text else tok.kind.lower()
@@ -298,12 +314,15 @@ def _value_kind(v: Value) -> str:
 
 
 def _contains_name(node) -> bool:
-    if isinstance(node, _Name):
-        return True
-    if isinstance(node, _Unary):
-        return _contains_name(node.operand)
-    if isinstance(node, _BinOp):
-        return _contains_name(node.left) or _contains_name(node.right)
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, _Name):
+            return True
+        if isinstance(node, _Unary):
+            pending.append(node.operand)
+        elif isinstance(node, _BinOp):
+            pending.extend((node.left, node.right))
     return False
 
 
@@ -313,13 +332,20 @@ class _Evaluator:
         self.bindings = bindings
 
     def eval(self, node) -> Value:
+        # operator chains are left-deep: walk the left spine, then fold back up
+        spine = []
+        while isinstance(node, _BinOp):
+            spine.append(node)
+            node = node.left
         if isinstance(node, _Num):
-            return RationalFunc.constant(self.chart.dim, node.value)
-        if isinstance(node, _Name):
-            return self.lookup(node)
-        if isinstance(node, _Unary):
-            return self.eval(node.operand).scale(-1)
-        return self.binop(node)
+            value = RationalFunc.constant(self.chart.dim, node.value)
+        elif isinstance(node, _Name):
+            value = self.lookup(node)
+        else:
+            value = self.eval(node.operand).scale(-1)
+        for op in reversed(spine):
+            value = self.binop(op, value)
+        return value
 
     def lookup(self, node: _Name) -> Value:
         name = node.text
@@ -343,14 +369,12 @@ class _Evaluator:
                            node.line, node.col)
         return binding.value
 
-    def binop(self, node: _BinOp) -> Value:
+    def binop(self, node: _BinOp, left: Value) -> Value:
         if node.op == "^":
-            base = self.eval(node.left)
-            if not isinstance(base, RationalFunc):
+            if not isinstance(left, RationalFunc):
                 raise DslError("powers apply to scalar expressions only",
                                node.line, node.col)
-            return base ** node.right.value
-        left = self.eval(node.left)
+            return left ** node.right.value
         right = self.eval(node.right)
         kinds = (_value_kind(left), _value_kind(right))
         if node.op in ("+", "-"):

@@ -184,11 +184,7 @@ class _BladeSum:
         out = dict(self.terms)
         for mask, coeff in other.terms.items():
             prev = out.get(mask)
-            s = coeff if prev is None else prev + coeff
-            if s.is_zero():
-                out.pop(mask, None)
-            else:
-                out[mask] = s
+            out[mask] = coeff if prev is None else prev + coeff
         return type(self)(self.chart, self.grade, out)
 
     def __sub__(self, other):
@@ -224,11 +220,7 @@ class _BladeSum:
                     coeff = -coeff
                 mask = ma | mb
                 prev = out.get(mask)
-                s = coeff if prev is None else prev + coeff
-                if s.is_zero():
-                    out.pop(mask, None)
-                else:
-                    out[mask] = s
+                out[mask] = coeff if prev is None else prev + coeff
         return type(self)(self.chart, self.grade + other.grade, out)
 
     def __eq__(self, other) -> bool:
@@ -288,12 +280,7 @@ class DifferentialForm(_BladeSum):
     @classmethod
     def differential(cls, chart: Chart, f: RationalFunc) -> "DifferentialForm":
         """The one-form df."""
-        terms = {}
-        for i in range(chart.dim):
-            fi = f.diff(i)
-            if not fi.is_zero():
-                terms[1 << i] = fi
-        return cls(chart, 1, terms)
+        return cls(chart, 1, {1 << i: f.diff(i) for i in range(chart.dim)})
 
 
 class VolumeForm:
@@ -355,48 +342,33 @@ def pairing(omega: DifferentialForm, a: Multivector) -> RationalFunc:
     return total
 
 
-def interior_product_form(a: Multivector, omega: DifferentialForm) -> DifferentialForm:
-    """i_a omega, the adjoint of left wedge: <i_a w, B> = <w, a ^ B>."""
-    if a.chart != omega.chart:
+def _contract(outer: _BladeSum, inner: _BladeSum) -> _BladeSum:
+    """Contract each blade of ``outer`` out of the front of each blade of
+    ``inner``; the result has the kind of ``inner``."""
+    if outer.chart != inner.chart:
         raise ValueError("chart mismatch")
     out: Dict[int, RationalFunc] = {}
-    for mj, ca in a.terms.items():
-        for mi, cw in omega.terms.items():
+    for mj, co in outer.terms.items():
+        for mi, ci in inner.terms.items():
             if mj & ~mi:
                 continue
             rest = mi & ~mj
-            coeff = ca * cw
+            coeff = co * ci
             if merge_sign(mj, rest) < 0:
                 coeff = -coeff
             prev = out.get(rest)
-            s = coeff if prev is None else prev + coeff
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return DifferentialForm(omega.chart, omega.grade - a.grade, out)
+            out[rest] = coeff if prev is None else prev + coeff
+    return type(inner)(inner.chart, inner.grade - outer.grade, out)
+
+
+def interior_product_form(a: Multivector, omega: DifferentialForm) -> DifferentialForm:
+    """i_a omega, the adjoint of left wedge: <i_a w, B> = <w, a ^ B>."""
+    return _contract(a, omega)
 
 
 def interior_product_vector(omega: DifferentialForm, a: Multivector) -> Multivector:
     """i_omega a, the mirror contraction: <eta, i_w a> = <w ^ eta, a>."""
-    if a.chart != omega.chart:
-        raise ValueError("chart mismatch")
-    out: Dict[int, RationalFunc] = {}
-    for mj, cw in omega.terms.items():
-        for mi, ca in a.terms.items():
-            if mj & ~mi:
-                continue
-            rest = mi & ~mj
-            coeff = cw * ca
-            if merge_sign(mj, rest) < 0:
-                coeff = -coeff
-            prev = out.get(rest)
-            s = coeff if prev is None else prev + coeff
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return Multivector(a.chart, a.grade - omega.grade, out)
+    return _contract(omega, a)
 
 
 def flat(volume: VolumeForm, a: Multivector) -> DifferentialForm:
@@ -448,11 +420,7 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
                 ci = -ci
             new = mask | bit
             prev = out.get(new)
-            s = ci if prev is None else prev + ci
-            if s.is_zero():
-                out.pop(new, None)
-            else:
-                out[new] = s
+            out[new] = ci if prev is None else prev + ci
     return DifferentialForm(chart, omega.grade + 1, out)
 
 

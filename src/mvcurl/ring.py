@@ -6,10 +6,15 @@ functions are kept in canonical form: numerator and denominator coprime,
 denominator monic with respect to the graded lexicographic term order.
 Two equal fractions therefore always have identical representations, so
 every identity check in the rest of the package is a strict equality.
+
+``Polynomial(nvars, terms)`` checks exponents and converts coefficients, for
+input from outside the package; arithmetic results go through the trusted
+``Polynomial._make``, which skips those checks and only drops zero terms.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -44,6 +49,15 @@ class Polynomial:
                 clean[tuple(exps)] = Fraction(coeff)
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _make(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """Trusted constructor for ring results: exponent tuples of length
+        ``nvars`` and ``Fraction`` coefficients; only zero terms are dropped."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -116,30 +130,21 @@ class Polynomial:
             raise ValueError(
                 f"dimension mismatch: {self.nvars} vs {other.nvars} variables")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _merge(self, other: "Polynomial", op) -> "Polynomial":
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) + coeff
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(self.nvars, out)
+            out[exps] = op(out.get(exps, 0), coeff)
+        return Polynomial._make(self.nvars, out)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) - coeff
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(self.nvars, out)
+        return self._merge(other, operator.sub)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -147,18 +152,12 @@ class Polynomial:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.nvars, out)
+                out[e] = out.get(e, 0) + ca * cb
+        return Polynomial._make(self.nvars, out)
 
     def scale(self, value) -> "Polynomial":
         c = Fraction(value)
-        if c == 0:
-            return Polynomial(self.nvars)
-        return Polynomial(self.nvars, {e: k * c for e, k in self.terms.items()})
+        return Polynomial._make(self.nvars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -195,7 +194,7 @@ class Polynomial:
             e = list(exps)
             e[index] = k - 1
             out[tuple(e)] = coeff * k
-        return Polynomial(self.nvars, out)
+        return Polynomial._make(self.nvars, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -230,9 +229,9 @@ class Polynomial:
             if any(d < 0 for d in diff):
                 raise ValueError("inexact polynomial division")
             qc = rem.terms[re] / lead_c
-            quotient[diff] = quotient.get(diff, Fraction(0)) + qc
-            rem = rem - divisor * Polynomial.monomial(self.nvars, diff, qc)
-        return Polynomial(self.nvars, quotient)
+            quotient[diff] = quotient.get(diff, 0) + qc
+            rem = rem - divisor * Polynomial._make(self.nvars, {diff: qc})
+        return Polynomial._make(self.nvars, quotient)
 
     def to_string(self, names: Sequence[str]) -> str:
         """Deterministic rendering, terms in descending graded-lex order."""
@@ -297,7 +296,7 @@ def _split_by_variable(p: Polynomial, v: int) -> Dict[int, Polynomial]:
         rest = list(exps)
         rest[v] = 0
         buckets.setdefault(d, {})[tuple(rest)] = coeff
-    return {d: Polynomial(p.nvars, t) for d, t in buckets.items()}
+    return {d: Polynomial._make(p.nvars, t) for d, t in buckets.items()}
 
 
 def _join_by_variable(coeffs: Dict[int, Polynomial], v: int, nvars: int) -> Polynomial:
@@ -307,7 +306,7 @@ def _join_by_variable(coeffs: Dict[int, Polynomial], v: int, nvars: int) -> Poly
             e = list(exps)
             e[v] = d
             terms[tuple(e)] = coeff
-    return Polynomial(nvars, terms)
+    return Polynomial._make(nvars, terms)
 
 
 def _content(polys: Iterable[Polynomial]) -> Polynomial:
@@ -438,47 +437,30 @@ class RationalFunc:
             raise ValueError("dimension mismatch between numerator and denominator")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = Polynomial.constant(num.nvars, 1)
-            return
-        if den.is_constant():
-            c = den.constant_value()
-            self.num = num if c == 1 else num.scale(1 / c)
-            self.den = Polynomial.constant(num.nvars, 1)
-            return
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.leading_coefficient()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        self.num = num
-        self.den = den
+        if not (num.is_zero() or den.is_constant()):
+            g = poly_gcd(num, den)
+            if not g.is_constant():
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+        canonical = RationalFunc._raw(num, den)
+        self.num = canonical.num
+        self.den = canonical.den
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _raw(cls, num: Polynomial, den: Polynomial) -> "RationalFunc":
         """Build from an already-coprime pair, fixing only the monic scaling."""
-        if num.is_zero():
-            return cls.zero(num.nvars)
-        if den.is_constant():
-            c = den.constant_value()
-            out = object.__new__(cls)
-            out.num = num if c == 1 else num.scale(1 / c)
-            out.den = Polynomial.constant(num.nvars, 1)
-            return out
-        lc = den.leading_coefficient()
         out = object.__new__(cls)
-        if lc == 1:
-            out.num = num
-            out.den = den
+        if num.is_zero():
+            den = Polynomial.constant(num.nvars, 1)
         else:
-            out.num = num.scale(1 / lc)
-            out.den = den.scale(1 / lc)
+            lc = den.leading_coefficient()
+            if lc != 1:
+                num = num.scale(1 / lc)
+                den = den.scale(1 / lc)
+        out.num = num
+        out.den = den
         return out
 
     @classmethod

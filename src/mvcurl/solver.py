@@ -18,7 +18,35 @@ from mvcurl.exterior import Chart, Multivector, VolumeForm, _BladeSum
 from mvcurl.ring import Polynomial, RationalFunc, grlex_key, poly_lcm
 
 
-class AnsatzSpace:
+class SearchSpace:
+    """Ordered finite basis of functions or multivectors on a chart.
+
+    Solvers expand a linear map over ``basis`` and turn kernel vectors back
+    into members with ``combine``.
+    """
+
+    __slots__ = ("chart", "basis")
+
+    def __init__(self, chart: Chart, basis: Sequence):
+        self.chart = chart
+        self.basis = list(basis)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    def combine(self, coeffs: Sequence[Fraction]):
+        """Linear combination of basis elements with exact coefficients."""
+        if len(coeffs) != len(self.basis):
+            raise ValueError("coefficient count does not match basis")
+        total = self.basis[0].scale(0)  # a zero of the basis kind and grade
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                total = total + b.scale(c)
+        return total
+
+
+class AnsatzSpace(SearchSpace):
     """Finite-dimensional search space of candidate functions.
 
     The basis is either all monomials of total degree <= max_degree, or those
@@ -26,7 +54,7 @@ class AnsatzSpace:
     graded lexicographic so results are reproducible.
     """
 
-    __slots__ = ("chart", "kind", "basis", "max_degree", "denominator")
+    __slots__ = ()
 
     def __init__(self, chart: Chart, max_degree: int,
                  denominator: Polynomial | None = None):
@@ -34,10 +62,6 @@ class AnsatzSpace:
             raise ValueError("degree bound must be non-negative")
         if denominator is not None and denominator.is_zero():
             raise ZeroDivisionError("ansatz denominator must be non-zero")
-        self.chart = chart
-        self.max_degree = max_degree
-        self.denominator = denominator
-        self.kind = "polynomial" if denominator is None else "fixed-denominator"
         den_rf = None
         if denominator is not None:
             den_rf = RationalFunc(Polynomial.constant(chart.dim, 1), denominator)
@@ -45,21 +69,7 @@ class AnsatzSpace:
         for exps in monomial_exponents(chart.dim, max_degree):
             mono = RationalFunc(Polynomial.monomial(chart.dim, exps))
             basis.append(mono if den_rf is None else mono * den_rf)
-        self.basis = basis
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def combine(self, coeffs: Sequence[Fraction]) -> RationalFunc:
-        """Linear combination of basis functions with exact coefficients."""
-        if len(coeffs) != len(self.basis):
-            raise ValueError("coefficient count does not match basis")
-        total = RationalFunc.zero(self.chart.dim)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                total = total + b.scale(c)
-        return total
+        super().__init__(chart, basis)
 
 
 def monomial_exponents(nvars: int, max_degree: int) -> List[Tuple[int, ...]]:
@@ -205,43 +215,38 @@ def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
     return expanded
 
 
-def collect_linear_system(residual_map: Callable, space) -> ExactMatrix:
-    """Expand the residual of each basis element into an exact column.
-
-    ``space`` needs ordered ``basis`` elements supporting + and scale (either
-    an AnsatzSpace or a multivector basis).  The map must be linear in the
-    ansatz coefficients; this is spot-checked on the first basis pair before
-    trusting it.
-    """
+def _system_columns(residual_map: Callable, space: SearchSpace,
+                    extra: Sequence) -> List[Dict[object, Fraction]]:
+    """Exact columns of the map on each basis element, then of each extra
+    residual, all cleared by one common denominator."""
     outputs = [_residual_terms(residual_map(b)) for b in space.basis]
     _linearity_spot_check(residual_map, space, outputs)
-    return ExactMatrix.from_columns(
-        _expand_with_common_denominator(outputs, space.chart.dim))
+    return _expand_with_common_denominator(
+        outputs + [_residual_terms(v) for v in extra], space.chart.dim)
 
 
-def collect_affine_system(residual_map: Callable, space,
+def collect_linear_system(residual_map: Callable, space: SearchSpace) -> ExactMatrix:
+    """Expand the residual of each basis element into an exact column.
+
+    ``space`` needs ordered ``basis`` elements supporting + and scale.  The
+    map must be linear in the ansatz coefficients; this is spot-checked on
+    the first basis pair before trusting it.
+    """
+    return ExactMatrix.from_columns(_system_columns(residual_map, space, ()))
+
+
+def collect_affine_system(residual_map: Callable, space: SearchSpace,
                           target) -> Tuple[ExactMatrix, List[Fraction]]:
     """Matrix of the map plus the target expanded over the same rows,
     for solving residual_map(x) = target inside the ansatz."""
-    outputs = [_residual_terms(residual_map(b)) for b in space.basis]
-    _linearity_spot_check(residual_map, space, outputs)
-    expanded = _expand_with_common_denominator(
-        outputs + [_residual_terms(target)], space.chart.dim)
-    target_sparse = expanded.pop()
-    labels = sorted({k for col in expanded for k in col} | set(target_sparse),
-                    key=repr)
-    index = {k: i for i, k in enumerate(labels)}
-    matrix = ExactMatrix(len(labels), len(expanded))
-    for j, col in enumerate(expanded):
-        for k, v in col.items():
-            matrix.data[index[k]][j] = v
-    b = [Fraction(0)] * len(labels)
-    for k, v in target_sparse.items():
-        b[index[k]] = v
-    return matrix, b
+    augmented = ExactMatrix.from_columns(
+        _system_columns(residual_map, space, (target,)))
+    rows = augmented.data
+    return (ExactMatrix(augmented.rows, augmented.cols - 1, [r[:-1] for r in rows]),
+            [r[-1] for r in rows])
 
 
-def _linearity_spot_check(residual_map, space: AnsatzSpace,
+def _linearity_spot_check(residual_map, space: SearchSpace,
                           outputs: List[Dict[object, RationalFunc]]) -> None:
     if not space.basis:
         return
@@ -251,21 +256,17 @@ def _linearity_spot_check(residual_map, space: AnsatzSpace,
     if doubled != expect:
         raise ValueError("residual map is not linear (scaling check failed)")
     if len(space.basis) > 1:
-        b1 = space.basis[1]
-        summed = _residual_terms(residual_map(b0 + b1))
-        expect2: Dict[object, RationalFunc] = dict(outputs[0])
-        for k, v in outputs[1].items():
-            s = expect2.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                expect2.pop(k, None)
-            else:
-                expect2[k] = s
-        if summed != expect2:
+        # residual(b0 + b1) - residual(b0) - residual(b1) must vanish
+        gap = _residual_terms(residual_map(b0 + space.basis[1]))
+        for out in outputs[:2]:
+            for k, v in out.items():
+                prev = gap.get(k)
+                gap[k] = -v if prev is None else prev - v
+        if not all(v.is_zero() for v in gap.values()):
             raise ValueError("residual map is not linear (additivity check failed)")
 
 
-def _kernel_functions(residual_map, space: AnsatzSpace) -> List[RationalFunc]:
+def _kernel_functions(residual_map, space: SearchSpace) -> List[RationalFunc]:
     matrix = collect_linear_system(residual_map, space)
     return [space.combine(v) for v in matrix.nullspace()]
 

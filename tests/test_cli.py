@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from mvcurl import cli
 from mvcurl.cli import main
 
 PLANAR = """\
@@ -331,6 +332,49 @@ def test_computed_zero_division_is_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "print", "--input", str(path))
     assert code == 3
     assert "zero" in err
+
+
+# ------------------------------------------------------------ deep documents
+
+def curl_of(tmp_path, capsys, body):
+    path = tmp_path / "deep.mv"
+    path.write_text(f"chart x y\nmv P = {body}\n")
+    return run(capsys, "curl", "P", "--input", str(path))
+
+
+def test_long_sum_is_evaluated(tmp_path, capsys):
+    assert curl_of(tmp_path, capsys, " + ".join(["x e1"] * 1200)) == (0, "1200\n", "")
+
+
+def test_long_product_is_evaluated(tmp_path, capsys):
+    body = " ".join(["x"] * 600) + " e1"
+    assert curl_of(tmp_path, capsys, body) == (0, "600*x^599\n", "")
+
+
+def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):
+    shallow = curl_of(tmp_path, capsys, "(x) e1")
+    deep = curl_of(tmp_path, capsys, "(" * 100 + "x" + ")" * 100 + " e1")
+    assert deep == shallow == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("body", ["(" * 200 + "x" + ")" * 200 + " e1",
+                                  "-" * 200 + "x e1"])
+def test_nesting_past_the_limit_is_a_parse_error(tmp_path, capsys, body):
+    code, out, err = curl_of(tmp_path, capsys, body)
+    assert (code, out) == (2, "")
+    # "mv P = " takes columns 1-7; the 101st level opens at column 108
+    assert err == "error: line 2, column 108: expression nested deeper than 100 levels\n"
+
+
+def test_recursion_limit_is_not_an_internal_disagreement(planar, capsys,
+                                                         monkeypatch):
+    def too_deep(args, doc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._HANDLERS, "print", too_deep)
+    code, _, err = run(capsys, "print", "--input", planar)
+    assert code == 2
+    assert "internal disagreement" not in err
 
 
 # ---------------------------------------------------------------- JSON output

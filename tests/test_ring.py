@@ -199,6 +199,46 @@ def test_gcd_divides_both(a, b):
     assert b.exact_div(g) * g == b
 
 
+def assert_stored_form(p):
+    # the invariants Polynomial._make relies on instead of re-checking
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+ring_steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*", "exact_div"]), polys(2)),
+    st.tuples(st.just("scale"), st.fractions(max_denominator=5)),
+    st.tuples(st.just("diff"), st.integers(0, 1)),
+    st.tuples(st.just("pow"), st.integers(0, 2))), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(2), ring_steps)
+def test_arithmetic_results_keep_stored_form(acc, steps):
+    assert_stored_form(acc)
+    for op, arg in steps:
+        if op in ("*", "pow") and acc.total_degree() > 4:
+            continue  # keep the chain small
+        if op == "+":
+            acc = acc + arg
+        elif op == "-":
+            acc = acc - arg
+        elif op == "*":
+            acc = acc * arg
+        elif op == "exact_div":
+            if not arg.is_zero():
+                acc = (acc * arg - arg).exact_div(arg)  # acc - 1
+        elif op == "scale":
+            acc = acc.scale(arg)
+        elif op == "diff":
+            acc = acc.diff(arg)
+        else:
+            acc = acc ** arg
+        assert_stored_form(acc)
+
+
 @settings(max_examples=30, deadline=None)
 @given(polys(2), polys(2), polys(2))
 def test_rational_normal_form_idempotent(n, d, junk):
