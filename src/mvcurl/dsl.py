@@ -13,7 +13,8 @@ Grammar (one statement per line, `#` starts a comment):
 Basis symbols e1..en are coordinate vector fields, d1..dn coordinate
 differentials.  Division is restricted to scalar divisors.  Parentheses and
 unary minus signs may nest at most MAX_NESTING deep; chains of binary
-operators are unbounded.
+operators are unbounded.  A power whose expansion may exceed MAX_POWER_TERMS
+terms, in its numerator or denominator, is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mvcurl.exterior import (
@@ -51,6 +53,9 @@ _KEYWORDS = ("chart", "func", "mv", "form", "volume", "lie")
 # parsing and evaluating take a few stack frames per level of parentheses or
 # unary minus; this bound keeps both inside Python's default recursion limit
 MAX_NESTING = 100
+# expanding and printing a power costs about the square of its term count:
+# (x+y+1)^43 has 990 terms, (x+y+1)^80 has 3321
+MAX_POWER_TERMS = 1000
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<num>[0-9]+)"
@@ -326,6 +331,21 @@ def _contains_name(node) -> bool:
     return False
 
 
+def _power_terms(p: Polynomial, exponent: int) -> int:
+    """Upper bound on the number of terms of p^exponent, exponent >= 0: a sum
+    of t terms to the e has at most C(t+e-1, e) terms, and v variables allow
+    at most C(v+e*deg, v) monomials of degree <= e*deg.  The bound grows with
+    e and passes MAX_POWER_TERMS by e = MAX_POWER_TERMS once p has two terms,
+    so capping e there keeps the binomials small without changing a verdict.
+    """
+    t = len(p.terms)
+    if t <= 1:
+        return 1
+    e = min(exponent, MAX_POWER_TERMS)
+    v = sum(1 for i in range(p.nvars) if any(exps[i] for exps in p.terms))
+    return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
+
+
 class _Evaluator:
     def __init__(self, chart: Chart, bindings: Dict[str, "Binding"]):
         self.chart = chart
@@ -374,7 +394,13 @@ class _Evaluator:
             if not isinstance(left, RationalFunc):
                 raise DslError("powers apply to scalar expressions only",
                                node.line, node.col)
-            return left ** node.right.value
+            exponent = node.right.value
+            if max(_power_terms(left.num, abs(exponent)),
+                   _power_terms(left.den, abs(exponent))) > MAX_POWER_TERMS:
+                raise DslError(f"power too large to expand: the result may have "
+                               f"more than {MAX_POWER_TERMS} terms",
+                               node.line, node.col)
+            return left ** exponent
         right = self.eval(node.right)
         kinds = (_value_kind(left), _value_kind(right))
         if node.op in ("+", "-"):

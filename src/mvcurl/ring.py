@@ -168,8 +168,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -219,18 +220,27 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if divisor.is_constant():
             return self.scale(1 / divisor.constant_value())
-        quotient: Dict[Exponent, Fraction] = {}
-        rem = self
         lead_e = divisor.leading_exponent()
         lead_c = divisor.terms[lead_e]
-        while not rem.is_zero():
-            re = rem.leading_exponent()
-            diff = tuple(a - b for a, b in zip(re, lead_e))
-            if any(d < 0 for d in diff):
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+        # reduce one remainder dict in place; each step cancels its leading
+        # term, so the quotient exponents come out distinct and descending
+        rem = dict(self.terms)
+        quotient: Dict[Exponent, Fraction] = {}
+        while rem:
+            re = max(rem, key=grlex_key)
+            qe = tuple(a - b for a, b in zip(re, lead_e))
+            if min(qe) < 0:
                 raise ValueError("inexact polynomial division")
-            qc = rem.terms[re] / lead_c
-            quotient[diff] = quotient.get(diff, 0) + qc
-            rem = rem - divisor * Polynomial._make(self.nvars, {diff: qc})
+            qc = rem.pop(re) / lead_c
+            quotient[qe] = qc
+            for e, c in tail:
+                m = tuple(a + b for a, b in zip(e, qe))
+                v = rem.get(m, 0) - qc * c
+                if v:
+                    rem[m] = v
+                else:
+                    del rem[m]
         return Polynomial._make(self.nvars, quotient)
 
     def to_string(self, names: Sequence[str]) -> str:
@@ -313,7 +323,7 @@ def _content(polys: Iterable[Polynomial]) -> Polynomial:
     ordered = sorted(polys, key=lambda p: len(p.terms))
     acc = ordered[0]
     for p in ordered[1:]:
-        if acc.is_one():
+        if acc.is_constant():
             break
         acc = poly_gcd(acc, p)
     return _monic(acc)
@@ -590,12 +600,38 @@ class RationalFunc:
     # -- calculus -----------------------------------------------------------
 
     def diff(self, index: int) -> "RationalFunc":
-        """Partial derivative; the quotient rule result is re-normalized."""
-        if self.den.is_one():
-            return RationalFunc(self.num.diff(index))
-        return RationalFunc(
-            self.num.diff(index) * self.den - self.num * self.den.diff(index),
-            self.den * self.den)
+        """Partial derivative in x_i, i = ``index``, without a gcd against d².
+
+        With f = n/d in normal form, g = gcd(d, ∂d), h = d/g and e = ∂d/g
+        (∂ = ∂/∂x_i), the quotient rule (n'd - n∂d)/d² is
+
+            f' = (n'h - n e) / (d h).
+
+        An irreducible factor p of d that involves x_i, with multiplicity m,
+        divides ∂d exactly m-1 times (in characteristic 0, p ∤ ∂p), so p^(m-1)
+        is its power in g: p | h, p ∤ e, and p ∤ n since n/d is reduced; hence
+        p ∤ n'h - n e.  A factor of d free of x_i divides ∂d at least as often
+        as it divides d, so g takes all of it and h none.  The numerator and d h can therefore share only
+        factors free of x_i, and those all divide c, the content of d in x_i:
+        one gcd with c finishes the normal form.
+        """
+        num, den = self.num, self.den
+        if den.is_one():
+            return RationalFunc._raw(num.diff(index), den)
+        dden = den.diff(index)
+        g = poly_gcd(den, dden)
+        h = den.exact_div(g)
+        top = num.diff(index) * h - num * dden.exact_div(g)
+        if top.is_zero():
+            return RationalFunc.zero(self.nvars)
+        bottom = den * h
+        c = _content(_split_by_variable(den, index).values())
+        if not c.is_one():
+            shared = poly_gcd(top, c)
+            if not shared.is_one():
+                top = top.exact_div(shared)
+                bottom = bottom.exact_div(shared)
+        return RationalFunc._raw(top, bottom)
 
     def evaluate(self, point: Sequence) -> Fraction:
         dv = self.den.evaluate(point)

@@ -7,11 +7,13 @@ validation errors, 3 mathematical failures.
 
 import io
 import json
+import time
 
 import pytest
 
 from mvcurl import cli
 from mvcurl.cli import main
+from mvcurl.dsl import MAX_POWER_TERMS
 
 PLANAR = """\
 chart x y
@@ -349,6 +351,30 @@ def test_long_sum_is_evaluated(tmp_path, capsys):
 def test_long_product_is_evaluated(tmp_path, capsys):
     body = " ".join(["x"] * 600) + " e1"
     assert curl_of(tmp_path, capsys, body) == (0, "600*x^599\n", "")
+
+
+def test_power_of_a_monomial_is_evaluated(tmp_path, capsys):
+    assert curl_of(tmp_path, capsys, "x^600 e1") == (0, "600*x^599\n", "")
+
+
+@pytest.mark.parametrize("body, col", [("(x+y+1)^80 e1", 15),
+                                       ("1/(x+y+1)^80 e1", 17),
+                                       ("(x+y+1)^99999999999999999999 e1", 15)])
+def test_power_past_the_term_budget_is_refused_early(tmp_path, capsys, body,
+                                                     col):
+    start = time.perf_counter()
+    code, out, err = curl_of(tmp_path, capsys, body)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 2, column {col}: power too large to expand: "
+                   f"the result may have more than {MAX_POWER_TERMS} terms\n")
+
+
+def test_power_at_the_term_budget_is_evaluated(tmp_path, capsys):
+    # (x+y+1)^43 has C(45, 2) = 990 terms; ^44 would have 1035
+    code, out, _ = curl_of(tmp_path, capsys, "(x+y+1)^43 e1")
+    assert code == 0
+    assert out.startswith("43*x^42 + ")
 
 
 def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):

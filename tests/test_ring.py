@@ -249,3 +249,51 @@ def test_rational_normal_form_idempotent(n, d, junk):
     assert again.num == r.num and again.den == r.den
     if not junk.is_zero():
         assert RationalFunc(n * junk, d * junk) == r
+
+
+# -- quotient rule and exact division ---------------------------------------
+
+# multilinear factors keep the reference path, a gcd against d^2, quick
+factors = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                          small, min_size=1, max_size=3).map(
+    lambda t: Polynomial(2, {e: Fraction(c) for e, c in t.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(2), factors, factors, st.integers(1, 3), st.integers(0, 1))
+def test_rational_diff_matches_full_renormalization(n, p, q, m, index):
+    if p.is_zero() or q.is_zero():
+        return
+    f = RationalFunc(n, p ** m * q)
+    num, den = f.num, f.den
+    reference = RationalFunc(num.diff(index) * den - num * den.diff(index),
+                             den * den)
+    got = f.diff(index)
+    assert got.num == reference.num and got.den == reference.den
+
+
+@pytest.mark.parametrize("num, den, index, expected_num, expected_den", [
+    # the x-free factor y^2 survives as y: only the content step removes it
+    (ONE, Y * Y * (X * Y + ONE), 0, -ONE, Y * (X * Y + ONE) ** 2),
+    (ONE, (X + Y) ** 3, 0, Polynomial.constant(2, -3), (X + Y) ** 4),
+    # a denominator free of x: d/dx (xy + 1)/y^2 = 1/y
+    (X * Y + ONE, Y * Y, 0, ONE, Y),
+    (X, Y * Y, 0, ONE, Y * Y),
+])
+def test_rational_diff_named_cases(num, den, index, expected_num, expected_den):
+    got = RationalFunc(num, den).diff(index)
+    assert got.num == expected_num and got.den == expected_den
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(2), polys(2))
+def test_exact_div_inverts_mul(a, b):
+    if b.is_zero():
+        return
+    assert (a * b).exact_div(b) == a
+
+
+@pytest.mark.parametrize("num, den", [(X * X + ONE, X + ONE), (X, Y)])
+def test_exact_div_rejects_inexact_division(num, den):
+    with pytest.raises(ValueError, match="inexact"):
+        num.exact_div(den)
