@@ -14,7 +14,8 @@ Basis symbols e1..en are coordinate vector fields, d1..dn coordinate
 differentials.  Division is restricted to scalar divisors.  Parentheses and
 unary minus signs may nest at most MAX_NESTING deep; chains of binary
 operators are unbounded.  A power whose expansion may exceed MAX_POWER_TERMS
-terms, in its numerator or denominator, is refused before it is computed.
+terms, in its numerator or denominator, or whose coefficients may exceed
+MAX_POWER_DIGITS digits, is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mvcurl.exterior import (
@@ -56,6 +57,9 @@ MAX_NESTING = 100
 # expanding and printing a power costs about the square of its term count:
 # (x+y+1)^43 has 990 terms, (x+y+1)^80 has 3321
 MAX_POWER_TERMS = 1000
+# Python's default limit on the digits of an int it converts to text: a
+# coefficient past it could be computed but never printed
+MAX_POWER_DIGITS = 4300
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<num>[0-9]+)"
@@ -346,6 +350,19 @@ def _power_terms(p: Polynomial, exponent: int) -> int:
     return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
 
 
+def _coefficient_digits(p: Polynomial) -> float:
+    """log10 of H = max(D, |D*p|_1), with D the common denominator of p's
+    coefficients and |.|_1 the sum of absolute coefficients.  The norm is
+    submultiplicative, so every coefficient of p^e is a fraction whose
+    numerator and denominator are at most H^e: at most e*log10(H) digits,
+    rounded down, plus one.
+    """
+    coeffs = p.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    return log10(max(den, sum(abs(c.numerator) * (den // c.denominator)
+                              for c in coeffs)))
+
+
 class _Evaluator:
     def __init__(self, chart: Chart, bindings: Dict[str, "Binding"]):
         self.chart = chart
@@ -399,6 +416,15 @@ class _Evaluator:
                    _power_terms(left.den, abs(exponent))) > MAX_POWER_TERMS:
                 raise DslError(f"power too large to expand: the result may have "
                                f"more than {MAX_POWER_TERMS} terms",
+                               node.line, node.col)
+            # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of
+            # n, so the sum bounds either sign; each log10(H) is 0 or at least
+            # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
+            e = min(abs(exponent), 4 * MAX_POWER_DIGITS)
+            if e * (_coefficient_digits(left.num)
+                    + _coefficient_digits(left.den)) >= MAX_POWER_DIGITS:
+                raise DslError(f"power too large to expand: its coefficients "
+                               f"may have more than {MAX_POWER_DIGITS} digits",
                                node.line, node.col)
             return left ** exponent
         right = self.eval(node.right)

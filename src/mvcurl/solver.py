@@ -90,7 +90,8 @@ def monomial_exponents(nvars: int, max_degree: int) -> List[Tuple[int, ...]]:
 
 
 class ExactMatrix:
-    """Dense matrix of exact rationals with Gauss-Jordan elimination."""
+    """Matrix of exact rationals, stored as dense rows in ``data`` and
+    eliminated as sparse rows."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -115,53 +116,54 @@ class ExactMatrix:
                 out.data[index[k]][j] = v
         return out
 
-    def column(self, j: int) -> List[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def multiply_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         return [sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
                 for r in self.data]
 
-    def _rref(self) -> Tuple[List[List[Fraction]], List[int]]:
-        m = [row[:] for row in self.data]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot is None:
+    def _rref(self) -> Tuple[List[Dict[int, Fraction]], List[int]]:
+        """Reduced row echelon form: the non-zero rows as ``{column: value}``
+        dicts of their non-zeros, in pivot order, and the pivot columns.
+
+        Sparse Gauss-Jordan in the style of sympy's ``sdm_irref``: each row
+        is reduced by the pivot rows found so far, takes its smallest column
+        as a new pivot, is normalised, and clears that column from the
+        earlier pivot rows.  The RREF is unique, so the order rows are taken
+        in does not change the result.
+        """
+        pivot_rows: Dict[int, Dict[int, Fraction]] = {}
+        for dense in self.data:
+            row = {j: v for j, v in enumerate(dense) if v}
+            for p in [j for j in row if j in pivot_rows]:
+                _subtract_multiple(row, row[p], pivot_rows[p])
+            if not row:
                 continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+            col = min(row)
+            inv = 1 / row[col]
+            row = {j: v * inv for j, v in row.items()}
+            for other in pivot_rows.values():
+                if col in other:
+                    _subtract_multiple(other, other[col], row)
+            pivot_rows[col] = row
+        pivots = sorted(pivot_rows)
+        return [pivot_rows[c] for c in pivots], pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def nullspace(self) -> List[List[Fraction]]:
         """Exact basis of the right kernel, one vector per free column."""
-        m, pivots = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * self.cols
+        reduced, pivots = self._rref()
+        basis = {j: [Fraction(0)] * self.cols
+                 for j in sorted(set(range(self.cols)) - set(pivots))}
+        for free, v in basis.items():
             v[free] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][free]
-            basis.append(v)
-        return basis
+        for row, c in zip(reduced, pivots):
+            for free, x in row.items():
+                if free != c:
+                    basis[free][c] = -x
+        return list(basis.values())
 
     def solve(self, b: Sequence[Fraction]) -> List[Fraction] | None:
         """One exact solution of M x = b, or None when inconsistent."""
@@ -169,13 +171,24 @@ class ExactMatrix:
             raise ValueError("right-hand side length does not match rows")
         aug = ExactMatrix(self.rows, self.cols + 1,
                           [row[:] + [Fraction(bi)] for row, bi in zip(self.data, b)])
-        m, pivots = aug._rref()
+        reduced, pivots = aug._rref()
         if self.cols in pivots:
             return None
         x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = m[r][self.cols]
+        for row, c in zip(reduced, pivots):
+            x[c] = row.get(self.cols, Fraction(0))
         return x
+
+
+def _subtract_multiple(target: Dict[int, Fraction], factor: Fraction,
+                       row: Dict[int, Fraction]) -> None:
+    """target -= factor * row on sparse rows, dropping the zeros it makes."""
+    for j, v in row.items():
+        x = target.get(j, 0) - factor * v
+        if x:
+            target[j] = x
+        else:
+            del target[j]
 
 
 # -- residual expansion -----------------------------------------------------

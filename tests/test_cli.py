@@ -13,7 +13,7 @@ import pytest
 
 from mvcurl import cli
 from mvcurl.cli import main
-from mvcurl.dsl import MAX_POWER_TERMS
+from mvcurl.dsl import MAX_POWER_DIGITS, MAX_POWER_TERMS
 
 PLANAR = """\
 chart x y
@@ -375,6 +375,25 @@ def test_power_at_the_term_budget_is_evaluated(tmp_path, capsys):
     code, out, _ = curl_of(tmp_path, capsys, "(x+y+1)^43 e1")
     assert code == 0
     assert out.startswith("43*x^42 + ")
+
+
+@pytest.mark.parametrize("body, col", [("7^3000000 x e1", 9),
+                                       ("(1/7)^-3000000 x e1", 13),
+                                       ("(3/(2 y))^10000 x e1", 17)])
+def test_power_past_the_digit_budget_is_refused_early(tmp_path, capsys, body,
+                                                      col):
+    start = time.perf_counter()
+    code, out, err = curl_of(tmp_path, capsys, body)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 2, column {col}: power too large to expand: "
+                   f"its coefficients may have more than {MAX_POWER_DIGITS} "
+                   f"digits\n")
+
+
+def test_power_at_the_digit_budget_is_evaluated(tmp_path, capsys):
+    # 7^5000 has 4226 digits, within Python's 4300-digit printing limit
+    assert curl_of(tmp_path, capsys, "7^5000 x e1") == (0, f"{7 ** 5000}\n", "")
 
 
 def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
@@ -83,6 +84,96 @@ def test_from_columns_sparse_assembly():
     m = ExactMatrix.from_columns([{("a", 1): F(2)}, {("b", 0): F(1), ("a", 1): F(3)}])
     assert (m.rows, m.cols) == (2, 2)
     assert m.rank() == 2
+
+
+# -- exact matrices against a dense reference -------------------------------
+
+
+def dense_rref(data, cols):
+    """Textbook dense Gauss-Jordan: the non-zero RREF rows and the pivots."""
+    m = [row[:] for row in data]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+# mostly zeros, like the solver's systems
+entries = st.one_of(st.just(F(0)), st.just(F(0)),
+                    st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return ExactMatrix(rows, cols, data)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    m = draw(matrices())
+    return m, draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_dense_reference(m):
+    reduced, pivots = m._rref()
+    ref_rows, ref_pivots = dense_rref(m.data, m.cols)
+    assert pivots == ref_pivots
+    assert [[row.get(j, F(0)) for j in range(m.cols)] for row in reduced] == ref_rows
+    assert all(v for row in reduced for v in row.values())  # only non-zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_plus_nullity_and_kernel(m):
+    null = m.nullspace()
+    assert m.rank() + len(null) == m.cols
+    for v in null:
+        assert m.multiply_vector(v) == [F(0)] * m.rows
+    ref_rows, ref_pivots = dense_rref(m.data, m.cols)
+    free = [j for j in range(m.cols) if j not in ref_pivots]
+    assert [v[j] for v in null for j in free] == [
+        F(int(j == k)) for k in free for j in free]
+    assert [[v[c] for c in ref_pivots] for v in null] == [
+        [-row[k] for row in ref_rows] for k in free]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_and_vectors())
+def test_solve_finds_a_solution_of_a_reachable_target(pair):
+    m, x = pair
+    b = m.multiply_vector(x)
+    y = m.solve(b)
+    assert y is not None
+    assert m.multiply_vector(y) == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_and_vectors(), st.data())
+def test_solve_refuses_an_inconsistent_target(pair, data):
+    m, x = pair
+    # a row combining the others, asked for one more than that combination
+    weights = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    combo = [sum((w * row[j] for w, row in zip(weights, m.data)), F(0))
+             for j in range(m.cols)]
+    b = m.multiply_vector(x)
+    extended = ExactMatrix(m.rows + 1, m.cols, m.data + [combo])
+    target = b + [sum((w * bi for w, bi in zip(weights, b)), F(0)) + 1]
+    assert extended.solve(target) is None
 
 
 # -- residual collection ----------------------------------------------------

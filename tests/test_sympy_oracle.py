@@ -1,5 +1,6 @@
-"""sympy as an independent oracle for the ring's hard kernels: the gcd, the
-rational normal form and the quotient rule.
+"""sympy as an independent oracle for the hard kernels: the gcd, the
+rational normal form and the quotient rule of the ring, and the rank,
+reduced row echelon form and nullspace of the exact solver.
 
 sympy is used by these tests only; the package itself stays stdlib-only, and
 the module is skipped where sympy is not installed.
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mvcurl.ring import Polynomial, RationalFunc, poly_gcd
+from mvcurl.solver import ExactMatrix
 
 sympy = pytest.importorskip("sympy")
 
@@ -89,3 +91,56 @@ def test_diff_matches_sympy(case):
     expected = sympy_normal_form(
         sympy.diff(to_sympy(f.num) / to_sympy(f.den), SYMBOLS[index]))
     assert (got.num, got.den) == expected
+
+
+# shapes of the first cases: empty both ways, and all zero
+EDGE_SHAPES = [(0, 4), (4, 0), (0, 0), (3, 5)]
+
+
+def random_matrix(rng, case):
+    if case < len(EDGE_SHAPES):
+        rows, cols = EDGE_SHAPES[case]
+        return [[Fraction(0)] * cols for _ in range(rows)], cols
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice([0.15, 0.3, 0.6])
+    data = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+             if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:  # a zero row and a zero column
+        data[rng.randrange(rows)] = [Fraction(0)] * cols
+        zero_col = rng.randrange(cols)
+        for row in data:
+            row[zero_col] = Fraction(0)
+    if rng.random() < 0.5 and rows > 1:  # a dependent row
+        a, b = rng.sample(range(rows), 2)
+        factor = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        data.append([x + factor * y for x, y in zip(data[a], data[b])])
+    return data, cols
+
+
+def to_sympy_matrix(data, cols):
+    return sympy.Matrix(len(data), cols,
+                        [sympy.Rational(x.numerator, x.denominator)
+                         for row in data for x in row])
+
+
+def from_sympy_rational(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rank_rref_and_nullspace_match_sympy(case):
+    rng = random.Random(f"matrix:{case}")
+    data, cols = random_matrix(rng, case)
+    m = ExactMatrix(len(data), cols, [row[:] for row in data])
+    s = to_sympy_matrix(data, cols)
+    assert m.rank() == s.rank()
+    s_rref, s_pivots = s.rref()
+    reduced, pivots = m._rref()
+    assert pivots == list(s_pivots)
+    assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == [
+        [from_sympy_rational(s_rref[i, j]) for j in range(cols)]
+        for i in range(len(pivots))]
+    assert m.nullspace() == [[from_sympy_rational(x) for x in v]
+                             for v in s.nullspace()]
+    assert m.data == data  # elimination leaves the matrix as it was
