@@ -5,19 +5,31 @@ curl-free multivectors to curl-free multivectors and squares to zero.  All
 computations here happen inside finite polynomial-degree truncations, so
 kernel and image dimensions are exact for the truncation but only bound the
 untruncated cohomology.
+
+Dimensions come from ranks, never from an explicit curl-free basis.  With C
+the curl and D the bracket [pi, .] on the n monomial multivectors of one
+grade and degree bound: dim exact = n - rank C, dim kernel = n - rank [C; D]
+(the rows stacked), and dim image = rank [C'; D'] - rank C' = dim exact' -
+dim kernel', the rank of D' on the kernel of C', one grade lower at the lower
+degree bound.  Stacking never lowers a rank, so dim kernel <= dim exact holds
+by construction; dim image <= dim kernel needs [pi, .] to square to zero, to
+keep curls at zero and to stay inside the degree bound, so it remains a real
+check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
 from mvcurl.poisson import require_poisson
 from mvcurl.ring import Polynomial, RationalFunc
-from mvcurl.solver import SearchSpace, collect_linear_system, monomial_exponents
+from mvcurl.solver import (ExactMatrix, SearchSpace, collect_linear_system,
+                           kernel_basis, monomial_exponents)
 
 __all__ = [
     "NonExactError",
@@ -45,11 +57,9 @@ class MultivectorBasis(SearchSpace):
     def __init__(self, chart: Chart, grade: int, max_degree: int):
         if not 0 <= grade <= chart.dim:
             raise ValueError(f"grade {grade} out of range for dimension {chart.dim}")
-        if max_degree < 0:
-            raise ValueError("degree bound must be non-negative")
         self.grade = grade
         n = chart.dim
-        exponents = monomial_exponents(n, max_degree)
+        exponents = monomial_exponents(n, max_degree, comb(n, grade))
         basis: List[Multivector] = []
         index: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for mask in range(1 << n):
@@ -88,11 +98,22 @@ def exact_basis(volume: VolumeForm, grade: int,
                 max_degree: int) -> List[Multivector]:
     """Spanning set of the curl-free grade-k multivectors with polynomial
     coefficients of total degree <= max_degree."""
+    return kernel_basis(lambda a: curl(volume, a),
+                        MultivectorBasis(volume.chart, grade, max_degree))
+
+
+def _exact_and_kernel_dims(volume: VolumeForm, pi: Multivector, grade: int,
+                           max_degree: int) -> Tuple[int, int]:
+    """n - rank C and n - rank [C; D] on the monomial grade-k multivectors,
+    from one assembly that runs curl and [pi, .] once per basis element."""
     ambient = MultivectorBasis(volume.chart, grade, max_degree)
-    if grade == 0:
-        return list(ambient.basis)
-    matrix = collect_linear_system(lambda a: curl(volume, a), ambient)
-    return [ambient.combine(v) for v in matrix.nullspace()]
+    stacked = collect_linear_system(
+        lambda a: (curl(volume, a), schouten(pi, a)), ambient)
+    # row labels are ((part, blade), monomial); part 0 is the curl
+    curl_rows = [row for label, row in zip(stacked.labels, stacked.data)
+                 if label[0][0] == 0]
+    rank_c = ExactMatrix(len(curl_rows), stacked.cols, curl_rows).rank()
+    return ambient.dimension - rank_c, ambient.dimension - stacked.rank()
 
 
 @dataclass(frozen=True)
@@ -132,20 +153,14 @@ def truncated_exact_cohomology(volume: VolumeForm, pi: Multivector, k: int,
 
     deg_pi = max((c.num.total_degree() for c in pi.terms.values()), default=0)
 
-    def delta_rank(elements: List[Multivector]) -> int:
-        if not elements:
-            return 0
-        space = SearchSpace(volume.chart, elements)
-        return collect_linear_system(lambda a: schouten(pi, a), space).rank()
-
-    domain = exact_basis(volume, k, max_degree)
-    dim_exact_k = len(domain)
-    dim_kernel = dim_exact_k - delta_rank(domain)
+    dim_exact_k, dim_kernel = _exact_and_kernel_dims(volume, pi, k, max_degree)
 
     dim_image = 0
     lower_degree = max_degree - deg_pi + 1
     if k > 0 and lower_degree >= 0:
-        dim_image = delta_rank(exact_basis(volume, k - 1, lower_degree))
+        exact_below, kernel_below = _exact_and_kernel_dims(
+            volume, pi, k - 1, lower_degree)
+        dim_image = exact_below - kernel_below
 
     if not dim_image <= dim_kernel <= dim_exact_k:
         raise RuntimeError("truncated complex dimensions are inconsistent")

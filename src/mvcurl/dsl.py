@@ -15,7 +15,9 @@ differentials.  Division is restricted to scalar divisors.  Parentheses and
 unary minus signs may nest at most MAX_NESTING deep; chains of binary
 operators are unbounded.  A power whose expansion may exceed MAX_POWER_TERMS
 terms, in its numerator or denominator, or whose coefficients may exceed
-MAX_POWER_DIGITS digits, is refused before it is computed.
+MAX_POWER_DIGITS digits, is refused before it is computed.  So is a number
+literal longer than MAX_POWER_DIGITS digits, and a binding whose value has a
+coefficient longer than that, since neither could be printed.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ MAX_POWER_TERMS = 1000
 # Python's default limit on the digits of an int it converts to text: a
 # coefficient past it could be computed but never printed
 MAX_POWER_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_POWER_DIGITS
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<num>[0-9]+)"
@@ -103,6 +106,9 @@ def _tokenize(text: str) -> List[_Token]:
             if m.lastgroup == "bad":
                 raise DslError(f"unexpected character {m.group('bad')!r}",
                                lineno, col)
+            if m.lastgroup == "num" and len(m.group("num")) > MAX_POWER_DIGITS:
+                raise DslError(f"number literal longer than {MAX_POWER_DIGITS} "
+                               "digits", lineno, col)
             if m.lastgroup is not None:
                 kind = {"num": "NUM", "ident": "IDENT", "op": "OP"}[m.lastgroup]
                 tokens.append(_Token(kind, m.group(m.lastgroup), lineno, col))
@@ -550,6 +556,19 @@ def _constants_from_bivector(pi: Multivector, line: int,
         raise DslError(str(exc), line, col) from exc
 
 
+def _check_digits(raw: _RawBinding, value: Value) -> None:
+    """Refuse a value with a coefficient of more than MAX_POWER_DIGITS
+    digits: a product of powers can build one that no power check sees."""
+    scalars = [value] if isinstance(value, RationalFunc) else value.terms.values()
+    for rf in scalars:
+        for p in (rf.num, rf.den):
+            for c in p.terms.values():
+                if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                    raise DslError(f"a coefficient has more than "
+                                   f"{MAX_POWER_DIGITS} digits",
+                                   raw.line, raw.col)
+
+
 def _finish_binding(raw: _RawBinding, value: Value, chart: Chart) -> Binding:
     kind = raw.kind
     if kind == "func":
@@ -610,6 +629,7 @@ def parse(text: str) -> Document:
             raise DslError(f"duplicate binding name {raw.name!r}",
                            raw.line, raw.col)
         value = evaluator.eval(raw.expr)
+        _check_digits(raw, value)
         binding = _finish_binding(raw, value, chart)
         bindings.append(binding)
         by_name[raw.name] = binding

@@ -203,10 +203,6 @@ class _BladeSum:
         return type(self)(self.chart, self.grade,
                           {m: c * value for m, c in self.terms.items()})
 
-    def map_coefficients(self, fn):
-        return type(self)(self.chart, self.grade,
-                          {m: fn(c) for m, c in self.terms.items()})
-
     def wedge(self, other):
         self._check(other)
         out: Dict[int, RationalFunc] = {}

@@ -60,16 +60,6 @@ def hamiltonian_field(pi: Multivector, f: RationalFunc) -> Multivector:
     return interior_product_vector(df, pi)
 
 
-def _pairwise_components(pi: Multivector) -> Dict[Tuple[int, int], RationalFunc]:
-    """Upper-triangular components pi[i][j] for i < j from blade terms."""
-    out = {}
-    for mask, coeff in pi.terms.items():
-        i = (mask & -mask).bit_length() - 1
-        j = mask.bit_length() - 1
-        out[(i, j)] = coeff
-    return out
-
-
 def modular_field(volume: VolumeForm, pi: Multivector) -> Multivector:
     """Curl of the bivector; with unit density the coordinate formula
     X^i = sum_j d(pi^ij)/dx_j is computed as an internal cross-check."""
@@ -77,14 +67,10 @@ def modular_field(volume: VolumeForm, pi: Multivector) -> Multivector:
         raise ValueError(f"expected a bivector, got grade {pi.grade}")
     field = curl(volume, pi)
     if volume.density.is_one():
-        n = volume.chart.dim
-        components = [RationalFunc.zero(n) for _ in range(n)]
-        for (i, j), coeff in _pairwise_components(pi).items():
-            components[i] = components[i] + coeff.diff(j)
-            components[j] = components[j] - coeff.diff(i)
+        # the multiplier residuals of m = 1 are the components of the curl
+        components = lm_system_residuals(volume, volume.density, pi)
         direct = Multivector(volume.chart, 1,
-                             {1 << i: c for i, c in enumerate(components)
-                              if not c.is_zero()})
+                             {1 << i: c for i, c in enumerate(components)})
         if direct != field:
             raise RuntimeError("modular field routes disagree")
     return field
@@ -103,7 +89,10 @@ def lm_system_residuals(volume: VolumeForm, m: RationalFunc,
         raise ValueError(f"expected a bivector, got grade {pi.grade}")
     n = volume.chart.dim
     residuals = [RationalFunc.zero(n) for _ in range(n)]
-    for (i, j), coeff in _pairwise_components(pi).items():
+    for mask, coeff in pi.terms.items():
+        # the component pi^ij, i < j, sits on the blade e_i ^ e_j
+        i = (mask & -mask).bit_length() - 1
+        j = mask.bit_length() - 1
         scaled = m * coeff
         residuals[i] = residuals[i] + scaled.diff(j)
         residuals[j] = residuals[j] - scaled.diff(i)

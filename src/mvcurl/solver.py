@@ -11,11 +11,18 @@ rescale columns and corrupt the recovered solution functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm, _BladeSum
 from mvcurl.ring import Polynomial, RationalFunc, grlex_key, poly_lcm
+
+# Largest ansatz a solver accepts, in basis elements.  Assembly runs an
+# operator on every element and elimination is up to cubic in the count: on a
+# 2-core x86 host, so(3) casimir at degree 20 (1,771 elements) took 2.3 s and
+# at degree 30 (5,456) 22 s.
+MAX_ANSATZ_SIZE = 2000
 
 
 class SearchSpace:
@@ -58,22 +65,33 @@ class AnsatzSpace(SearchSpace):
 
     def __init__(self, chart: Chart, max_degree: int,
                  denominator: Polynomial | None = None):
-        if max_degree < 0:
-            raise ValueError("degree bound must be non-negative")
+        exponents = monomial_exponents(chart.dim, max_degree)
         if denominator is not None and denominator.is_zero():
             raise ZeroDivisionError("ansatz denominator must be non-zero")
         den_rf = None
         if denominator is not None:
             den_rf = RationalFunc(Polynomial.constant(chart.dim, 1), denominator)
         basis = []
-        for exps in monomial_exponents(chart.dim, max_degree):
+        for exps in exponents:
             mono = RationalFunc(Polynomial.monomial(chart.dim, exps))
             basis.append(mono if den_rf is None else mono * den_rf)
         super().__init__(chart, basis)
 
 
-def monomial_exponents(nvars: int, max_degree: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples of total degree <= max_degree, ascending graded lex."""
+def monomial_exponents(nvars: int, max_degree: int,
+                       blades: int = 1) -> List[Tuple[int, ...]]:
+    """Exponent tuples of total degree <= max_degree, ascending graded lex.
+
+    Every ansatz is built from these, one copy per blade, so this is where
+    its size, C(nvars + max_degree, nvars) * blades, is checked against
+    MAX_ANSATZ_SIZE before anything is enumerated.
+    """
+    if max_degree < 0:
+        raise ValueError("degree bound must be non-negative")
+    size = comb(nvars + max_degree, nvars) * blades
+    if size > MAX_ANSATZ_SIZE:
+        raise ValueError(f"ansatz too large: {size} basis elements, more than "
+                         f"{MAX_ANSATZ_SIZE}")
 
     def compositions(total: int, slots: int):
         if slots == 1:
@@ -91,9 +109,10 @@ def monomial_exponents(nvars: int, max_degree: int) -> List[Tuple[int, ...]]:
 
 class ExactMatrix:
     """Matrix of exact rationals, stored as dense rows in ``data`` and
-    eliminated as sparse rows."""
+    eliminated as sparse rows.  ``labels`` names the rows of a matrix
+    assembled by ``from_columns``, in row order, and is None otherwise."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "labels")
 
     def __init__(self, rows: int, cols: int,
                  data: List[List[Fraction]] | None = None):
@@ -104,6 +123,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self.labels: List[object] | None = None
 
     @classmethod
     def from_columns(cls, columns: List[Dict[object, Fraction]]) -> "ExactMatrix":
@@ -111,6 +131,7 @@ class ExactMatrix:
         labels = sorted({k for col in columns for k in col}, key=repr)
         index = {k: i for i, k in enumerate(labels)}
         out = cls(len(labels), len(columns))
+        out.labels = labels
         for j, col in enumerate(columns):
             for k, v in col.items():
                 out.data[index[k]][j] = v
@@ -195,13 +216,17 @@ def _subtract_multiple(target: Dict[int, Fraction], factor: Fraction,
 
 
 def _residual_terms(value) -> Dict[object, RationalFunc]:
-    """View a residual as sparse (slot -> coefficient) for row expansion."""
+    """View a residual as sparse (slot -> coefficient) for row expansion.
+
+    A list or tuple of residuals stacks them: part i's slot s becomes
+    (i, s), so each part keeps its own rows."""
     if isinstance(value, _BladeSum):
         return dict(value.terms)
     if isinstance(value, RationalFunc):
         return {} if value.is_zero() else {0: value}
     if isinstance(value, (list, tuple)):
-        return {i: c for i, c in enumerate(value) if not c.is_zero()}
+        return {(i, slot): c for i, part in enumerate(value)
+                for slot, c in _residual_terms(part).items()}
     raise TypeError(f"unsupported residual type: {type(value).__name__}")
 
 
@@ -279,7 +304,9 @@ def _linearity_spot_check(residual_map, space: SearchSpace,
             raise ValueError("residual map is not linear (additivity check failed)")
 
 
-def _kernel_functions(residual_map, space: SearchSpace) -> List[RationalFunc]:
+def kernel_basis(residual_map: Callable, space: SearchSpace) -> list:
+    """Members of ``space`` spanning the kernel of a linear residual map:
+    one per free column of the exact system, built with ``combine``."""
     matrix = collect_linear_system(residual_map, space)
     return [space.combine(v) for v in matrix.nullspace()]
 
@@ -287,37 +314,26 @@ def _kernel_functions(residual_map, space: SearchSpace) -> List[RationalFunc]:
 # -- exact span membership --------------------------------------------------
 
 
+def _span_contains(columns: List[Dict[object, Fraction]],
+                   candidate: Dict[object, Fraction]) -> bool:
+    """Whether adding the candidate column leaves the rank unchanged."""
+    return (ExactMatrix.from_columns(columns).rank()
+            == ExactMatrix.from_columns(columns + [candidate]).rank())
+
+
 def vector_span_contains(vectors: Sequence[Sequence[Fraction]],
                          candidate: Sequence[Fraction]) -> bool:
     """Whether candidate lies in the rational span of the given vectors."""
-    if not any(candidate):
-        return True
-    if not vectors:
-        return False
-    cols = [dict(enumerate(v)) for v in vectors]
-    base = ExactMatrix.from_columns(cols)
-    extended = ExactMatrix.from_columns(cols + [dict(enumerate(candidate))])
-    return base.rank() == extended.rank()
-
-
-def _function_coordinates(functions: Sequence[RationalFunc]) -> List[Dict[object, Fraction]]:
-    nvars = functions[0].nvars
-    outputs = [{0: f} if not f.is_zero() else {} for f in functions]
-    return _expand_with_common_denominator(outputs, nvars)
+    return _span_contains([dict(enumerate(v)) for v in vectors],
+                          dict(enumerate(candidate)))
 
 
 def function_span_contains(functions: Sequence[RationalFunc],
                            candidate: RationalFunc) -> bool:
     """Exact membership of a rational function in a finite rational span."""
-    if candidate.is_zero():
-        return True
-    if not functions:
-        return False
-    cols = _function_coordinates(list(functions) + [candidate])
-    extra = cols.pop()
-    base = ExactMatrix.from_columns(cols)
-    extended = ExactMatrix.from_columns(cols + [extra])
-    return base.rank() == extended.rank()
+    *columns, extra = _expand_with_common_denominator(
+        [_residual_terms(f) for f in (*functions, candidate)], candidate.nvars)
+    return _span_contains(columns, extra)
 
 
 def function_spans_equal(a: Sequence[RationalFunc],
@@ -335,10 +351,10 @@ def lm_solve(volume: VolumeForm, a: Multivector,
 
     Empty output means none in the ansatz, not that none exists.
     """
-    return _kernel_functions(lambda m: curl(volume, a.scale(m)), space)
+    return kernel_basis(lambda m: curl(volume, a.scale(m)), space)
 
 
 def casimir_solve(pi: Multivector, space: AnsatzSpace) -> List[RationalFunc]:
     """Basis of the functions bracket-commuting with ``pi`` in the ansatz."""
-    return _kernel_functions(
+    return kernel_basis(
         lambda f: schouten(pi, Multivector.scalar(pi.chart, f)), space)

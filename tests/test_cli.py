@@ -8,12 +8,14 @@ validation errors, 3 mathematical failures.
 import io
 import json
 import time
+from math import comb
 
 import pytest
 
 from mvcurl import cli
 from mvcurl.cli import main
 from mvcurl.dsl import MAX_POWER_DIGITS, MAX_POWER_TERMS
+from mvcurl.solver import MAX_ANSATZ_SIZE
 
 PLANAR = """\
 chart x y
@@ -394,6 +396,59 @@ def test_power_past_the_digit_budget_is_refused_early(tmp_path, capsys, body,
 def test_power_at_the_digit_budget_is_evaluated(tmp_path, capsys):
     # 7^5000 has 4226 digits, within Python's 4300-digit printing limit
     assert curl_of(tmp_path, capsys, "7^5000 x e1") == (0, f"{7 ** 5000}\n", "")
+
+
+def test_power_below_the_digit_budget_is_evaluated(tmp_path, capsys):
+    assert curl_of(tmp_path, capsys, "7^4000 x e1") == (0, f"{7 ** 4000}\n", "")
+
+
+@pytest.mark.parametrize("body, position, message", [
+    ("7" * 5000 + " x e1", "line 2, column 8",
+     f"number literal longer than {MAX_POWER_DIGITS} digits"),
+    ("x^" + "1" * 5000 + " e1", "line 2, column 10",
+     f"number literal longer than {MAX_POWER_DIGITS} digits"),
+    ("7^4000 * 7^4000 x e1", "line 2, column 1",
+     f"a coefficient has more than {MAX_POWER_DIGITS} digits"),
+])
+def test_coefficient_past_the_digit_budget_is_refused(tmp_path, capsys, body,
+                                                      position, message):
+    start = time.perf_counter()
+    code, out, err = curl_of(tmp_path, capsys, body)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {position}: {message}\n"
+
+
+def test_long_func_literal_is_refused_at_its_position(tmp_path, capsys):
+    path = tmp_path / "literal.mv"
+    path.write_text("chart x y\nfunc f = " + "7" * 5000 + "\n")
+    assert run(capsys, "print", "--input", str(path)) == (
+        2, "", f"error: line 2, column 10: number literal longer than "
+               f"{MAX_POWER_DIGITS} digits\n")
+
+
+SIXTEEN = ("chart " + " ".join(f"x{i}" for i in range(1, 17))
+           + "\nmv P = e1^^e2\n")
+
+
+@pytest.mark.parametrize("argv, doc, size", [
+    (["casimir", "g", "--max-degree", "30"], SO3, comb(33, 3)),
+    (["lm-solve", "g", "--max-degree", "21"], SO3, comb(24, 3)),
+    (["unimodular", "g", "--max-degree", "21"], SO3, comb(24, 3)),
+    (["cohomology", "P", "--k", "2", "--max-degree", "4"], SIXTEEN,
+     comb(20, 16) * comb(16, 2)),
+])
+def test_ansatz_past_the_budget_is_refused_early(tmp_path, capsys, argv, doc,
+                                                 size):
+    path = tmp_path / "doc.mv"
+    path.write_text(doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert size > MAX_ANSATZ_SIZE
+    assert (code, out) == (2, "")
+    assert err == (f"error: ansatz too large: {size} basis elements, "
+                   f"more than {MAX_ANSATZ_SIZE}\n")
 
 
 def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):

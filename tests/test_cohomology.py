@@ -1,10 +1,12 @@
 """Truncated cohomology of the curl-free complex: kernels, images, reports."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import mvcurl.cohomology as cohomology
 from mvcurl.cohomology import (
     MultivectorBasis,
     NonExactError,
@@ -13,12 +15,17 @@ from mvcurl.cohomology import (
     lichnerowicz_delta,
     truncated_exact_cohomology,
 )
-from mvcurl.curl import curl
+from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
 from mvcurl.identities import random_polynomial
 from mvcurl.poisson import NonPoissonError, StructureConstants, lie_poisson
 from mvcurl.ring import Polynomial, RationalFunc
-from mvcurl.solver import vector_span_contains
+from mvcurl.solver import (
+    ExactMatrix,
+    SearchSpace,
+    collect_linear_system,
+    vector_span_contains,
+)
 
 F = Fraction
 
@@ -77,6 +84,13 @@ def test_exact_basis_dimensions():
 def test_exact_basis_grade_zero_is_everything():
     chart, vol = plane()
     assert len(exact_basis(vol, 0, 2)) == 6
+
+
+def test_basis_past_the_ansatz_budget_is_refused():
+    chart = Chart([f"x{i}" for i in range(1, 17)])
+    # C(16, 8) = 12870 blades of grade 8, before any monomial is enumerated
+    with pytest.raises(ValueError, match="ansatz too large: 12870 "):
+        MultivectorBasis(chart, 8, 0)
 
 
 # -- the differential -------------------------------------------------------
@@ -200,3 +214,103 @@ def test_exact_kernel_embeds_in_full_kernel():
                 member = b.scale(c) if member is None else member + b.scale(c)
         assert member is not None
         assert vector_span_contains(full_kernel, ambient.coordinates(member))
+
+
+# -- stacked ranks against the basis route and the graded closed forms -------
+
+LIE_ALGEBRAS = {
+    "so3": {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1},
+    "sl2": {(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1},
+    "heisenberg": {(0, 1, 2): 1},
+}
+LIE_CHART = Chart(["x", "y", "z"])
+LIE_VOLUME = VolumeForm(LIE_CHART, LIE_CHART.one_rf())
+
+
+def lie_bivector(name):
+    return lie_poisson(StructureConstants(3, LIE_ALGEBRAS[name]), LIE_CHART)
+
+
+@functools.lru_cache(maxsize=None)
+def lie_report(name, k, max_degree):
+    return truncated_exact_cohomology(LIE_VOLUME, lie_bivector(name), k,
+                                      max_degree)
+
+
+@functools.lru_cache(maxsize=None)
+def lie_exact_basis(grade, max_degree):
+    return exact_basis(LIE_VOLUME, grade, max_degree)
+
+
+def basis_route(pi, k, max_degree):
+    """(dim exact, dim kernel, dim image) the long way: explicit curl-free
+    bases from a nullspace, then the rank of [pi, .] on each of them."""
+    def delta_rank(elements):
+        if not elements:
+            return 0
+        space = SearchSpace(LIE_CHART, elements)
+        return collect_linear_system(lambda a: schouten(pi, a), space).rank()
+
+    domain = lie_exact_basis(k, max_degree)
+    lower = max_degree - max(c.num.total_degree() for c in pi.terms.values()) + 1
+    image = delta_rank(lie_exact_basis(k - 1, lower)) if k > 0 and lower >= 0 else 0
+    return len(domain), len(domain) - delta_rank(domain), image
+
+
+@pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+def test_stacked_ranks_match_the_basis_route(name):
+    pi = lie_bivector(name)
+    for k in range(4):
+        for d in range(5):
+            r = lie_report(name, k, d)
+            assert (r.dim_exact_k, r.dim_kernel, r.dim_image_from_km1) \
+                == basis_route(pi, k, d), (k, d)
+
+
+def graded_h_dim(name, k, degree):
+    """Dimension of the degree-d piece of H^k for a linear pi with unit
+    density, where [pi, .] keeps degrees and the curl lowers them by one."""
+    if k == 3:
+        return int(degree == 0)
+    if name == "heisenberg":
+        return 1 if k == 0 else degree + 2
+    if k == 1:
+        return 0
+    return int(degree % 2 == k // 2)  # so(3), sl(2): H^0 even, H^2 odd degrees
+
+
+@pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+def test_truncated_dimensions_grow_by_the_graded_closed_forms(name):
+    for k in range(4):
+        h = [lie_report(name, k, d).truncated_h_dim for d in range(6)]
+        steps = [b - a for a, b in zip([0] + h, h)]
+        assert steps == [graded_h_dim(name, k, d) for d in range(6)], k
+
+
+def test_report_takes_ranks_without_a_curl_free_basis(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report must not build curl-free bases")
+
+    calls = {"curl": 0, "schouten": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cohomology, "exact_basis", forbidden)
+    monkeypatch.setattr(cohomology, "kernel_basis", forbidden)
+    monkeypatch.setattr(ExactMatrix, "nullspace", forbidden)
+    monkeypatch.setattr(SearchSpace, "combine", forbidden)
+    monkeypatch.setattr(cohomology, "curl", counted("curl", curl))
+    monkeypatch.setattr(cohomology, "schouten", counted("schouten", schouten))
+    chart, vol, pi = so3_setup()
+    report = truncated_exact_cohomology(vol, pi, 1, 2)
+    assert (report.dim_exact_k, report.dim_kernel,
+            report.dim_image_from_km1) == (26, 8, 8)
+    # each operator once per basis element of grades 1 and 0, plus the two
+    # linearity spot checks per assembly; the curl once more on pi itself
+    per_grade = (MultivectorBasis(chart, 1, 2).dimension + 2
+                 + MultivectorBasis(chart, 0, 2).dimension + 2)
+    assert calls == {"curl": per_grade + 1, "schouten": per_grade}

@@ -9,6 +9,7 @@ from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
 from mvcurl.ring import Polynomial, RationalFunc
 from mvcurl.solver import (
+    MAX_ANSATZ_SIZE,
     AnsatzSpace,
     ExactMatrix,
     casimir_solve,
@@ -40,6 +41,20 @@ def test_monomial_exponents_order_and_count():
     assert exps == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     # dimension of degree <= d in n variables is C(n + d, n)
     assert len(monomial_exponents(3, 3)) == 20
+
+
+def test_ansatz_budget_counts_before_enumerating():
+    # so(3) casimir at degree 20 stays accepted; degree 21 has 2,024 monomials
+    assert len(monomial_exponents(3, 20)) == 1771 <= MAX_ANSATZ_SIZE
+    with pytest.raises(ValueError, match="ansatz too large: 2024 "):
+        monomial_exponents(3, 21)
+    # a grade-8 multivector in 16 dimensions is over budget at degree 0
+    with pytest.raises(ValueError, match="ansatz too large: 12870 "):
+        monomial_exponents(16, 0, blades=12870)
+    with pytest.raises(ValueError, match="ansatz too large"):
+        AnsatzSpace(Chart(["x", "y", "z"]), 10 ** 9)
+    with pytest.raises(ValueError, match="non-negative"):
+        monomial_exponents(2, -1)
 
 
 def test_ansatz_space_polynomial_basis():
