@@ -16,9 +16,11 @@ from typing import Callable, Dict, Optional
 from mvcurl.cohomology import NonExactError, truncated_exact_cohomology
 from mvcurl.curl import curl, divergence, is_last_multiplier, schouten
 from mvcurl.dsl import (
+    MAX_POWER_DIGITS,
     Document,
     DslError,
     document_to_json,
+    has_long_coefficient,
     parse,
     print_canonical,
     value_to_json,
@@ -33,6 +35,7 @@ from mvcurl.poisson import (
     require_poisson,
     unimodularity_check,
 )
+from mvcurl.ring import clear_quotient_memo
 from mvcurl.solver import AnsatzSpace, casimir_solve, lm_solve
 
 __all__ = ["main"]
@@ -118,7 +121,15 @@ def _load_document(args) -> Document:
     return parse(text)
 
 
+def _check_printable(*values) -> None:
+    """Refuse, before printing anything, a result that cannot be printed."""
+    if any(has_long_coefficient(v) for v in values):
+        raise DslError(f"result has a coefficient of more than "
+                       f"{MAX_POWER_DIGITS} digits")
+
+
 def _print_value(args, doc: Document, value) -> None:
+    _check_printable(value)
     if args.json:
         print(json.dumps(value_to_json(value, doc.chart)))
     else:
@@ -126,6 +137,7 @@ def _print_value(args, doc: Document, value) -> None:
 
 
 def _print_functions(args, doc: Document, functions, empty_message: str) -> int:
+    _check_printable(*functions)
     if args.json:
         print(json.dumps({"solutions": [value_to_json(f, doc.chart)
                                         for f in functions]}))
@@ -182,6 +194,7 @@ def _cmd_lm_solve(args, doc: Document) -> int:
 
 def _cmd_jacobi(args, doc: Document) -> int:
     residual = jacobi_residual(doc.multivector(args.name))
+    _check_printable(residual)
     if args.json:
         print(json.dumps({"residual": value_to_json(residual, doc.chart),
                           "poisson": residual.is_zero()}))
@@ -215,6 +228,8 @@ def _cmd_casimir(args, doc: Document) -> int:
 def _cmd_unimodular(args, doc: Document) -> int:
     witness = unimodularity_check(doc.volume(args.volume),
                                   doc.multivector(args.name), args.max_degree)
+    if witness is not None:
+        _check_printable(witness)
     if args.json:
         payload = None if witness is None else value_to_json(witness, doc.chart)
         print(json.dumps({"witness": payload, "max_degree": args.max_degree}))
@@ -288,6 +303,7 @@ _HANDLERS: Dict[str, Callable] = {
 
 
 def main(argv=None) -> int:
+    clear_quotient_memo()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

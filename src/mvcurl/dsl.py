@@ -556,17 +556,21 @@ def _constants_from_bivector(pi: Multivector, line: int,
         raise DslError(str(exc), line, col) from exc
 
 
-def _check_digits(raw: _RawBinding, value: Value) -> None:
-    """Refuse a value with a coefficient of more than MAX_POWER_DIGITS
-    digits: a product of powers can build one that no power check sees."""
+def has_long_coefficient(value: Value) -> bool:
+    """True if a coefficient of the value has more than MAX_POWER_DIGITS
+    digits, so that it cannot be printed."""
     scalars = [value] if isinstance(value, RationalFunc) else value.terms.values()
-    for rf in scalars:
-        for p in (rf.num, rf.den):
-            for c in p.terms.values():
-                if max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
-                    raise DslError(f"a coefficient has more than "
-                                   f"{MAX_POWER_DIGITS} digits",
-                                   raw.line, raw.col)
+    return any(max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND
+               for rf in scalars for p in (rf.num, rf.den)
+               for c in p.terms.values())
+
+
+def _check_digits(raw: _RawBinding, value: Value) -> None:
+    """Refuse a binding with a coefficient of more than MAX_POWER_DIGITS
+    digits: a product of powers can build one that no power check sees."""
+    if has_long_coefficient(value):
+        raise DslError(f"a coefficient has more than {MAX_POWER_DIGITS} digits",
+                       raw.line, raw.col)
 
 
 def _finish_binding(raw: _RawBinding, value: Value, chart: Chart) -> Binding:

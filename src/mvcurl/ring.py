@@ -387,8 +387,88 @@ def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial.monomial(a.nvars, tuple(exps))
 
 
+# the modulus of the coprime test's images (see ``poly_gcd``)
+_PRIME = (1 << 61) - 1
+
+
+def _terms_mod_p(p: Polynomial):
+    """(exponents, coefficient mod _PRIME) pairs, or None if a coefficient's
+    denominator vanishes mod _PRIME."""
+    out = []
+    for exps, c in p.terms.items():
+        den = c.denominator % _PRIME
+        if not den:
+            return None
+        value = c.numerator % _PRIME
+        if den != 1:
+            value = value * pow(den, -1, _PRIME) % _PRIME
+        out.append((exps, value))
+    return out
+
+
+def _image_mod_p(terms, v: int, degree: int) -> list:
+    """Univariate image in x_v of degree at most ``degree``, the other
+    coordinates set to 3 + 2i, as coefficients mod _PRIME by degree."""
+    out = [0] * (degree + 1)
+    for exps, value in terms:
+        for i, e in enumerate(exps):
+            if e and i != v:
+                value = value * pow(3 + 2 * i, e, _PRIME) % _PRIME
+        out[exps[v]] += value
+    return [c % _PRIME for c in out]
+
+
+def _uni_gcd_degree_mod_p(f: list, g: list) -> int:
+    """Degree of gcd(f, g) in GF(_PRIME)[t]; both leading coefficients
+    non-zero."""
+    f, g = list(f), list(g)
+    while g:
+        inv = pow(g[-1], -1, _PRIME)
+        while len(f) >= len(g):
+            q = f[-1] * inv % _PRIME
+            shift = len(f) - len(g)
+            for j, c in enumerate(g):
+                f[shift + j] = (f[shift + j] - q * c) % _PRIME
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _certified_coprime(a: Polynomial, b: Polynomial, common: set) -> bool:
+    """True only if gcd(a, b) is constant; see ``poly_gcd``."""
+    ta, tb = _terms_mod_p(a), _terms_mod_p(b)
+    if ta is None or tb is None:
+        return False
+    for v in common:
+        ia = _image_mod_p(ta, v, _degree_in(a, v))
+        ib = _image_mod_p(tb, v, _degree_in(b, v))
+        if not (ia[-1] and ib[-1]) or _uni_gcd_degree_mod_p(ia, ib) > 0:
+            return False
+    return True
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[x1..xn]: content recursion around a subresultant PRS."""
+    """Monic gcd in Q[x1..xn]: content recursion around a subresultant PRS.
+
+    Before the PRS, a modular test (Brown's degree bound, J. ACM 18, 1971)
+    returns 1 for most coprime pairs.  For each variable v that both inputs
+    use, reduce a and b mod p = 2^61 - 1 with every other coordinate set to
+    x_i = 3 + 2i, and take the gcd of the two univariate images.  It returns
+    1 only if no coefficient denominator vanishes mod p and, for every v,
+    both images keep their input's degree in v and the image gcd has degree 0:
+
+    - Take G = gcd(a, b) primitive over the integers localised at p; the
+      cofactors a/G and b/G are then p-integral too (Gauss's lemma).
+    - lc_v(a) = lc_v(G)·lc_v(a/G), so if a's image keeps its degree in v,
+      the image of G keeps G's degree in v.
+    - The image of G divides both images, so a degree-0 image gcd means G
+      is free of v.
+    - G can only use variables that both inputs use, so G is constant.
+
+    Any failed condition proves nothing and falls through to the PRS: it
+    costs time, never correctness.
+    """
     if a.nvars != b.nvars:
         raise ValueError("dimension mismatch in gcd")
     if a.is_zero():
@@ -402,7 +482,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _monomial_gcd(a, b)
     common = _variables_used(a) & _variables_used(b)
-    if not common:
+    if not common or _certified_coprime(a, b, common):
         return Polynomial.constant(a.nvars, 1)
     v = min(common, key=lambda i: (min(_degree_in(a, i), _degree_in(b, i)),
                                    _degree_in(a, i) + _degree_in(b, i), i))
@@ -427,7 +507,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return Polynomial.zero(a.nvars)
-    return _monic((a * b).exact_div(poly_gcd(a, b)))
+    return _monic(a * b.exact_div(poly_gcd(a, b)))
+
+
+# (denominator, index) -> (h, e, d·h, content of d in x_index) for the
+# quotient rule in ``RationalFunc.diff``; bounded, and emptied by
+# ``clear_quotient_memo`` (the CLI does so once per command)
+QUOTIENT_MEMO_SIZE = 256
+_QUOTIENT_MEMO: Dict[Tuple[Polynomial, int], tuple] = {}
+
+
+def clear_quotient_memo() -> None:
+    _QUOTIENT_MEMO.clear()
 
 
 class RationalFunc:
@@ -611,21 +702,28 @@ class RationalFunc:
         divides ∂d exactly m-1 times (in characteristic 0, p ∤ ∂p), so p^(m-1)
         is its power in g: p | h, p ∤ e, and p ∤ n since n/d is reduced; hence
         p ∤ n'h - n e.  A factor of d free of x_i divides ∂d at least as often
-        as it divides d, so g takes all of it and h none.  The numerator and d h can therefore share only
-        factors free of x_i, and those all divide c, the content of d in x_i:
-        one gcd with c finishes the normal form.
+        as it divides d, so g takes all of it and h none.  The numerator and
+        d h can therefore share only factors free of x_i, and those all divide
+        c, the content of d in x_i: one gcd with c finishes the normal form.
+        h, e, d h and c depend on (d, i) only and are memoised by it.
         """
         num, den = self.num, self.den
         if den.is_one():
             return RationalFunc._raw(num.diff(index), den)
-        dden = den.diff(index)
-        g = poly_gcd(den, dden)
-        h = den.exact_div(g)
-        top = num.diff(index) * h - num * dden.exact_div(g)
+        parts = _QUOTIENT_MEMO.get((den, index))
+        if parts is None:
+            dden = den.diff(index)
+            g = poly_gcd(den, dden)
+            h = den.exact_div(g)
+            parts = (h, dden.exact_div(g), den * h,
+                     _content(_split_by_variable(den, index).values()))
+            if len(_QUOTIENT_MEMO) >= QUOTIENT_MEMO_SIZE:
+                _QUOTIENT_MEMO.clear()
+            _QUOTIENT_MEMO[(den, index)] = parts
+        h, e, bottom, c = parts
+        top = num.diff(index) * h - num * e
         if top.is_zero():
             return RationalFunc.zero(self.nvars)
-        bottom = den * h
-        c = _content(_split_by_variable(den, index).values())
         if not c.is_one():
             shared = poly_gcd(top, c)
             if not shared.is_one():

@@ -5,14 +5,19 @@ Every test drives main(argv) directly so the exit-code contract is pinned:
 validation errors, 3 mathematical failures.
 """
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from mvcurl import cli
+from mvcurl import cli, ring
 from mvcurl.cli import main
 from mvcurl.dsl import MAX_POWER_DIGITS, MAX_POWER_TERMS
 from mvcurl.solver import MAX_ANSATZ_SIZE
@@ -427,6 +432,18 @@ def test_long_func_literal_is_refused_at_its_position(tmp_path, capsys):
                f"{MAX_POWER_DIGITS} digits\n")
 
 
+def test_result_past_the_digit_budget_is_refused_before_printing(tmp_path,
+                                                                 capsys):
+    # each factor is accepted (2,536 digits); their bracket 7^6000 is not
+    path = tmp_path / "big.mv"
+    path.write_text("chart x y\nmv A = 7^3000 x e1\nmv B = 7^3000 x e2\n")
+    message = (f"error: result has a coefficient of more than "
+               f"{MAX_POWER_DIGITS} digits\n")
+    for json_flag in ([], ["--json"]):
+        assert run(capsys, "schouten", "A", "B", "--input", str(path),
+                   *json_flag) == (2, "", message)
+
+
 SIXTEEN = ("chart " + " ".join(f"x{i}" for i in range(1, 17))
            + "\nmv P = e1^^e2\n")
 
@@ -449,6 +466,87 @@ def test_ansatz_past_the_budget_is_refused_early(tmp_path, capsys, argv, doc,
     assert (code, out) == (2, "")
     assert err == (f"error: ansatz too large: {size} basis elements, "
                    f"more than {MAX_ANSATZ_SIZE}\n")
+
+
+# ------------------------------------------------- inputs that once were slow
+
+def cliff(k):
+    return (f"chart x y\nfunc f = 1/(x^2+y^2+1)^{k} + 1/(x+y)^{k}\n"
+            f"mv A = f e1^^e2\n")
+
+
+# the sum's denominators are coprime, and every gcd between them used to run
+# a full subresultant PRS (k = 10 took 3.3 s); bounds leave about 5x headroom
+@pytest.mark.parametrize("k, size, digest, bound", [
+    (5, 3237, "c25563db29bb0e1f1a04c9f81307eaafdc3c7c18e035835e2872994aa321c9ff",
+     0.5),
+    (8, 7519, "eaeecf74ffceb35c96fbb204a103ff2dd82a352fb97346b3838a01b10ffef4e3",
+     0.75),
+    (10, 11767,
+     "86a024403f7e4f53d4899a9b52740ec63ba9d5993df1f205af2bc38d1acf2125", 1.5),
+])
+def test_curl_of_reciprocal_power_sum_is_quick(tmp_path, capsys, k, size,
+                                               digest, bound):
+    path = tmp_path / "cliff.mv"
+    path.write_text(cliff(k))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "curl", "A", "--input", str(path))
+    assert time.perf_counter() - start < bound
+    assert (code, err) == (0, "")
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FOLDED_DENOMINATOR = """\
+chart x y
+func D = (x^2+y^2+1)^3 (x+y+2)^2
+func g = (x+y)/D
+mv B = g e1^^e2
+"""
+
+
+def test_lm_solve_with_a_large_denominator_is_quick(tmp_path, capsys):
+    # folding each residual's denominator into one common multiple used to
+    # divide an ever larger product (12 s)
+    path = tmp_path / "den.mv"
+    path.write_text(FOLDED_DENOMINATOR)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lm-solve", "B", "--max-degree", "3",
+                         "--denominator", "D", "--input", str(path))
+    assert time.perf_counter() - start < 3.0
+    assert (code, out, err) == (1, "no multipliers in ansatz\n", "")
+
+
+def test_quotient_memo_is_empty_when_each_command_starts(tmp_path, capsys,
+                                                         monkeypatch):
+    seen = []
+    parse = cli.parse
+
+    def recording_parse(text):
+        seen.append(len(ring._QUOTIENT_MEMO))
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse", recording_parse)
+    path = tmp_path / "cliff.mv"
+    path.write_text(cliff(3))
+    for _ in range(2):
+        assert run(capsys, "curl", "A", "--input", str(path))[0] == 0
+        assert ring._QUOTIENT_MEMO
+    assert seen == [0, 0]
+
+
+def test_second_command_in_process_prints_what_a_fresh_process_does(
+        tmp_path, capsys):
+    path = tmp_path / "den.mv"
+    path.write_text(FOLDED_DENOMINATOR + "func m = 1/D\n")
+    argv = ["lm-check", "m", "B", "--input", str(path)]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "mvcurl.cli", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    assert run(capsys, "curl", "B", "--input", str(path))[0] == 0
+    assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):

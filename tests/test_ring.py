@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvcurl import ring
 from mvcurl.ring import Polynomial, RationalFunc, poly_gcd, poly_lcm
 
 
@@ -297,3 +298,88 @@ def test_exact_div_inverts_mul(a, b):
 def test_exact_div_rejects_inexact_division(num, den):
     with pytest.raises(ValueError, match="inexact"):
         num.exact_div(den)
+
+
+# -- certified coprime exit ---------------------------------------------------
+
+P61 = (1 << 61) - 1
+
+
+def C(value):
+    return Polynomial.constant(2, value)
+
+
+def count_prs(monkeypatch):
+    calls = []
+    original = ring._subresultant_prs
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ring, "_subresultant_prs", counted)
+    return calls
+
+
+def test_coprime_pair_runs_no_prs(monkeypatch):
+    calls = count_prs(monkeypatch)
+    assert poly_gcd(X * X + Y * Y + ONE, X + Y) == ONE
+    assert poly_gcd((X * X + Y * Y + ONE) ** 3, (X + Y) ** 2) == ONE
+    assert calls == []
+
+
+def test_common_factor_is_still_found(monkeypatch):
+    calls = count_prs(monkeypatch)
+    common = X * X + Y * Y + ONE
+    assert poly_gcd(common * (X + Y), common * (X - Y + ONE)) == common
+    assert calls
+
+
+# G = (x - 3)(y - 5) + 1 is 1 at x = 3 and at y = 5, the test's point: both
+# images lose their degree, and the image gcds alone would call the pair
+# coprime; only the degree check sends it to the PRS
+LOSES_ALL = (X - C(3)) * (Y - C(5)) + ONE
+# (x - 3) y^2 + y + 1 loses its leading coefficient in y at x = 3
+LOSES_LEAD = (X - C(3)) * Y * Y + Y + ONE
+# a coefficient whose denominator is the test's prime has no image mod p
+DEN_P = X * Y + C(Fraction(1, P61))
+# the coefficient 2^61 - 1 of x y vanishes mod p: the image in y drops a degree
+NUM_P = C(P61) * X * Y + X + ONE
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (LOSES_ALL * (X + Y), LOSES_ALL * (X + Y.scale(2) + ONE), LOSES_ALL),
+    (LOSES_LEAD, LOSES_LEAD * (X + Y), LOSES_LEAD),
+    (LOSES_LEAD * (X + ONE), LOSES_LEAD * (Y + ONE), LOSES_LEAD),
+    (LOSES_LEAD, (X - C(3)) * Y * Y + C(2), ONE),
+    (DEN_P * (X + ONE), DEN_P * (Y + ONE), DEN_P),
+    (DEN_P, X + Y, ONE),
+    (NUM_P, NUM_P * (X + Y), NUM_P),
+    (NUM_P, X * Y + Y + ONE, ONE),
+], ids=["loses-all", "loses-lead-multiple", "loses-lead-common",
+        "loses-lead-coprime", "prime-denominator-common",
+        "prime-denominator-coprime", "prime-coefficient-multiple",
+        "prime-coefficient-coprime"])
+def test_fallback_pairs_take_the_prs(monkeypatch, a, b, expected):
+    calls = count_prs(monkeypatch)
+    g = poly_gcd(a, b)
+    assert g == ring._monic(expected)
+    assert calls, "the coprime test must not certify this pair"
+
+
+# -- quotient-rule memo -------------------------------------------------------
+
+
+def test_quotient_memo_is_bounded_and_reused():
+    ring.clear_quotient_memo()
+    f = RationalFunc(ONE, (X * X + Y * Y + ONE) ** 2 * (X + Y))
+    first = f.diff(0)
+    assert len(ring._QUOTIENT_MEMO) == 1
+    assert f.scale(3).diff(0) == first.scale(3)
+    assert len(ring._QUOTIENT_MEMO) == 1
+    for k in range(2 * ring.QUOTIENT_MEMO_SIZE + 3):
+        RationalFunc(ONE, X + C(k)).diff(k % 2)
+        assert len(ring._QUOTIENT_MEMO) <= ring.QUOTIENT_MEMO_SIZE
+    assert f.diff(0) == first
+    ring.clear_quotient_memo()
+    assert not ring._QUOTIENT_MEMO

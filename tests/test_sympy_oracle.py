@@ -42,10 +42,12 @@ def monic(p):
     return p.scale(1 / p.leading_coefficient())
 
 
-def random_poly(rng, max_terms=3, max_exp=2):
+def random_poly(rng, max_terms=3, max_exp=2, used=NVARS):
+    """A non-zero polynomial in the first ``used`` coordinates."""
     while True:
         p = Polynomial(NVARS, {
-            tuple(rng.randint(0, max_exp) for _ in range(NVARS)):
+            tuple(rng.randint(0, max_exp) if i < used else 0
+                  for i in range(NVARS)):
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             for _ in range(rng.randint(1, max_terms))})
         if not p.is_zero():
@@ -67,6 +69,45 @@ def test_gcd_matches_sympy(case):
     b = common * random_poly(rng)
     expected = monic(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
     assert poly_gcd(a, b) == expected
+
+
+def assert_gcd_matches_sympy(a, b):
+    expected = monic(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+    assert poly_gcd(a, b) == expected
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_gcd_of_coprime_and_sharing_pairs_matches_sympy(case):
+    # 2 or 3 variables; half the pairs are coprime by construction only
+    # with high probability, the other half share a random factor
+    rng = random.Random(f"coprime:{case}")
+    used = 2 + case % 2
+    a = random_poly(rng, max_terms=4, used=used)
+    b = random_poly(rng, max_terms=4, used=used)
+    if case % 4 >= 2:
+        common = random_poly(rng, used=used)
+        a, b = a * common, b * common
+    assert_gcd_matches_sympy(a, b)
+
+
+P61 = 2 ** 61 - 1
+
+
+# pairs the modular coprime test must hand to the PRS: at its point x = 3,
+# y = 5, z = 7 the first factor is 1 in every image, the second loses its
+# leading coefficient in y, and the third has no image mod 2^61 - 1
+@pytest.mark.parametrize("a, b", [
+    ("((x-3)*(y-5)*(z-7) + 1)*(x + y + z)",
+     "((x-3)*(y-5)*(z-7) + 1)*(x - y + 2*z + 1)"),
+    ("(x-3)*y**2 + y + 1", "((x-3)*y**2 + y + 1)*(x + z)"),
+    ("(x-3)*y**2 + y + 1", "(x-3)*y**2 + 2"),
+    (f"(x*y + z/{P61})*(x + 1)", f"(x*y + z/{P61})*(z + 2)"),
+    (f"x*y + z/{P61}", "x + y"),
+], ids=["unit-at-point", "lead-vanishes-multiple", "lead-vanishes-coprime",
+        "prime-denominator-common", "prime-denominator-coprime"])
+def test_gcd_fallback_pairs_match_sympy(a, b):
+    assert_gcd_matches_sympy(from_sympy(sympy.expand(sympy.sympify(a))),
+                             from_sympy(sympy.expand(sympy.sympify(b))))
 
 
 @pytest.mark.parametrize("case", CASES)
