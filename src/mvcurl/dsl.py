@@ -678,8 +678,7 @@ def _poly_to_json(p: Polynomial) -> list:
 
 
 def _poly_from_json(nvars: int, data: list) -> Polynomial:
-    terms = {tuple(item["exps"]): Fraction(item["coeff"]) for item in data}
-    return Polynomial(nvars, terms)
+    return Polynomial(nvars, {tuple(item["exps"]): item["coeff"] for item in data})
 
 
 def _rf_to_json(rf: RationalFunc) -> dict:

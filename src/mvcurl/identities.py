@@ -232,6 +232,8 @@ class IdentityResult:
 def run_identity_suite(seed: int = DEFAULT_SEED, cases: int = 50,
                        names: Sequence[str] | None = None) -> List[IdentityResult]:
     """Run each identity on ``cases`` fresh random instances."""
+    if cases < 0:
+        raise ValueError(f"--cases must be non-negative, got {cases}")
     if names is not None:
         known = {n for n, _ in IDENTITY_CHECKS}
         for n in names:

@@ -1,24 +1,36 @@
 """Exact sparse multivariate polynomials and rational functions over the rationals.
 
-A polynomial in n coordinates is a dictionary mapping exponent tuples to
-``Fraction`` coefficients; zero coefficients are never stored.  Rational
+A polynomial in n coordinates is stored as integer numerators over one
+positive integer denominator: ``nums`` maps exponent tuples to non-zero
+``int`` numerators, ``den`` is a positive ``int``, and the pair is kept in
+lowest terms, ``gcd(den, *nums.values()) == 1``.  That form is canonical, so
+equality and hashing are structural, and the arithmetic runs on ints only;
+``terms`` is a read-only ``{exponent tuple: Fraction}`` view of the same
+coefficients, built on demand for readers outside the ring.  Rational
 functions are kept in canonical form: numerator and denominator coprime,
 denominator monic with respect to the graded lexicographic term order.
 Two equal fractions therefore always have identical representations, so
 every identity check in the rest of the package is a strict equality.
 
-``Polynomial(nvars, terms)`` checks exponents and converts coefficients, for
-input from outside the package; arithmetic results go through the trusted
-``Polynomial._make``, which skips those checks and only drops zero terms.
+``Polynomial(nvars, terms)`` checks exponents and converts coefficients
+(ints, ``Fraction`` or other exact rationals; floats are refused), for input
+from outside the package; arithmetic results go through the trusted
+``Polynomial._make``, which skips those checks and only brings the
+numerators and the denominator to lowest terms.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
+
+_add = operator.add
+_sub = operator.sub
 
 
 def grlex_key(exponents: Exponent) -> tuple:
@@ -26,37 +38,62 @@ def grlex_key(exponents: Exponent) -> tuple:
     return (sum(exponents), exponents)
 
 
+def _exact(value) -> Tuple[int, int]:
+    """``value`` as (numerator, positive denominator) in lowest terms; floats
+    and complex numbers are refused, since a binary float is rarely the
+    rational its digits show."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, (float, complex)):
+        raise TypeError(f"inexact coefficient {value!r}: "
+                        "use an int, a Fraction or a string such as '1/10'")
+    c = Fraction(value)
+    return c.numerator, c.denominator
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Instances are immutable by convention: no method mutates ``terms`` after
+    Instances are immutable by convention: no method mutates ``nums`` after
     construction, so values are safe to share.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "den")
 
-    def __init__(self, nvars: int, terms: Dict[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, object] | None = None):
         if nvars < 0:
             raise ValueError(f"invalid number of variables: {nvars}")
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Tuple[int, int]] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
                 raise ValueError(
                     f"exponent tuple {exps} does not match {nvars} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if coeff != 0:
-                clean[tuple(exps)] = Fraction(coeff)
+            n, d = _exact(coeff)
+            if n:
+                clean[tuple(exps)] = n, d
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the pair is already in lowest terms
+        den = lcm(*(d for _, d in clean.values()))
         self.nvars = nvars
-        self.terms = clean
+        self.nums = {e: n * (den // d) for e, (n, d) in clean.items()}
+        self.den = den
 
     @classmethod
-    def _make(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+    def _make(cls, nvars: int, nums: Dict[Exponent, int], den: int = 1) -> "Polynomial":
         """Trusted constructor for ring results: exponent tuples of length
-        ``nvars`` and ``Fraction`` coefficients; only zero terms are dropped."""
+        ``nvars``, non-zero int numerators and a positive int ``den``; one gcd
+        brings them to lowest terms when ``den`` is not 1."""
+        if den != 1:
+            g = gcd(den, *nums.values()) if nums else den
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
         out = object.__new__(cls)
         out.nvars = nvars
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.nums = nums
+        out.den = den
         return out
 
     # -- constructors -------------------------------------------------------
@@ -67,10 +104,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -78,46 +112,57 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponent, coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        n, d = _exact(coeff)
+        if nvars < 0 or len(exps) != nvars or min(exps, default=0) < 0:
+            return cls(nvars, {tuple(exps): n})  # raises the constructor's error
+        return cls._make(nvars, {tuple(exps): n} if n else {}, d)
+
+    # -- views --------------------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only ``{exponent tuple: Fraction}`` view of the coefficients."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        nums = self.nums
+        return not nums or (len(nums) == 1 and not any(next(iter(nums))))
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: Fraction(1)}
+        return (self.den == 1 and len(self.nums) == 1
+                and self.nums.get((0,) * self.nvars) == 1)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (raises if non-constant)."""
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms[(0,) * self.nvars]
+        return Fraction(sum(self.nums.values()), self.den)
 
     def total_degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     # -- term order ---------------------------------------------------------
 
     def leading_exponent(self) -> Exponent:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=grlex_key)
+        return max(self.nums, key=grlex_key)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_exponent()]
+        return Fraction(self.nums[self.leading_exponent()], self.den)
 
     def sorted_terms(self) -> list:
         """Terms in descending graded lexicographic order (leading first)."""
@@ -132,32 +177,57 @@ class Polynomial:
 
     def _merge(self, other: "Polynomial", op) -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = op(out.get(exps, 0), coeff)
-        return Polynomial._make(self.nvars, out)
+        den, db = self.den, other.den
+        if den == db:
+            out = dict(self.nums)
+            items = other.nums.items()
+        else:
+            den = lcm(den, db)
+            fa, fb = den // self.den, den // db
+            out = {e: c * fa for e, c in self.nums.items()}
+            items = [(e, c * fb) for e, c in other.nums.items()]
+        get = out.get
+        for exps, c in items:
+            out[exps] = op(get(exps, 0), c)
+        return Polynomial._make(self.nvars, {e: c for e, c in out.items() if c}, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._merge(other, operator.add)
+        return self._merge(other, _add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._merge(other, operator.sub)
+        return self._merge(other, _sub)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make(self.nvars, {e: -c for e, c in self.terms.items()})
+        out = object.__new__(Polynomial)
+        out.nvars = self.nvars
+        out.nums = {e: -c for e, c in self.nums.items()}
+        out.den = self.den
+        return out
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out: Dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return Polynomial._make(self.nvars, out)
+        out: Dict[Exponent, int] = {}
+        get = out.get
+        right = other.nums.items()
+        for ea, ca in self.nums.items():
+            for eb, cb in right:
+                e = tuple(map(_add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        return Polynomial._make(self.nvars, {e: c for e, c in out.items() if c},
+                                self.den * other.den)
+
+    def _times(self, p: int, q: int) -> "Polynomial":
+        """self * p / q for non-zero ints p and q."""
+        if q < 0:
+            p, q = -p, -q
+        nums = self.nums if p == 1 else {e: c * p for e, c in self.nums.items()}
+        return Polynomial._make(self.nvars, nums, self.den * q)
 
     def scale(self, value) -> "Polynomial":
-        c = Fraction(value)
-        return Polynomial._make(self.nvars, {e: k * c for e, k in self.terms.items()})
+        n, d = _exact(value)
+        if not n:
+            return Polynomial(self.nvars)
+        return self._times(n, d)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -176,10 +246,11 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     # -- calculus -----------------------------------------------------------
 
@@ -187,15 +258,14 @@ class Polynomial:
         """Partial derivative with respect to coordinate ``index``."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"coordinate index {index} out of range")
-        out: Dict[Exponent, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exps, c in self.nums.items():
             k = exps[index]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[index] = k - 1
-            out[tuple(e)] = coeff * k
-        return Polynomial._make(self.nvars, out)
+            if k:
+                e = list(exps)
+                e[index] = k - 1
+                out[tuple(e)] = c * k
+        return Polynomial._make(self.nvars, out, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -203,49 +273,61 @@ class Polynomial:
         if len(values) != self.nvars:
             raise ValueError("point dimension does not match variable count")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
+        for exps, c in self.nums.items():
+            term = Fraction(c)
             for e, v in zip(exps, values):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return total / self.den
 
     # -- division -----------------------------------------------------------
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self / divisor; raises if the division is inexact."""
+        """Exact quotient self / divisor; raises if the division is inexact.
+
+        With self = A/a and divisor = c·B/b, B primitive over the integers,
+        the quotient is (A/B)·b/(a·c).  If B divides A over the rationals, the
+        quotient A/B has integer coefficients (Gauss's lemma), and each step
+        below peels off one of them; so a step whose integer division leaves
+        a remainder proves the division inexact.
+        """
         self._check(divisor)
-        if divisor.is_zero():
+        if not divisor.nums:
             raise ZeroDivisionError("division by the zero polynomial")
         if divisor.is_constant():
-            return self.scale(1 / divisor.constant_value())
+            return self._times(divisor.den, sum(divisor.nums.values()))
+        content = gcd(*divisor.nums.values())
         lead_e = divisor.leading_exponent()
-        lead_c = divisor.terms[lead_e]
-        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+        lead_c = divisor.nums[lead_e] // content
+        tail = [(e, c // content) for e, c in divisor.nums.items() if e != lead_e]
         # reduce one remainder dict in place; each step cancels its leading
         # term, so the quotient exponents come out distinct and descending
-        rem = dict(self.terms)
-        quotient: Dict[Exponent, Fraction] = {}
+        rem = dict(self.nums)
+        quotient: Dict[Exponent, int] = {}
+        get = rem.get
         while rem:
             re = max(rem, key=grlex_key)
-            qe = tuple(a - b for a, b in zip(re, lead_e))
-            if min(qe) < 0:
+            qe = tuple(map(_sub, re, lead_e))
+            qc, r = divmod(rem.pop(re), lead_c)
+            if r or min(qe) < 0:
                 raise ValueError("inexact polynomial division")
-            qc = rem.pop(re) / lead_c
             quotient[qe] = qc
             for e, c in tail:
-                m = tuple(a + b for a, b in zip(e, qe))
-                v = rem.get(m, 0) - qc * c
+                m = tuple(map(_add, e, qe))
+                v = get(m, 0) - qc * c
                 if v:
                     rem[m] = v
                 else:
                     del rem[m]
-        return Polynomial._make(self.nvars, quotient)
+        b = divisor.den
+        if b != 1:
+            quotient = {e: c * b for e, c in quotient.items()}
+        return Polynomial._make(self.nvars, quotient, self.den * content)
 
     def to_string(self, names: Sequence[str]) -> str:
         """Deterministic rendering, terms in descending graded-lex order."""
-        if not self.terms:
+        if not self.nums:
             return "0"
         if len(names) != self.nvars:
             raise ValueError("name list does not match variable count")
@@ -281,13 +363,13 @@ class Polynomial:
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    lc = p.leading_coefficient()
-    return p if lc == 1 else p.scale(1 / lc)
+    lc = p.nums[p.leading_exponent()]
+    return p if lc == p.den else p._times(p.den, lc)
 
 
 def _variables_used(p: Polynomial) -> set:
     used = set()
-    for exps in p.terms:
+    for exps in p.nums:
         for i, e in enumerate(exps):
             if e:
                 used.add(i)
@@ -295,32 +377,34 @@ def _variables_used(p: Polynomial) -> set:
 
 
 def _degree_in(p: Polynomial, v: int) -> int:
-    return max(exps[v] for exps in p.terms)
+    return max(exps[v] for exps in p.nums)
 
 
 def _split_by_variable(p: Polynomial, v: int) -> Dict[int, Polynomial]:
     """View p as univariate in coordinate v with polynomial coefficients."""
-    buckets: Dict[int, Dict[Exponent, Fraction]] = {}
-    for exps, coeff in p.terms.items():
+    buckets: Dict[int, Dict[Exponent, int]] = {}
+    for exps, c in p.nums.items():
         d = exps[v]
         rest = list(exps)
         rest[v] = 0
-        buckets.setdefault(d, {})[tuple(rest)] = coeff
-    return {d: Polynomial._make(p.nvars, t) for d, t in buckets.items()}
+        buckets.setdefault(d, {})[tuple(rest)] = c
+    return {d: Polynomial._make(p.nvars, t, p.den) for d, t in buckets.items()}
 
 
 def _join_by_variable(coeffs: Dict[int, Polynomial], v: int, nvars: int) -> Polynomial:
-    terms: Dict[Exponent, Fraction] = {}
+    den = lcm(*(poly.den for poly in coeffs.values()))
+    nums: Dict[Exponent, int] = {}
     for d, poly in coeffs.items():
-        for exps, coeff in poly.terms.items():
+        f = den // poly.den
+        for exps, c in poly.nums.items():
             e = list(exps)
             e[v] = d
-            terms[tuple(e)] = coeff
-    return Polynomial._make(nvars, terms)
+            nums[tuple(e)] = c * f
+    return Polynomial._make(nvars, nums, den)
 
 
 def _content(polys: Iterable[Polynomial]) -> Polynomial:
-    ordered = sorted(polys, key=lambda p: len(p.terms))
+    ordered = sorted(polys, key=lambda p: len(p.nums))
     acc = ordered[0]
     for p in ordered[1:]:
         if acc.is_constant():
@@ -382,7 +466,7 @@ def _subresultant_prs(pa: Dict[int, Polynomial], pb: Dict[int, Polynomial],
 
 
 def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    exps = [min(min(e[v] for e in a.terms), min(e[v] for e in b.terms))
+    exps = [min(min(e[v] for e in a.nums), min(e[v] for e in b.nums))
             for v in range(a.nvars)]
     return Polynomial.monomial(a.nvars, tuple(exps))
 
@@ -393,17 +477,13 @@ _PRIME = (1 << 61) - 1
 
 def _terms_mod_p(p: Polynomial):
     """(exponents, coefficient mod _PRIME) pairs, or None if a coefficient's
-    denominator vanishes mod _PRIME."""
-    out = []
-    for exps, c in p.terms.items():
-        den = c.denominator % _PRIME
-        if not den:
-            return None
-        value = c.numerator % _PRIME
-        if den != 1:
-            value = value * pow(den, -1, _PRIME) % _PRIME
-        out.append((exps, value))
-    return out
+    denominator vanishes mod _PRIME: _PRIME is prime, so that happens exactly
+    when it divides the common denominator."""
+    den = p.den % _PRIME
+    if not den:
+        return None
+    inv = pow(den, -1, _PRIME) if den != 1 else 1
+    return [(exps, c * inv % _PRIME) for exps, c in p.nums.items()]
 
 
 def _image_mod_p(terms, v: int, degree: int) -> list:
@@ -477,9 +557,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return _monic(a)
     if a.is_constant() or b.is_constant():
         return Polynomial.constant(a.nvars, 1)
-    if a.terms.keys() == b.terms.keys() and _monic(a) == _monic(b):
+    if a.nums.keys() == b.nums.keys() and _monic(a) == _monic(b):
         return _monic(a)
-    if len(a.terms) == 1 or len(b.terms) == 1:
+    if len(a.nums) == 1 or len(b.nums) == 1:
         return _monomial_gcd(a, b)
     common = _variables_used(a) & _variables_used(b)
     if not common or _certified_coprime(a, b, common):
@@ -555,11 +635,11 @@ class RationalFunc:
         out = object.__new__(cls)
         if num.is_zero():
             den = Polynomial.constant(num.nvars, 1)
-        else:
-            lc = den.leading_coefficient()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+        elif not den.is_one():
+            lc = den.nums[den.leading_exponent()]
+            if lc != den.den:
+                num = num._times(den.den, lc)
+                den = den._times(den.den, lc)
         out.num = num
         out.den = den
         return out
@@ -642,6 +722,11 @@ class RationalFunc:
         c, d = other.num, other.den
         if a.is_zero() or c.is_zero():
             return RationalFunc.zero(a.nvars)
+        if b.is_one() and d.is_one():
+            out = object.__new__(RationalFunc)
+            out.num = a * c
+            out.den = b
+            return out
         # cross-cancel: inputs are coprime pairs, so the result is too
         if not (a.is_constant() or d.is_one()):
             g1 = poly_gcd(a, d)
@@ -664,11 +749,11 @@ class RationalFunc:
         return RationalFunc._raw(self.den, self.num)
 
     def scale(self, value) -> "RationalFunc":
-        c = Fraction(value)
-        if c == 0:
+        n, d = _exact(value)
+        if not n:
             return RationalFunc.zero(self.nvars)
         out = object.__new__(RationalFunc)
-        out.num = self.num.scale(c)
+        out.num = self.num._times(n, d)
         out.den = self.den
         return out
 

@@ -247,6 +247,14 @@ def test_identities_report_failures(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- exit code 2
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_identities_refuses_negative_cases(capsys, json_flag):
+    code, out, err = run(capsys, "identities", "--cases", "-1", *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cases must be non-negative, got -1\n"
+
+
 def test_syntax_error_in_document(tmp_path, capsys):
     path = tmp_path / "bad.mv"
     path.write_text("chart x y\nmv P = e1 ^^\n")

@@ -220,3 +220,13 @@ def test_json_value_encoding_uses_exact_strings():
     assert payload == {"kind": "func",
                        "value": {"num": [{"exps": [1, 0], "coeff": "3/2"}],
                                  "den": [{"exps": [0, 0], "coeff": "1"}]}}
+
+
+def test_json_reader_refuses_float_coefficients():
+    # coefficients travel as exact strings; a JSON number such as 0.1 is a
+    # binary float, never the rational its digits show
+    data = document_to_json(parse("chart x y\nfunc m = 1/10*x\n"))
+    assert document_from_json(data) == parse("chart x y\nfunc m = 1/10*x\n")
+    data["bindings"][0]["value"]["num"][0]["coeff"] = 0.1
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        document_from_json(data)

@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -383,3 +384,165 @@ def test_quotient_memo_is_bounded_and_reused():
     assert f.diff(0) == first
     ring.clear_quotient_memo()
     assert not ring._QUOTIENT_MEMO
+
+
+# -- integer kernel against the Fraction reference ---------------------------
+
+# The dict-of-Fraction loops the ring ran before it stored integer numerators
+# over one denominator; the kernel's ``terms`` view must agree with them.
+
+
+def ref_merge(a, b, sign):
+    out = dict(a)
+    for exps, coeff in b.items():
+        out[exps] = out.get(exps, 0) + sign * coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_diff(a, index):
+    out = {}
+    for exps, coeff in a.items():
+        k = exps[index]
+        if k:
+            e = list(exps)
+            e[index] = k - 1
+            out[tuple(e)] = coeff * k
+    return out
+
+
+def ref_exact_div(a, b):
+    lead_e = max(b, key=ring.grlex_key)
+    lead_c = b[lead_e]
+    tail = [(e, c) for e, c in b.items() if e != lead_e]
+    rem = dict(a)
+    quotient = {}
+    while rem:
+        re = max(rem, key=ring.grlex_key)
+        qe = tuple(x - y for x, y in zip(re, lead_e))
+        if min(qe) < 0:
+            raise ValueError("inexact polynomial division")
+        qc = rem.pop(re) / lead_c
+        quotient[qe] = qc
+        for e, c in tail:
+            m = tuple(x + y for x, y in zip(e, qe))
+            v = rem.get(m, 0) - qc * c
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return quotient
+
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+def rational_polys(nvars):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exps, rationals, max_size=5).map(
+        lambda t: Polynomial(nvars, t))
+
+
+def rational_cases(count):
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        *[rational_polys(n)] * count, st.integers(0, n - 1)))
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    if not p.nums:
+        assert p.den == 1
+
+
+def maybe(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_cases(3))
+def test_kernel_matches_fraction_reference(case):
+    a, b, c, index = case
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert dict((a + b).terms) == ref_merge(ta, tb, 1)
+    assert dict((a - b).terms) == ref_merge(ta, tb, -1)
+    assert dict((a * b).terms) == ref_mul(ta, tb)
+    assert dict(a.diff(index).terms) == ref_diff(ta, index)
+    if not b.is_zero():
+        prod = a * b
+        assert dict(prod.exact_div(b).terms) == ref_exact_div(dict(prod.terms), tb)
+        # mostly inexact: both raise, or both return the same quotient
+        shifted = prod + c
+        got = maybe(lambda: dict(shifted.exact_div(b).terms))
+        assert got == maybe(ref_exact_div, dict(shifted.terms), tb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_cases(2), rationals, st.integers(0, 3))
+def test_kernel_results_are_canonical(case, factor, power):
+    a, b, index = case
+    results = [a, b, a + b, a - b, -a, a * b, a.diff(index), a.scale(factor),
+               a ** power]
+    if not b.is_zero():
+        results += [(a * b).exact_div(b), ring._monic(b)]
+    for p in results:
+        assert_canonical(p)
+        assert_stored_form(p)
+
+
+def test_stored_form_is_integers_over_one_denominator():
+    p = P(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 6), (0, 0): 4})
+    assert p.nums == {(1, 0): 4, (0, 1): -1, (0, 0): 24} and p.den == 6
+    assert (p - p).nums == {} and (p - p).den == 1
+    assert p.scale(6).den == 1 and p.scale(6).nums == {(1, 0): 4, (0, 1): -1,
+                                                       (0, 0): 24}
+    # equal values, equal storage, equal hashes, whatever the route
+    q = P(2, {(1, 0): 8, (0, 1): -2, (0, 0): 48}).scale(Fraction(1, 12))
+    assert q == p and hash(q) == hash(p)
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = Fraction(1)
+
+
+def test_exact_div_by_divisor_with_content():
+    # the divisor 6x + 4 has content 2: the quotient is found over its
+    # primitive part 3x + 2, then rescaled
+    divisor = P(2, {(1, 0): 6, (0, 0): 4})
+    quotient = P(2, {(1, 1): Fraction(1, 5), (0, 0): Fraction(-7, 3)})
+    assert (quotient * divisor).exact_div(divisor) == quotient
+    assert (quotient * divisor).exact_div(divisor.scale(Fraction(1, 4))) \
+        == quotient.scale(4)
+    with pytest.raises(ValueError, match="inexact"):
+        (quotient * divisor + ONE).exact_div(divisor)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial.constant(2, 0.1),
+    lambda: Polynomial.monomial(2, (1, 0), 0.5),
+    lambda: Polynomial(1, {(1,): 1e-3}),
+    lambda: Polynomial(1, {(1,): 1j}),
+    lambda: X.scale(0.3),
+    lambda: RationalFunc(X).scale(0.3),
+    lambda: RationalFunc.constant(2, 2.0),
+], ids=["constant", "monomial", "constructor", "complex", "scale",
+        "rational-scale", "rational-constant"])
+def test_floats_are_refused(build):
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        build()
+
+
+def test_exact_inputs_are_accepted():
+    assert Polynomial.constant(2, "1/10") == Polynomial.constant(2, Fraction(1, 10))
+    assert X.scale(Fraction(3, 10)).terms == {(1, 0): Fraction(3, 10)}
+    assert Polynomial.constant(2, True) == ONE

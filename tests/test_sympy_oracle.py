@@ -1,6 +1,7 @@
-"""sympy as an independent oracle for the hard kernels: the gcd, the
-rational normal form and the quotient rule of the ring, and the rank,
-reduced row echelon form and nullspace of the exact solver.
+"""sympy as an independent oracle for the hard kernels: multiplication, exact
+division, the gcd, the rational normal form and the quotient rule of the
+ring, and the rank, reduced row echelon form and nullspace of the exact
+solver.
 
 sympy is used by these tests only; the package itself stays stdlib-only, and
 the module is skipped where sympy is not installed.
@@ -132,6 +133,29 @@ def test_diff_matches_sympy(case):
     expected = sympy_normal_form(
         sympy.diff(to_sympy(f.num) / to_sympy(f.den), SYMBOLS[index]))
     assert (got.num, got.den) == expected
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_mul_and_exact_div_match_sympy(case):
+    # rational coefficients with a content: the kernel divides by the
+    # divisor's primitive part and folds contents and denominators back in
+    rng = random.Random(f"muldiv:{case}")
+    a = random_poly(rng, max_terms=4)
+    b = random_poly(rng, max_terms=4).scale(Fraction(rng.randint(1, 9),
+                                                     rng.randint(1, 9)))
+    prod = a * b
+    assert prod == from_sympy(sympy.expand(to_sympy(a) * to_sympy(b)))
+    quotient, remainder = sympy.div(to_sympy(prod), to_sympy(b), *SYMBOLS)
+    assert remainder == 0
+    assert prod.exact_div(b) == from_sympy(quotient) == a
+    # an inexact division must still be refused
+    bumped = prod + random_poly(rng, max_terms=1, max_exp=1)
+    if sympy.div(to_sympy(bumped), to_sympy(b), *SYMBOLS)[1] != 0:
+        with pytest.raises(ValueError, match="inexact"):
+            bumped.exact_div(b)
+    else:
+        assert bumped.exact_div(b) == from_sympy(
+            sympy.div(to_sympy(bumped), to_sympy(b), *SYMBOLS)[0])
 
 
 # shapes of the first cases: empty both ways, and all zero
