@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Callable, Dict, Optional
@@ -41,7 +42,13 @@ from mvcurl.solver import AnsatzSpace, casimir_solve, lm_solve
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing reads but never changes it: each ``parse_args`` call returns a
+    fresh namespace, and help and usage text read ``COLUMNS`` when printed.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE",
                         help="DSL document (default: stdin)")
@@ -303,10 +310,14 @@ _HANDLERS: Dict[str, Callable] = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Repeated calls in one process share one argument parser, built on the
+    first call; every call starts with an empty quotient-rule memo.
+    """
     clear_quotient_memo()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

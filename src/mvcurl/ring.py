@@ -21,6 +21,7 @@ numerators and the denominator to lowest terms.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -268,8 +269,8 @@ class Polynomial:
         return Polynomial._make(self.nvars, out, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
-        values = [Fraction(v) for v in point]
+        """Exact value at a rational point; float coordinates are refused."""
+        values = [Fraction(*_exact(v)) for v in point]
         if len(values) != self.nvars:
             raise ValueError("point dimension does not match variable count")
         total = Fraction(0)
@@ -601,6 +602,13 @@ def clear_quotient_memo() -> None:
     _QUOTIENT_MEMO.clear()
 
 
+@functools.cache
+def _one(nvars: int) -> Polynomial:
+    """The constant 1 in ``nvars`` variables: one shared instance per
+    dimension, which is safe because polynomials are never mutated."""
+    return Polynomial._make(nvars, {(0,) * nvars: 1})
+
+
 class RationalFunc:
     """Quotient of polynomials in canonical form.
 
@@ -613,7 +621,9 @@ class RationalFunc:
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
-            den = Polynomial.constant(num.nvars, 1)
+            self.num = num
+            self.den = _one(num.nvars)
+            return
         if num.nvars != den.nvars:
             raise ValueError("dimension mismatch between numerator and denominator")
         if den.is_zero():
@@ -632,21 +642,29 @@ class RationalFunc:
     @classmethod
     def _raw(cls, num: Polynomial, den: Polynomial) -> "RationalFunc":
         """Build from an already-coprime pair, fixing only the monic scaling."""
+        if not num.nums or den.is_one():
+            return cls._poly(num)
+        lc = den.nums[den.leading_exponent()]
+        if lc != den.den:
+            num = num._times(den.den, lc)
+            den = den._times(den.den, lc)
         out = object.__new__(cls)
-        if num.is_zero():
-            den = Polynomial.constant(num.nvars, 1)
-        elif not den.is_one():
-            lc = den.nums[den.leading_exponent()]
-            if lc != den.den:
-                num = num._times(den.den, lc)
-                den = den._times(den.den, lc)
         out.num = num
         out.den = den
         return out
 
     @classmethod
+    def _poly(cls, num: Polynomial) -> "RationalFunc":
+        """``num`` over the shared constant 1, for callers that know the
+        denominator is 1 or the numerator is zero."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = _one(num.nvars)
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "RationalFunc":
-        return cls(Polynomial.zero(nvars))
+        return cls._poly(Polynomial.zero(nvars))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "RationalFunc":
@@ -684,24 +702,25 @@ class RationalFunc:
     def __add__(self, other: "RationalFunc") -> "RationalFunc":
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if b.is_one() and d.is_one():
-            return RationalFunc._raw(a + c, b)
+        b_one, d_one = b.is_one(), d.is_one()
+        if b_one and d_one:
+            return RationalFunc._poly(a + c)
         if b == d:
             num = a + c
-            if num.is_zero():
-                return RationalFunc.zero(a.nvars)
+            if not num.nums:
+                return RationalFunc._poly(num)
             g = poly_gcd(num, b)
             if g.is_constant():
                 return RationalFunc._raw(num, b)
             return RationalFunc._raw(num.exact_div(g), b.exact_div(g))
         # with coprime inputs, any common factor of the sum divides gcd(b, d)
-        g = poly_gcd(b, d) if not (b.is_one() or d.is_one()) else None
+        g = None if b_one or d_one else poly_gcd(b, d)
         if g is None or g.is_constant():
             return RationalFunc._raw(a * d + c * b, b * d)
         d_red = d.exact_div(g)
         num = a * d_red + c * b.exact_div(g)
-        if num.is_zero():
-            return RationalFunc.zero(a.nvars)
+        if not num.nums:
+            return RationalFunc._poly(num)
         den = b * d_red
         g2 = poly_gcd(num, g)
         if g2.is_constant():
@@ -720,20 +739,20 @@ class RationalFunc:
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if a.is_zero() or c.is_zero():
-            return RationalFunc.zero(a.nvars)
-        if b.is_one() and d.is_one():
-            out = object.__new__(RationalFunc)
-            out.num = a * c
-            out.den = b
-            return out
+        if not a.nums:
+            return self
+        if not c.nums:
+            return other
+        b_one, d_one = b.is_one(), d.is_one()
+        if b_one and d_one:
+            return RationalFunc._poly(a * c)
         # cross-cancel: inputs are coprime pairs, so the result is too
-        if not (a.is_constant() or d.is_one()):
+        if not (d_one or a.is_constant()):
             g1 = poly_gcd(a, d)
             if not g1.is_constant():
                 a = a.exact_div(g1)
                 d = d.exact_div(g1)
-        if not (c.is_constant() or b.is_one()):
+        if not (b_one or c.is_constant()):
             g2 = poly_gcd(c, b)
             if not g2.is_constant():
                 c = c.exact_div(g2)
@@ -794,7 +813,7 @@ class RationalFunc:
         """
         num, den = self.num, self.den
         if den.is_one():
-            return RationalFunc._raw(num.diff(index), den)
+            return RationalFunc._poly(num.diff(index))
         parts = _QUOTIENT_MEMO.get((den, index))
         if parts is None:
             dden = den.diff(index)
@@ -807,8 +826,8 @@ class RationalFunc:
             _QUOTIENT_MEMO[(den, index)] = parts
         h, e, bottom, c = parts
         top = num.diff(index) * h - num * e
-        if top.is_zero():
-            return RationalFunc.zero(self.nvars)
+        if not top.nums:
+            return RationalFunc._poly(top)
         if not c.is_one():
             shared = poly_gcd(top, c)
             if not shared.is_one():

@@ -5,6 +5,7 @@ Every test drives main(argv) directly so the exit-code contract is pinned:
 validation errors, 3 mathematical failures.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -544,17 +545,57 @@ def test_quotient_memo_is_empty_when_each_command_starts(tmp_path, capsys,
 
 
 def test_second_command_in_process_prints_what_a_fresh_process_does(
-        tmp_path, capsys):
+        tmp_path, capsys, monkeypatch):
+    # one process runs the whole sequence, sharing one parser; each step
+    # must print what it prints as the only command of a fresh process
     path = tmp_path / "den.mv"
-    path.write_text(FOLDED_DENOMINATOR + "func m = 1/D\n")
-    argv = ["lm-check", "m", "B", "--input", str(path)]
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    fresh = subprocess.run([sys.executable, "-m", "mvcurl.cli", *argv],
-                           capture_output=True, text=True, env=env,
-                           timeout=60)
-    assert run(capsys, "curl", "B", "--input", str(path))[0] == 0
-    assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    path.write_text(FOLDED_DENOMINATOR + "func m = 1/D\nmv A = D e1^^e2\n")
+    doc = ["--input", str(path)]
+    # help and usage text wrap at the width COLUMNS gives when printed
+    steps = [
+        ("72", ["curl", "B", *doc], 0),
+        ("72", ["lm-check", "m", "B", *doc], 1),
+        ("72", ["lm-solve", "A", *doc], 2),  # --max-degree is required
+        ("72", ["--help"], 0),
+        ("44", ["lm-solve", "--help"], 0),
+        ("72", ["lm-solve", "A", "--max-degree", "0", "--denominator", "D",
+                *doc], 0),
+        ("72", ["lm-solve", "A", "--max-degree", "0", *doc], 1),
+        ("44", ["identities", "--cases", "-1"], 2),
+    ]
+    for columns, argv, code in steps:
+        monkeypatch.setenv("COLUMNS", columns)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = subprocess.run([sys.executable, "-m", "mvcurl.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               stdin=subprocess.DEVNULL, timeout=60)
+        assert fresh.returncode == code, argv
+        assert bool(fresh.stderr) == (code == 2), argv
+        assert run(capsys, *argv) == (code, fresh.stdout, fresh.stderr), argv
+
+
+def test_parser_is_built_once_per_process(planar, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    first = run(capsys, "print", "--input", planar)
+    assert "mvcurl" in built
+    parsers = len(built)
+    for argv in (["curl", "P", "--input", planar], ["curl"], ["--help"],
+                 ["lm-solve", "P", "--max-degree", "1", "--denominator", "h",
+                  "--input", planar],
+                 ["lm-solve", "P", "--max-degree", "1", "--input", planar],
+                 ["identities", "--cases", "-1"]):
+        run(capsys, *argv)
+    assert len(built) == parsers
+    assert run(capsys, "print", "--input", planar) == first
 
 
 def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):

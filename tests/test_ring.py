@@ -143,6 +143,24 @@ def test_rational_evaluate_and_pole():
         r.evaluate([1, 1])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RationalFunc(X) + RationalFunc(-X),
+    lambda: RationalFunc(ONE, X) - RationalFunc(ONE, X),
+    lambda: RationalFunc.zero(2) * RationalFunc(ONE, X),
+    lambda: RationalFunc(ONE, X) * RationalFunc.zero(2),
+    lambda: RationalFunc(ONE, X).scale(0),
+    lambda: RationalFunc.constant(2, 3).diff(0),
+    lambda: RationalFunc(ONE, Y).diff(0),
+    lambda: RationalFunc(Polynomial.zero(2), X + Y),
+], ids=["polynomial-sum", "same-denominator-sum", "zero-times", "times-zero",
+        "scale", "polynomial-diff", "quotient-rule-diff", "constructor"])
+def test_zero_results_equal_and_hash_like_zero(build):
+    zero = RationalFunc.zero(2)
+    result = build()
+    assert result.is_zero() and result.den == ONE
+    assert result == zero and hash(result) == hash(zero)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalFunc(X, Polynomial.zero(2))
@@ -535,8 +553,12 @@ def test_exact_div_by_divisor_with_content():
     lambda: X.scale(0.3),
     lambda: RationalFunc(X).scale(0.3),
     lambda: RationalFunc.constant(2, 2.0),
+    lambda: X.evaluate([0.1, 0]),
+    lambda: X.evaluate([0, 1j]),
+    lambda: RationalFunc(X, Y).evaluate([1, 0.5]),
 ], ids=["constant", "monomial", "constructor", "complex", "scale",
-        "rational-scale", "rational-constant"])
+        "rational-scale", "rational-constant", "evaluate", "evaluate-complex",
+        "rational-evaluate"])
 def test_floats_are_refused(build):
     with pytest.raises(TypeError, match="inexact coefficient"):
         build()
@@ -546,3 +568,8 @@ def test_exact_inputs_are_accepted():
     assert Polynomial.constant(2, "1/10") == Polynomial.constant(2, Fraction(1, 10))
     assert X.scale(Fraction(3, 10)).terms == {(1, 0): Fraction(3, 10)}
     assert Polynomial.constant(2, True) == ONE
+    p = X * X + Y.scale(3)
+    assert p.evaluate([1, 2]) == 7
+    assert p.evaluate([Fraction(1, 10), 0]) == Fraction(1, 100)
+    assert p.evaluate(["1/10", "2"]) == Fraction(601, 100)
+    assert RationalFunc(X, Y).evaluate(["1/10", Fraction(1, 5)]) == Fraction(1, 2)
