@@ -110,9 +110,9 @@ def _exact_and_kernel_dims(volume: VolumeForm, pi: Multivector, grade: int,
     stacked = collect_linear_system(
         lambda a: (curl(volume, a), schouten(pi, a)), ambient)
     # row labels are ((part, blade), monomial); part 0 is the curl
-    curl_rows = [row for label, row in zip(stacked.labels, stacked.data)
+    curl_rows = [row for label, row in zip(stacked.labels, stacked.entries)
                  if label[0][0] == 0]
-    rank_c = ExactMatrix(len(curl_rows), stacked.cols, curl_rows).rank()
+    rank_c = ExactMatrix.from_rows(stacked.cols, curl_rows).rank()
     return ambient.dimension - rank_c, ambient.dimension - stacked.rank()
 
 

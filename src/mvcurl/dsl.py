@@ -69,6 +69,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\^\^|[-+*/^()=])"
     r"|(?P<bad>\S))")
+# ``1e3`` reads as ``1`` times the basis vector ``e3``; refused as a likely
+# misspelt scientific-notation number
+_EXPONENT_RE = re.compile(r"[eE]([0-9]+)")
+# longest exponent whose number an error message writes out in full
+_SPELLED_EXPONENT = 12
 
 
 class DslError(Exception):
@@ -106,9 +111,14 @@ def _tokenize(text: str) -> List[_Token]:
             if m.lastgroup == "bad":
                 raise DslError(f"unexpected character {m.group('bad')!r}",
                                lineno, col)
-            if m.lastgroup == "num" and len(m.group("num")) > MAX_POWER_DIGITS:
-                raise DslError(f"number literal longer than {MAX_POWER_DIGITS} "
-                               "digits", lineno, col)
+            if m.lastgroup == "num":
+                num = m.group("num")
+                if len(num) > MAX_POWER_DIGITS:
+                    raise DslError(f"number literal longer than "
+                                   f"{MAX_POWER_DIGITS} digits", lineno, col)
+                sci = _EXPONENT_RE.match(line, m.end())
+                if sci:
+                    raise DslError(_scientific_message(num, sci), lineno, col)
             if m.lastgroup is not None:
                 kind = {"num": "NUM", "ident": "IDENT", "op": "OP"}[m.lastgroup]
                 tokens.append(_Token(kind, m.group(m.lastgroup), lineno, col))
@@ -118,6 +128,16 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
     tokens.append(_Token("EOF", "", len(text.splitlines()) + 1, 1))
     return tokens
+
+
+def _scientific_message(num: str, sci: "re.Match") -> str:
+    text, digits = sci.group(0), sci.group(1)
+    if len(digits) <= 2 and int(digits) <= _SPELLED_EXPONENT:
+        number = num + "0" * int(digits)
+    else:
+        number = "the number written out"
+    return (f"{num}{text} looks like scientific notation, which documents do "
+            f"not have: write {num}*{text} for a product, or {number}")
 
 
 # -- syntax tree ------------------------------------------------------------

@@ -105,6 +105,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
+        """The constant ``value``; the int 1 gives the shared ``_one``."""
+        if type(value) is int and value == 1 and nvars >= 0:
+            return _one(nvars)
         return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
@@ -469,6 +472,8 @@ def _subresultant_prs(pa: Dict[int, Polynomial], pb: Dict[int, Polynomial],
 def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     exps = [min(min(e[v] for e in a.nums), min(e[v] for e in b.nums))
             for v in range(a.nvars)]
+    if not any(exps):
+        return _one(a.nvars)
     return Polynomial.monomial(a.nvars, tuple(exps))
 
 

@@ -6,12 +6,18 @@ an exact affine solve.  Residual outputs of the probed map are expanded over
 a (blade, monomial) row basis after clearing all denominators with one
 common denominator for the whole system; a per-column denominator would
 rescale columns and corrupt the recovered solution functions.
+
+The values come straight from the ring's integer numerators, so a system
+is stored as sparse rows of ``int`` (a ``Fraction`` only where a value is
+not an integer) and eliminated fraction-free; no dense matrix is built on
+any solver path, and ``ExactMatrix.data`` is a dense view made only when
+something reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, schouten
@@ -108,67 +114,115 @@ def monomial_exponents(nvars: int, max_degree: int,
 
 
 class ExactMatrix:
-    """Matrix of exact rationals, stored as dense rows in ``data`` and
-    eliminated as sparse rows.  ``labels`` names the rows of a matrix
-    assembled by ``from_columns``, in row order, and is None otherwise."""
+    """Matrix of exact rationals stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "data", "labels")
+    ``entries`` holds one ``{column: value}`` dict per row with only the
+    non-zero values; assembly from the ring gives ``int`` wherever a value
+    is an integer and ``Fraction`` only where it is not.  ``data`` is a
+    dense ``Fraction`` view built on demand.  ``labels`` names the rows of a
+    matrix assembled by ``from_columns``, in row order, and is None
+    otherwise.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "labels")
 
     def __init__(self, rows: int, cols: int,
                  data: List[List[Fraction]] | None = None):
         if data is None:
-            data = [[Fraction(0)] * cols for _ in range(rows)]
+            data = [[0] * cols for _ in range(rows)]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("inconsistent matrix shape")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.entries = [{j: v for j, v in enumerate(r) if v} for r in data]
         self.labels: List[object] | None = None
 
     @classmethod
+    def from_rows(cls, cols: int, entries: List[Dict[int, Fraction]],
+                  labels: List[object] | None = None) -> "ExactMatrix":
+        """Wrap sparse rows as they are: non-zero values only, every column
+        below ``cols``.  The rows are shared, never copied or changed."""
+        out = object.__new__(cls)
+        out.rows = len(entries)
+        out.cols = cols
+        out.entries = entries
+        out.labels = labels
+        return out
+
+    @classmethod
     def from_columns(cls, columns: List[Dict[object, Fraction]]) -> "ExactMatrix":
-        """Assemble from sparse columns keyed by arbitrary row labels."""
+        """Assemble from sparse columns keyed by arbitrary row labels; a
+        label seen only with zero values still gets its (empty) row."""
         labels = sorted({k for col in columns for k in col}, key=repr)
         index = {k: i for i, k in enumerate(labels)}
-        out = cls(len(labels), len(columns))
-        out.labels = labels
+        entries: List[Dict[int, Fraction]] = [{} for _ in labels]
         for j, col in enumerate(columns):
             for k, v in col.items():
-                out.data[index[k]][j] = v
-        return out
+                if v:
+                    entries[index[k]][j] = v
+        return cls.from_rows(len(columns), entries, labels)
+
+    @property
+    def data(self) -> List[List[Fraction]]:
+        """Dense ``Fraction`` rows, built afresh on every read."""
+        dense = [[Fraction(0)] * self.cols for _ in self.entries]
+        for out, row in zip(dense, self.entries):
+            for j, v in row.items():
+                out[j] = Fraction(v)
+        return dense
 
     def multiply_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
-                for r in self.data]
+        return [sum((x * v[j] for j, x in row.items()), Fraction(0))
+                for row in self.entries]
 
     def _rref(self) -> Tuple[List[Dict[int, Fraction]], List[int]]:
         """Reduced row echelon form: the non-zero rows as ``{column: value}``
         dicts of their non-zeros, in pivot order, and the pivot columns.
 
-        Sparse Gauss-Jordan in the style of sympy's ``sdm_irref``: each row
-        is reduced by the pivot rows found so far, takes its smallest column
-        as a new pivot, is normalised, and clears that column from the
-        earlier pivot rows.  The RREF is unique, so the order rows are taken
-        in does not change the result.
+        Fraction-free sparse Gauss-Jordan in the style of sympy's
+        ``sdm_irref``: each row is taken as an integer multiple, is reduced
+        by the pivot rows found so far with integer row operations,
+        takes its smallest column as a new pivot with a positive value, and
+        clears that column from the earlier pivot rows.  Only the returned
+        rows are divided by their pivots, so a ``Fraction`` appears only
+        where an entry of the RREF is not an integer.  The RREF is unique, so
+        neither the order rows are taken in nor their scaling changes the
+        result; the stored rows are never changed or shared.
         """
-        pivot_rows: Dict[int, Dict[int, Fraction]] = {}
-        for dense in self.data:
-            row = {j: v for j, v in enumerate(dense) if v}
+        pivot_rows: Dict[int, Dict[int, int]] = {}
+        for stored in self.entries:
+            if not stored:
+                continue
+            # a new dict: the row times the lcm of its denominators
+            den = lcm(*[v.denominator for v in stored.values()])
+            row = {j: v.numerator * (den // v.denominator)
+                   for j, v in stored.items()}
             for p in [j for j in row if j in pivot_rows]:
-                _subtract_multiple(row, row[p], pivot_rows[p])
+                _clear_column(row, p, pivot_rows[p])
             if not row:
                 continue
             col = min(row)
-            inv = 1 / row[col]
-            row = {j: v * inv for j, v in row.items()}
+            g = gcd(*row.values())
+            if row[col] < 0:
+                g = -g
+            if g != 1:
+                row = {j: v // g for j, v in row.items()}
             for other in pivot_rows.values():
                 if col in other:
-                    _subtract_multiple(other, other[col], row)
+                    _clear_column(other, col, row)
             pivot_rows[col] = row
         pivots = sorted(pivot_rows)
-        return [pivot_rows[c] for c in pivots], pivots
+        reduced = []
+        for c in pivots:
+            row = pivot_rows[c]
+            a = row[c]
+            if a != 1:
+                row = {j: v // a if not v % a else Fraction(v, a)
+                       for j, v in row.items()}
+            reduced.append(row)
+        return reduced, pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -176,10 +230,10 @@ class ExactMatrix:
     def nullspace(self) -> List[List[Fraction]]:
         """Exact basis of the right kernel, one vector per free column."""
         reduced, pivots = self._rref()
-        basis = {j: [Fraction(0)] * self.cols
+        basis = {j: [0] * self.cols
                  for j in sorted(set(range(self.cols)) - set(pivots))}
         for free, v in basis.items():
-            v[free] = Fraction(1)
+            v[free] = 1
         for row, c in zip(reduced, pivots):
             for free, x in row.items():
                 if free != c:
@@ -190,26 +244,46 @@ class ExactMatrix:
         """One exact solution of M x = b, or None when inconsistent."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length does not match rows")
-        aug = ExactMatrix(self.rows, self.cols + 1,
-                          [row[:] + [Fraction(bi)] for row, bi in zip(self.data, b)])
-        reduced, pivots = aug._rref()
-        if self.cols in pivots:
+        last = self.cols
+        aug = []
+        for row, bi in zip(self.entries, b):
+            if bi:
+                row = dict(row)
+                row[last] = bi
+            aug.append(row)
+        reduced, pivots = ExactMatrix.from_rows(last + 1, aug)._rref()
+        if last in pivots:
             return None
-        x = [Fraction(0)] * self.cols
+        x = [0] * last
         for row, c in zip(reduced, pivots):
-            x[c] = row.get(self.cols, Fraction(0))
+            x[c] = row.get(last, 0)
         return x
 
 
-def _subtract_multiple(target: Dict[int, Fraction], factor: Fraction,
-                       row: Dict[int, Fraction]) -> None:
-    """target -= factor * row on sparse rows, dropping the zeros it makes."""
+def _clear_column(target: Dict[int, int], col: int,
+                  row: Dict[int, int]) -> None:
+    """Make ``target[col]`` zero in place by target := a*target - b*row, with
+    a > 0 and b the smallest such multipliers (``row[col]`` is positive), then
+    divide out the content that scaling by a brought in; drops zeros."""
+    a, b = row[col], target[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for j, v in target.items():
+            target[j] = v * a
     for j, v in row.items():
-        x = target.get(j, 0) - factor * v
+        x = target.get(j, 0) - b * v
         if x:
             target[j] = x
         else:
             del target[j]
+    if a != 1 and target:
+        g = gcd(*target.values())
+        if g != 1:
+            for j, v in target.items():
+                target[j] = v // g
 
 
 # -- residual expansion -----------------------------------------------------
@@ -233,22 +307,30 @@ def _residual_terms(value) -> Dict[object, RationalFunc]:
 def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
                                     nvars: int) -> List[Dict[object, Fraction]]:
     """Clear all denominators with one shared multiplier; a per-output
-    multiplier would rescale columns and corrupt recovered solutions."""
+    multiplier would rescale columns and corrupt recovered solutions.
+    Values are the numerators' ints, or ``Fraction`` over a numerator's
+    common denominator when that is not 1."""
     common = Polynomial.constant(nvars, 1)
     for out in outputs:
         for coeff in out.values():
             if not coeff.den.is_one():
                 common = poly_lcm(common, coeff.den)
-    common_rf = RationalFunc(common)
+    common_rf = None if common.is_one() else RationalFunc(common)
     expanded: List[Dict[object, Fraction]] = []
     for out in outputs:
         col: Dict[object, Fraction] = {}
         for slot, coeff in out.items():
-            cleared = coeff * common_rf
-            if not cleared.den.is_one():
-                raise RuntimeError("common denominator failed to clear residual")
-            for exps, value in cleared.num.terms.items():
-                col[(slot, exps)] = value
+            if common_rf is not None:
+                coeff = coeff * common_rf
+                if not coeff.den.is_one():
+                    raise RuntimeError("common denominator failed to clear residual")
+            nums, den = coeff.num.nums, coeff.num.den
+            if den == 1:
+                for exps, c in nums.items():
+                    col[(slot, exps)] = c
+            else:
+                for exps, c in nums.items():
+                    col[(slot, exps)] = Fraction(c, den)
         expanded.append(col)
     return expanded
 
@@ -279,9 +361,13 @@ def collect_affine_system(residual_map: Callable, space: SearchSpace,
     for solving residual_map(x) = target inside the ansatz."""
     augmented = ExactMatrix.from_columns(
         _system_columns(residual_map, space, (target,)))
-    rows = augmented.data
-    return (ExactMatrix(augmented.rows, augmented.cols - 1, [r[:-1] for r in rows]),
-            [r[-1] for r in rows])
+    last = augmented.cols - 1
+    entries, b = [], []
+    for row in augmented.entries:
+        row = dict(row)
+        b.append(row.pop(last, 0))
+        entries.append(row)
+    return ExactMatrix.from_rows(last, entries), b
 
 
 def _linearity_spot_check(residual_map, space: SearchSpace,

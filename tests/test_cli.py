@@ -433,6 +433,15 @@ def test_coefficient_past_the_digit_budget_is_refused(tmp_path, capsys, body,
     assert err == f"error: {position}: {message}\n"
 
 
+def test_scientific_notation_look_alike_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sci.mv"
+    path.write_text("chart x y z\nmv P = 1e3 x\n")
+    assert run(capsys, "print", "--input", str(path)) == (
+        2, "", "error: line 2, column 8: 1e3 looks like scientific notation, "
+               "which documents do not have: write 1*e3 for a product, or "
+               "1000\n")
+
+
 def test_long_func_literal_is_refused_at_its_position(tmp_path, capsys):
     path = tmp_path / "literal.mv"
     path.write_text("chart x y\nfunc f = " + "7" * 5000 + "\n")

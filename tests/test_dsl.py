@@ -150,6 +150,21 @@ def test_error_positions(source, fragment, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("body, col, message", [
+    ("1e3 x", 8, "1e3 looks like scientific notation, which documents do not "
+                 "have: write 1*e3 for a product, or 1000"),
+    ("x + 25E2", 12, "25E2 looks like scientific notation, which documents do "
+                     "not have: write 25*E2 for a product, or 2500"),
+    ("2e1x", 8, "write 2*e1 for a product, or 20"),
+    ("7e123 e1", 8, "write 7*e123 for a product, or the number written out"),
+])
+def test_scientific_notation_look_alikes_are_refused(body, col, message):
+    with pytest.raises(DslError) as err:
+        parse(f"chart x y z\nmv P = {body}\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    assert message in err.value.message
+
+
 def test_computed_zero_division_is_a_math_error():
     with pytest.raises(ZeroDivisionError):
         parse("chart x y\nfunc a = 1/(x - x)\n")

@@ -347,6 +347,17 @@ def test_coprime_pair_runs_no_prs(monkeypatch):
     assert calls == []
 
 
+def test_constant_gcds_share_the_constant_one():
+    one = ring._one(2)
+    assert poly_gcd(X * X + Y * Y + ONE, X + Y) is one  # certified coprime
+    assert poly_gcd(X + ONE, Y + ONE) is one  # no common variable
+    assert poly_gcd(C(3), X + Y) is one  # constant input
+    assert poly_gcd(X * X, Y + ONE) is one  # a monomial with no shared power
+    assert Polynomial.constant(2, 1) is one
+    assert RationalFunc.constant(2, 1).num is one
+    assert Polynomial.constant(2, 2) is not one
+
+
 def test_common_factor_is_still_found(monkeypatch):
     calls = count_prs(monkeypatch)
     common = X * X + Y * Y + ONE

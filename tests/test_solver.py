@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvcurl import cli
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
 from mvcurl.ring import Polynomial, RationalFunc
@@ -191,6 +192,71 @@ def test_solve_refuses_an_inconsistent_target(pair, data):
     assert extended.solve(target) is None
 
 
+# mixed int and Fraction entries, explicit zeros of both kinds among them
+mixed_entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-4, 4),
+                          st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def mixed_systems(draw):
+    """Dense rows, the matrix ``from_columns`` makes of them with every zero
+    kept in its column, and a vector to build a reachable target from."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    data = draw(st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    columns = [{i: data[i][j] for i in range(rows)} for j in range(cols)]
+    x = draw(st.lists(mixed_entries, min_size=cols, max_size=cols))
+    return data, ExactMatrix.from_columns(columns), x
+
+
+def only_exact_ints(values):
+    """int wherever a value is an integer, a Fraction only where it is not."""
+    return all(type(v) is int or v.denominator != 1 for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_systems())
+def test_mixed_entries_and_explicit_zeros_match_dense_reference(system):
+    data, m, x = system
+    assert (m.rows, m.cols) == (len(data), len(x))
+    assert m.entries == [{j: v for j, v in enumerate(r) if v} for r in data]
+    assert m.data == data
+    stored = [dict(row) for row in m.entries]
+    reduced, pivots = m._rref()
+    ref_rows, ref_pivots = dense_rref([[F(v) for v in r] for r in data], m.cols)
+    assert pivots == ref_pivots
+    assert [[row.get(j, 0) for j in range(m.cols)] for row in reduced] == ref_rows
+    assert only_exact_ints(v for row in reduced for v in row.values())
+    assert not any(r is s for r in reduced for s in m.entries)
+    null = m.nullspace()
+    free = [j for j in range(m.cols) if j not in ref_pivots]
+    assert [[v[c] for c in ref_pivots] for v in null] == [
+        [-row[k] for row in ref_rows] for k in free]
+    assert only_exact_ints(c for v in null for c in v)
+    b = m.multiply_vector(x)
+    y = m.solve(b)
+    assert m.multiply_vector(y) == b
+    assert only_exact_ints(y)
+    # free unknowns are zero and pivots read off the augmented RREF
+    aug_rows, aug_pivots = dense_rref(
+        [[F(v) for v in r] + [bi] for r, bi in zip(data, b)], m.cols + 1)
+    expect = [F(0)] * m.cols
+    for row, c in zip(aug_rows, aug_pivots):
+        expect[c] = row[-1]
+    assert y == expect
+    # elimination never changes the stored rows
+    assert m.entries == stored
+
+
+def test_rref_normalises_pivots_without_fractions():
+    m = ExactMatrix(2, 3, [[-1, 2, 0], [0, -1, F(-3)]])
+    reduced, pivots = m._rref()
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 2: 6}, {1: 1, 2: 3}]
+    assert all(type(v) is int for row in reduced for v in row.values())
+    assert ExactMatrix(1, 2, [[2, 1]])._rref()[0] == [{0: 1, 1: F(1, 2)}]
+
+
 # -- residual collection ----------------------------------------------------
 
 
@@ -208,6 +274,47 @@ def test_divergence_residual_matrix():
     # div(m x d/dx): m=1 -> 1, m=x -> 2x; rows are the two monomial slots
     assert matrix.data == [[F(1), F(0)], [F(0), F(2)]]
     assert matrix.nullspace() == []
+
+
+def test_systems_from_integer_polynomials_hold_ints():
+    chart, pi = so3_bivector()
+    bracket = lambda f: schouten(pi, Multivector.scalar(chart, f))
+    matrix = collect_linear_system(bracket, AnsatzSpace(chart, 3))
+    values = [v for row in matrix.entries for v in row.values()]
+    assert values and all(type(v) is int for v in values)
+    line, vol, field = line_setup()
+    matrix, b = collect_affine_system(lambda m: curl(vol, field.scale(m)),
+                                      AnsatzSpace(line, 2),
+                                      Multivector(line, 0, {0: var(1, 0)}))
+    assert all(type(v) is int for row in matrix.entries for v in row.values())
+    assert all(type(v) is int for v in b)
+    # a coefficient that is not an integer stays a Fraction
+    halved = collect_linear_system(lambda f: bracket(f).scale(F(1, 2)),
+                                   AnsatzSpace(chart, 1))
+    values = [v for row in halved.entries for v in row.values()]
+    assert F(1, 2) in values and only_exact_ints(values)
+
+
+def test_solver_commands_never_build_dense_rows(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "so3.mv"
+    path.write_text("chart x y z\nlie g = z e1^^e2 - y e1^^e3 + x e2^^e3\n")
+    commands = [["cohomology", "g", "--k", "1", "--max-degree", "2"],
+                ["casimir", "g", "--max-degree", "2"],
+                ["lm-solve", "g", "--max-degree", "1"],
+                ["unimodular", "g", "--max-degree", "1"]]
+    expected = []
+    for argv in commands:
+        expected.append((cli.main(argv + ["--input", str(path)]),
+                         capsys.readouterr()))
+
+    def dense(matrix):
+        raise AssertionError("a solver path built dense rows")
+
+    monkeypatch.setattr(ExactMatrix, "data", property(dense))
+    for argv, (code, captured) in zip(commands, expected):
+        assert code == 0
+        assert (cli.main(argv + ["--input", str(path)]),
+                capsys.readouterr()) == (code, captured)
 
 
 def test_lm_solve_needs_reciprocal_denominator():

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvcurl.ring import Polynomial, RationalFunc, poly_gcd
 from mvcurl.solver import ExactMatrix
@@ -209,3 +210,43 @@ def test_rank_rref_and_nullspace_match_sympy(case):
     assert m.nullspace() == [[from_sympy_rational(x) for x in v]
                              for v in s.nullspace()]
     assert m.data == data  # elimination leaves the matrix as it was
+
+
+# mixed int and Fraction entries, explicit zeros of both kinds among them
+mixed_entries = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-5, 5),
+                          st.builds(Fraction, st.integers(-5, 5),
+                                    st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(mixed_entries, min_size=cols + 1, max_size=cols + 1),
+             min_size=1, max_size=6),
+    st.just(cols))))
+def test_sparse_columns_with_explicit_zeros_match_sympy(system):
+    rows, cols = system
+    # columns keep their zeros; the last one is a right-hand side
+    columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(cols)]
+    m = ExactMatrix.from_columns(columns)
+    b = [row[cols] for row in rows]
+    dense = [[Fraction(x) for x in row] for row in rows]
+    s = to_sympy_matrix([row[:cols] for row in dense], cols)
+    aug = to_sympy_matrix(dense, cols + 1)
+    s_rref, s_pivots = s.rref()
+    reduced, pivots = m._rref()
+    assert pivots == list(s_pivots)
+    assert [[row.get(j, 0) for j in range(cols)] for row in reduced] == [
+        [from_sympy_rational(s_rref[i, j]) for j in range(cols)]
+        for i in range(len(pivots))]
+    assert m.nullspace() == [[from_sympy_rational(x) for x in v]
+                             for v in s.nullspace()]
+    y = m.solve(b)
+    if aug.rank() > s.rank():
+        assert y is None
+    else:
+        # the solution with every free unknown zero, read off sympy's RREF
+        a_rref, a_pivots = aug.rref()
+        expect = [0] * cols
+        for i, c in enumerate(a_pivots):
+            expect[c] = from_sympy_rational(a_rref[i, cols])
+        assert y == expect
