@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large to evaluate in memory", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return 3

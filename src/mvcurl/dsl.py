@@ -17,7 +17,9 @@ operators are unbounded.  A power whose expansion may exceed MAX_POWER_TERMS
 terms, in its numerator or denominator, or whose coefficients may exceed
 MAX_POWER_DIGITS digits, is refused before it is computed.  So is a number
 literal longer than MAX_POWER_DIGITS digits, and a binding whose value has a
-coefficient longer than that, since neither could be printed.
+coefficient longer than that, since neither could be printed.  A power or
+product whose total degree may pass the ring's MAX_DEGREE (32767) is
+refused before it is computed too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm, log10
+from math import comb, gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mvcurl.exterior import (
@@ -37,7 +39,7 @@ from mvcurl.exterior import (
     wedge,
 )
 from mvcurl.poisson import StructureConstants
-from mvcurl.ring import Polynomial, RationalFunc
+from mvcurl.ring import MAX_DEGREE, Polynomial, RationalFunc
 
 __all__ = [
     "DslError",
@@ -368,12 +370,25 @@ def _power_terms(p: Polynomial, exponent: int) -> int:
     e and passes MAX_POWER_TERMS by e = MAX_POWER_TERMS once p has two terms,
     so capping e there keeps the binomials small without changing a verdict.
     """
-    t = len(p.terms)
+    t = len(p.nums)
     if t <= 1:
         return 1
     e = min(exponent, MAX_POWER_TERMS)
     v = sum(1 for i in range(p.nvars) if any(exps[i] for exps in p.terms))
     return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
+
+
+def _scalars(value: Value):
+    """The value's scalar coefficients: itself, or its blade coefficients."""
+    return [value] if isinstance(value, RationalFunc) else value.terms.values()
+
+
+def _degrees(value: Value) -> Tuple[int, int]:
+    """Largest total degree of a numerator and of a denominator in the
+    value; a product's numerators and denominators have at most the sums."""
+    scalars = _scalars(value)
+    return (max((rf.num.total_degree() for rf in scalars), default=0),
+            max((rf.den.total_degree() for rf in scalars), default=0))
 
 
 def _coefficient_digits(p: Polynomial) -> float:
@@ -452,8 +467,18 @@ class _Evaluator:
                 raise DslError(f"power too large to expand: its coefficients "
                                f"may have more than {MAX_POWER_DIGITS} digits",
                                node.line, node.col)
+            if exponent and max(_degrees(left)) * abs(exponent) > MAX_DEGREE:
+                raise DslError(f"power too large to expand: its degree may "
+                               f"pass {MAX_DEGREE}", node.line, node.col)
             return left ** exponent
         right = self.eval(node.right)
+        if node.op not in ("+", "-"):
+            (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
+            if node.op == "/":
+                rn, rd = rd, rn
+            if max(ln + rn, ld + rd) > MAX_DEGREE:
+                raise DslError(f"product too large to expand: its degree may "
+                               f"pass {MAX_DEGREE}", node.line, node.col)
         kinds = (_value_kind(left), _value_kind(right))
         if node.op in ("+", "-"):
             if kinds[0] != kinds[1]:
@@ -579,10 +604,12 @@ def _constants_from_bivector(pi: Multivector, line: int,
 def has_long_coefficient(value: Value) -> bool:
     """True if a coefficient of the value has more than MAX_POWER_DIGITS
     digits, so that it cannot be printed."""
-    scalars = [value] if isinstance(value, RationalFunc) else value.terms.values()
-    return any(max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND
-               for rf in scalars for p in (rf.num, rf.den)
-               for c in p.terms.values())
+    # c/den in lowest terms is (c/g)/(den/g), g = gcd(c, den): reduce only
+    # the rare pair that passes the bound before reducing
+    return any(max(abs(c), p.den) >= _DIGITS_BOUND
+               and max(abs(c), p.den) // gcd(c, p.den) >= _DIGITS_BOUND
+               for rf in _scalars(value) for p in (rf.num, rf.den)
+               for c in p.nums.values())
 
 
 def _check_digits(raw: _RawBinding, value: Value) -> None:

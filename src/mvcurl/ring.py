@@ -1,16 +1,39 @@
 """Exact sparse multivariate polynomials and rational functions over the rationals.
 
 A polynomial in n coordinates is stored as integer numerators over one
-positive integer denominator: ``nums`` maps exponent tuples to non-zero
-``int`` numerators, ``den`` is a positive ``int``, and the pair is kept in
-lowest terms, ``gcd(den, *nums.values()) == 1``.  That form is canonical, so
-equality and hashing are structural, and the arithmetic runs on ints only;
-``terms`` is a read-only ``{exponent tuple: Fraction}`` view of the same
-coefficients, built on demand for readers outside the ring.  Rational
-functions are kept in canonical form: numerator and denominator coprime,
-denominator monic with respect to the graded lexicographic term order.
-Two equal fractions therefore always have identical representations, so
-every identity check in the rest of the package is a strict equality.
+positive integer denominator: ``nums`` maps packed monomial keys (below) to
+non-zero ``int`` numerators, ``den`` is a positive ``int``, and the pair is
+kept in lowest terms, ``gcd(den, *nums.values()) == 1``.  That form is
+canonical, so equality and hashing are structural, and the arithmetic runs
+on ints only; ``terms`` is a read-only ``{exponent tuple: Fraction}`` view of
+the same coefficients, built on demand for readers outside the ring.
+Rational functions are kept in canonical form: numerator and denominator
+coprime, denominator monic with respect to the graded lexicographic term
+order.  Two equal fractions therefore always have identical
+representations, so every identity check in the rest of the package is a
+strict equality.
+
+Packed keys (Monagan and Pearce, CASC 2007).  The key of x^e,
+e = (e_0, ..., e_{n-1}), is one int of n + 1 fields of 16 bits: the total
+degree |e| in the top field, then e_0, ..., e_{n-1}.  The top bit of each
+field is a guard that stored keys leave clear, so the total degree, and
+with it every exponent, is at most ``MAX_DEGREE`` = 32767; the constructor,
+``*`` and ``**`` raise ``ValueError`` rather than pass it.  Within that
+limit no field carries into its neighbour, so
+
+- int order of keys is graded lexicographic order: the leading term is
+  ``max(nums)`` and the constant monomial is the key 0;
+- the key of a product of monomials is the sum of their keys;
+- x^a divides x^b exactly when q = key(b) - key(a) is >= 0 with every guard
+  bit clear, since a field that borrows sets its guard bit.
+
+``terms``, ``sorted_terms``, ``leading_exponent`` and the printer unpack the
+keys into exponent tuples.
+
+``poly_gcd`` runs the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC
+1989) first and accepts its candidate only when exact division proves it
+(see ``_heu_gcd``); when the heuristic gives up, a content recursion around
+a subresultant PRS finds the gcd.
 
 ``Polynomial(nvars, terms)`` checks exponents and converts coefficients
 (ints, ``Fraction`` or other exact rationals; floats are refused), for input
@@ -23,8 +46,9 @@ from __future__ import annotations
 
 import functools
 import operator
+import struct
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -33,10 +57,51 @@ Exponent = Tuple[int, ...]
 _add = operator.add
 _sub = operator.sub
 
+# largest total degree, and so largest exponent, of a stored monomial
+MAX_DEGREE = (1 << 15) - 1
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+
 
 def grlex_key(exponents: Exponent) -> tuple:
     """Sort key for the graded lexicographic order (total degree first)."""
     return (sum(exponents), exponents)
+
+
+@functools.cache
+def _codec(nvars: int) -> struct.Struct:
+    """The n + 1 big-endian 16-bit fields of a packed key, for unpacking."""
+    return struct.Struct(f">{nvars + 1}H")
+
+
+@functools.cache
+def _guards(nvars: int) -> int:
+    """The guard bit of every field of a packed key."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars + 1))
+
+
+def _pack(exps: Exponent) -> int:
+    """Key of x^exps, for non-negative ints of sum at most MAX_DEGREE."""
+    key = sum(exps)
+    for e in exps:
+        key = key << _FIELD | e
+    return key
+
+
+def _unpack(nvars: int, key: int) -> Exponent:
+    return _codec(nvars).unpack(key.to_bytes(_FIELD // 8 * (nvars + 1), "big"))[1:]
+
+
+@functools.cache
+def _field(nvars: int, v: int) -> Tuple[int, int]:
+    """(bit offset of the field of x_v, key of x_v); adding the key of x_v
+    adds one to that field and one to the degree."""
+    shift = _FIELD * (nvars - 1 - v)
+    return shift, (1 << _FIELD * nvars) | (1 << shift)
+
+
+def _too_large(degree: int) -> ValueError:
+    return ValueError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
 
 
 def _exact(value) -> Tuple[int, int]:
@@ -64,27 +129,33 @@ class Polynomial:
     def __init__(self, nvars: int, terms: Mapping[Exponent, object] | None = None):
         if nvars < 0:
             raise ValueError(f"invalid number of variables: {nvars}")
-        clean: Dict[Exponent, Tuple[int, int]] = {}
+        clean: Dict[int, Tuple[int, int]] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
                 raise ValueError(
                     f"exponent tuple {exps} does not match {nvars} variables")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
+            if sum(exps) > MAX_DEGREE:
+                raise _too_large(sum(exps))
+            try:
+                key = _pack(exps)
+            except TypeError:
+                raise TypeError(f"non-integer exponent in {exps}") from None
             n, d = _exact(coeff)
             if n:
-                clean[tuple(exps)] = n, d
+                clean[key] = n, d
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the pair is already in lowest terms
         den = lcm(*(d for _, d in clean.values()))
         self.nvars = nvars
-        self.nums = {e: n * (den // d) for e, (n, d) in clean.items()}
+        self.nums = {k: n * (den // d) for k, (n, d) in clean.items()}
         self.den = den
 
     @classmethod
-    def _make(cls, nvars: int, nums: Dict[Exponent, int], den: int = 1) -> "Polynomial":
-        """Trusted constructor for ring results: exponent tuples of length
-        ``nvars``, non-zero int numerators and a positive int ``den``; one gcd
+    def _make(cls, nvars: int, nums: Dict[int, int], den: int = 1) -> "Polynomial":
+        """Trusted constructor for ring results: packed keys for ``nvars``
+        variables, non-zero int numerators and a positive int ``den``; one gcd
         brings them to lowest terms when ``den`` is not 1."""
         if den != 1:
             g = gcd(den, *nums.values()) if nums else den
@@ -101,7 +172,9 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        if nvars < 0:
+            raise ValueError(f"invalid number of variables: {nvars}")
+        return cls._make(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
@@ -114,24 +187,24 @@ class Polynomial:
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls._make(nvars, {_field(nvars, index)[1]: 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponent, coeff=1) -> "Polynomial":
         n, d = _exact(coeff)
-        if nvars < 0 or len(exps) != nvars or min(exps, default=0) < 0:
+        if (nvars < 0 or len(exps) != nvars or min(exps, default=0) < 0
+                or sum(exps) > MAX_DEGREE):
             return cls(nvars, {tuple(exps): n})  # raises the constructor's error
-        return cls._make(nvars, {tuple(exps): n} if n else {}, d)
+        return cls._make(nvars, {_pack(exps): n} if n else {}, d)
 
     # -- views --------------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Read-only ``{exponent tuple: Fraction}`` view of the coefficients."""
-        den = self.den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
+        n, den = self.nvars, self.den
+        return MappingProxyType({_unpack(n, k): Fraction(c, den)
+                                 for k, c in self.nums.items()})
 
     # -- predicates ---------------------------------------------------------
 
@@ -140,11 +213,10 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         nums = self.nums
-        return not nums or (len(nums) == 1 and not any(next(iter(nums))))
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def is_one(self) -> bool:
-        return (self.den == 1 and len(self.nums) == 1
-                and self.nums.get((0,) * self.nvars) == 1)
+        return self.den == 1 and len(self.nums) == 1 and self.nums.get(0) == 1
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (raises if non-constant)."""
@@ -156,21 +228,23 @@ class Polynomial:
         """Total degree; zero polynomial reports -1."""
         if not self.nums:
             return -1
-        return max(sum(e) for e in self.nums)
+        return max(self.nums) >> _FIELD * self.nvars
 
     # -- term order ---------------------------------------------------------
 
     def leading_exponent(self) -> Exponent:
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.nums, key=grlex_key)
+        return _unpack(self.nvars, max(self.nums))
 
     def leading_coefficient(self) -> Fraction:
-        return Fraction(self.nums[self.leading_exponent()], self.den)
+        return Fraction(self.nums[max(self.nums)], self.den)
 
     def sorted_terms(self) -> list:
         """Terms in descending graded lexicographic order (leading first)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        n, den = self.nvars, self.den
+        return [(_unpack(n, k), Fraction(c, den))
+                for k, c in sorted(self.nums.items(), reverse=True)]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -191,8 +265,8 @@ class Polynomial:
             out = {e: c * fa for e, c in self.nums.items()}
             items = [(e, c * fb) for e, c in other.nums.items()]
         get = out.get
-        for exps, c in items:
-            out[exps] = op(get(exps, 0), c)
+        for key, c in items:
+            out[key] = op(get(key, 0), c)
         return Polynomial._make(self.nvars, {e: c for e, c in out.items() if c}, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -210,13 +284,18 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out: Dict[Exponent, int] = {}
+        left, right = self.nums, other.nums
+        # the leading keys add up to the product's leading key; its degree
+        # field sets its guard bit exactly when the degree passes MAX_DEGREE
+        if left and right and (max(left) + max(right)) >> _FIELD * (self.nvars + 1) - 1:
+            raise _too_large(self.total_degree() + other.total_degree())
+        out: Dict[int, int] = {}
         get = out.get
-        right = other.nums.items()
-        for ea, ca in self.nums.items():
-            for eb, cb in right:
-                e = tuple(map(_add, ea, eb))
-                out[e] = get(e, 0) + ca * cb
+        right = right.items()
+        for ka, ca in left.items():
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
         return Polynomial._make(self.nvars, {e: c for e, c in out.items() if c},
                                 self.den * other.den)
 
@@ -236,6 +315,8 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
+        if exponent and self.total_degree() * exponent > MAX_DEGREE:
+            raise _too_large(self.total_degree() * exponent)
         result = Polynomial.constant(self.nvars, 1)
         base = self
         e = exponent
@@ -260,16 +341,16 @@ class Polynomial:
 
     def diff(self, index: int) -> "Polynomial":
         """Partial derivative with respect to coordinate ``index``."""
-        if not 0 <= index < self.nvars:
+        n = self.nvars
+        if not 0 <= index < n:
             raise ValueError(f"coordinate index {index} out of range")
-        out: Dict[Exponent, int] = {}
-        for exps, c in self.nums.items():
-            k = exps[index]
+        shift, unit = _field(n, index)
+        out: Dict[int, int] = {}
+        for key, c in self.nums.items():
+            k = key >> shift & _FIELD_MASK
             if k:
-                e = list(exps)
-                e[index] = k - 1
-                out[tuple(e)] = c * k
-        return Polynomial._make(self.nvars, out, self.den)
+                out[key - unit] = c * k
+        return Polynomial._make(n, out, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point; float coordinates are refused."""
@@ -277,9 +358,9 @@ class Polynomial:
         if len(values) != self.nvars:
             raise ValueError("point dimension does not match variable count")
         total = Fraction(0)
-        for exps, c in self.nums.items():
+        for key, c in self.nums.items():
             term = Fraction(c)
-            for e, v in zip(exps, values):
+            for e, v in zip(_unpack(self.nvars, key), values):
                 if e:
                     term *= v ** e
             total += term
@@ -294,7 +375,8 @@ class Polynomial:
         the quotient is (A/B)·b/(a·c).  If B divides A over the rationals, the
         quotient A/B has integer coefficients (Gauss's lemma), and each step
         below peels off one of them; so a step whose integer division leaves
-        a remainder proves the division inexact.
+        a remainder, or whose leading monomial is not a multiple of B's,
+        proves the division inexact.
         """
         self._check(divisor)
         if not divisor.nums:
@@ -302,23 +384,24 @@ class Polynomial:
         if divisor.is_constant():
             return self._times(divisor.den, sum(divisor.nums.values()))
         content = gcd(*divisor.nums.values())
-        lead_e = divisor.leading_exponent()
-        lead_c = divisor.nums[lead_e] // content
-        tail = [(e, c // content) for e, c in divisor.nums.items() if e != lead_e]
+        lead_k = max(divisor.nums)
+        lead_c = divisor.nums[lead_k] // content
+        tail = [(k, c // content) for k, c in divisor.nums.items() if k != lead_k]
+        guards = _guards(self.nvars)
         # reduce one remainder dict in place; each step cancels its leading
-        # term, so the quotient exponents come out distinct and descending
+        # term, so the quotient keys come out distinct and descending
         rem = dict(self.nums)
-        quotient: Dict[Exponent, int] = {}
+        quotient: Dict[int, int] = {}
         get = rem.get
         while rem:
-            re = max(rem, key=grlex_key)
-            qe = tuple(map(_sub, re, lead_e))
-            qc, r = divmod(rem.pop(re), lead_c)
-            if r or min(qe) < 0:
+            rk = max(rem)
+            qk = rk - lead_k
+            qc, r = divmod(rem.pop(rk), lead_c)
+            if r or qk < 0 or qk & guards:
                 raise ValueError("inexact polynomial division")
-            quotient[qe] = qc
-            for e, c in tail:
-                m = tuple(map(_add, e, qe))
+            quotient[qk] = qc
+            for k, c in tail:
+                m = k + qk
                 v = get(m, 0) - qc * c
                 if v:
                     rem[m] = v
@@ -326,7 +409,7 @@ class Polynomial:
                     del rem[m]
         b = divisor.den
         if b != 1:
-            quotient = {e: c * b for e, c in quotient.items()}
+            quotient = {k: c * b for k, c in quotient.items()}
         return Polynomial._make(self.nvars, quotient, self.den * content)
 
     def to_string(self, names: Sequence[str]) -> str:
@@ -367,43 +450,40 @@ class Polynomial:
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    lc = p.nums[p.leading_exponent()]
+    lc = p.nums[max(p.nums)]
     return p if lc == p.den else p._times(p.den, lc)
 
 
 def _variables_used(p: Polynomial) -> set:
-    used = set()
-    for exps in p.nums:
-        for i, e in enumerate(exps):
-            if e:
-                used.add(i)
-    return used
+    n, used = p.nvars, 0
+    for key in p.nums:
+        used |= key
+    return {v for v in range(n) if used >> _field(n, v)[0] & _FIELD_MASK}
 
 
 def _degree_in(p: Polynomial, v: int) -> int:
-    return max(exps[v] for exps in p.nums)
+    shift = _field(p.nvars, v)[0]
+    return max(key >> shift & _FIELD_MASK for key in p.nums)
 
 
 def _split_by_variable(p: Polynomial, v: int) -> Dict[int, Polynomial]:
     """View p as univariate in coordinate v with polynomial coefficients."""
-    buckets: Dict[int, Dict[Exponent, int]] = {}
-    for exps, c in p.nums.items():
-        d = exps[v]
-        rest = list(exps)
-        rest[v] = 0
-        buckets.setdefault(d, {})[tuple(rest)] = c
+    shift, unit = _field(p.nvars, v)
+    buckets: Dict[int, Dict[int, int]] = {}
+    for key, c in p.nums.items():
+        d = key >> shift & _FIELD_MASK
+        buckets.setdefault(d, {})[key - d * unit] = c
     return {d: Polynomial._make(p.nvars, t, p.den) for d, t in buckets.items()}
 
 
 def _join_by_variable(coeffs: Dict[int, Polynomial], v: int, nvars: int) -> Polynomial:
+    unit = _field(nvars, v)[1]
     den = lcm(*(poly.den for poly in coeffs.values()))
-    nums: Dict[Exponent, int] = {}
+    nums: Dict[int, int] = {}
     for d, poly in coeffs.items():
         f = den // poly.den
-        for exps, c in poly.nums.items():
-            e = list(exps)
-            e[v] = d
-            nums[tuple(e)] = c * f
+        for key, c in poly.nums.items():
+            nums[key + d * unit] = c * f
     return Polynomial._make(nvars, nums, den)
 
 
@@ -470,90 +550,128 @@ def _subresultant_prs(pa: Dict[int, Polynomial], pb: Dict[int, Polynomial],
 
 
 def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    exps = [min(min(e[v] for e in a.nums), min(e[v] for e in b.nums))
-            for v in range(a.nvars)]
+    n = a.nvars
+    exps = tuple(map(min, *(_unpack(n, k) for k in (*a.nums, *b.nums))))
     if not any(exps):
-        return _one(a.nvars)
-    return Polynomial.monomial(a.nvars, tuple(exps))
+        return _one(n)
+    return Polynomial.monomial(n, exps)
 
 
-# the modulus of the coprime test's images (see ``poly_gcd``)
-_PRIME = (1 << 61) - 1
+# GCDHEU gives up after this many evaluation points, and before it
+# evaluates at a point whose bit length times the degree (the size of an
+# image coefficient, in bits) passes _HEU_MAX_BITS
+_HEU_TRIES = 6
+_HEU_MAX_BITS = 1 << 16
 
 
-def _terms_mod_p(p: Polynomial):
-    """(exponents, coefficient mod _PRIME) pairs, or None if a coefficient's
-    denominator vanishes mod _PRIME: _PRIME is prime, so that happens exactly
-    when it divides the common denominator."""
-    den = p.den % _PRIME
-    if not den:
-        return None
-    inv = pow(den, -1, _PRIME) if den != 1 else 1
-    return [(exps, c * inv % _PRIME) for exps, c in p.nums.items()]
+def _heu_gcd(a: Dict[int, int], b: Dict[int, int], nvars: int,
+             vs: Sequence[int]) -> Dict[int, int] | None:
+    """Numerators of gcd(a, b) in Z[x], up to sign, for the non-zero
+    numerator dicts a and b, which use no variable outside ``vs``; None if
+    GCDHEU gives up (see ``poly_gcd``)."""
+    ca, cb = gcd(*a.values()), gcd(*b.values())
+    content = gcd(ca, cb)
+    if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
+        return {0: content}
+    if ca != 1:
+        a = {k: c // ca for k, c in a.items()}
+    if cb != 1:
+        b = {k: c // cb for k, c in b.items()}
+    v, rest = vs[-1], vs[:-1]
+    shift, unit = _field(nvars, v)
+    da = max(k >> shift & _FIELD_MASK for k in a)
+    db = max(k >> shift & _FIELD_MASK for k in b)
+    degree, top = max(da, db), min(da, db)
+    top_total = min(max(a), max(b)) >> _FIELD * nvars
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    dividends = None
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * degree > _HEU_MAX_BITS:
+            return None
+        powers = [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * xi)
+        ia, ib = _image(a, shift, unit, powers), _image(b, shift, unit, powers)
+        if ia and ib:
+            gamma = _heu_gcd(ia, ib, nvars, rest)
+            if gamma is None:
+                return None
+            h = _interpolate(gamma, xi, unit, top)
+            if h is not None and max(h) >> _FIELD * nvars <= top_total:
+                if len(h) == 1 and 0 in h:
+                    return {0: content}
+                ch = gcd(*h.values())
+                if ch != 1:
+                    h = {k: c // ch for k, c in h.items()}
+                divisor = Polynomial._make(nvars, h)
+                dividends = dividends or [Polynomial._make(nvars, p) for p in (a, b)]
+                try:
+                    for p in dividends:
+                        p.exact_div(divisor)
+                except ValueError:
+                    pass
+                else:
+                    return h if content == 1 else {k: c * content for k, c in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
 
 
-def _image_mod_p(terms, v: int, degree: int) -> list:
-    """Univariate image in x_v of degree at most ``degree``, the other
-    coordinates set to 3 + 2i, as coefficients mod _PRIME by degree."""
-    out = [0] * (degree + 1)
-    for exps, value in terms:
-        for i, e in enumerate(exps):
-            if e and i != v:
-                value = value * pow(3 + 2 * i, e, _PRIME) % _PRIME
-        out[exps[v]] += value
-    return [c % _PRIME for c in out]
+def _image(nums: Dict[int, int], shift: int, unit: int, powers: list) -> Dict[int, int]:
+    """Numerators at x_v = xi, given the field offset and the key of x_v
+    and the powers of xi."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for key, c in nums.items():
+        d = key >> shift & _FIELD_MASK
+        if d:
+            key -= d * unit
+            c *= powers[d]
+        out[key] = get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
-def _uni_gcd_degree_mod_p(f: list, g: list) -> int:
-    """Degree of gcd(f, g) in GF(_PRIME)[t]; both leading coefficients
-    non-zero."""
-    f, g = list(f), list(g)
-    while g:
-        inv = pow(g[-1], -1, _PRIME)
-        while len(f) >= len(g):
-            q = f[-1] * inv % _PRIME
-            shift = len(f) - len(g)
-            for j, c in enumerate(g):
-                f[shift + j] = (f[shift + j] - q * c) % _PRIME
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return len(f) - 1
-
-
-def _certified_coprime(a: Polynomial, b: Polynomial, common: set) -> bool:
-    """True only if gcd(a, b) is constant; see ``poly_gcd``."""
-    ta, tb = _terms_mod_p(a), _terms_mod_p(b)
-    if ta is None or tb is None:
-        return False
-    for v in common:
-        ia = _image_mod_p(ta, v, _degree_in(a, v))
-        ib = _image_mod_p(tb, v, _degree_in(b, v))
-        if not (ia[-1] and ib[-1]) or _uni_gcd_degree_mod_p(ia, ib) > 0:
-            return False
-    return True
+def _interpolate(gamma: Dict[int, int], xi: int, unit: int,
+                 top: int) -> Dict[int, int] | None:
+    """The numerators whose value at x_v = xi is gamma, each in
+    (-xi/2, xi/2]; None if the degree in x_v would pass ``top``.  ``unit``
+    is the key of x_v."""
+    half = xi // 2
+    out: Dict[int, int] = {}
+    for key, c in gamma.items():
+        d = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                if d > top:
+                    return None
+                out[key + d * unit] = r
+            c = (c - r) // xi
+            d += 1
+    return out
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[x1..xn]: content recursion around a subresultant PRS.
+    """Monic gcd in Q[x1..xn]: GCDHEU, else content recursion around a
+    subresultant PRS.
 
-    Before the PRS, a modular test (Brown's degree bound, J. ACM 18, 1971)
-    returns 1 for most coprime pairs.  For each variable v that both inputs
-    use, reduce a and b mod p = 2^61 - 1 with every other coordinate set to
-    x_i = 3 + 2i, and take the gcd of the two univariate images.  It returns
-    1 only if no coefficient denominator vanishes mod p and, for every v,
-    both images keep their input's degree in v and the image gcd has degree 0:
+    GCDHEU (Char, Geddes and Gonnet, JSC 1989) works on A and B, the
+    primitive integer parts of a and b.  For a variable v that A or B uses,
+    take an integer xi >= 2·min(|A|∞, |B|∞) + 29, take gamma = gcd(A(x_v =
+    xi), B(x_v = xi)) by the same method in one variable fewer (an integer
+    gcd once no variable is left), and rebuild H from gamma xi-adically with
+    symmetric remainders, so that H(x_v = xi) = gamma.  The theorem of CGG
+    says: if the primitive part of H divides both A and B, it is their gcd.
+    So ``_heu_gcd`` returns a candidate only after ``exact_div`` proves that
+    it divides both inputs; a constant candidate needs no division, since 1
+    divides everything, and certifies the pair coprime.  Each level returns
+    a proven gcd, with its integer content, so the gamma that the theorem
+    needs is the true gcd of the images.
 
-    - Take G = gcd(a, b) primitive over the integers localised at p; the
-      cofactors a/G and b/G are then p-integral too (Gauss's lemma).
-    - lc_v(a) = lc_v(G)·lc_v(a/G), so if a's image keeps its degree in v,
-      the image of G keeps G's degree in v.
-    - The image of G divides both images, so a degree-0 image gcd means G
-      is free of v.
-    - G can only use variables that both inputs use, so G is constant.
-
-    Any failed condition proves nothing and falls through to the PRS: it
-    costs time, never correctness.
+    After ``_HEU_TRIES`` points, or when an image would grow past
+    ``_HEU_MAX_BITS``, the heuristic gives up and the PRS runs: the
+    heuristic costs time, never correctness.
     """
     if a.nvars != b.nvars:
         raise ValueError("dimension mismatch in gcd")
@@ -567,9 +685,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return _monic(a)
     if len(a.nums) == 1 or len(b.nums) == 1:
         return _monomial_gcd(a, b)
-    common = _variables_used(a) & _variables_used(b)
-    if not common or _certified_coprime(a, b, common):
+    used_a, used_b = _variables_used(a), _variables_used(b)
+    common = used_a & used_b
+    if not common:
         return Polynomial.constant(a.nvars, 1)
+    g = _heu_gcd(a.nums, b.nums, a.nvars, sorted(used_a | used_b))
+    if g is not None:
+        if len(g) == 1 and 0 in g:
+            return _one(a.nvars)
+        return _monic(Polynomial._make(a.nvars, g))
     v = min(common, key=lambda i: (min(_degree_in(a, i), _degree_in(b, i)),
                                    _degree_in(a, i) + _degree_in(b, i), i))
     ua = _split_by_variable(a, v)
@@ -611,7 +735,7 @@ def clear_quotient_memo() -> None:
 def _one(nvars: int) -> Polynomial:
     """The constant 1 in ``nvars`` variables: one shared instance per
     dimension, which is safe because polynomials are never mutated."""
-    return Polynomial._make(nvars, {(0,) * nvars: 1})
+    return Polynomial._make(nvars, {0: 1})
 
 
 class RationalFunc:
@@ -649,7 +773,7 @@ class RationalFunc:
         """Build from an already-coprime pair, fixing only the monic scaling."""
         if not num.nums or den.is_one():
             return cls._poly(num)
-        lc = den.nums[den.leading_exponent()]
+        lc = den.nums[max(den.nums)]
         if lc != den.den:
             num = num._times(den.den, lc)
             den = den._times(den.den, lc)

@@ -633,6 +633,73 @@ def test_recursion_limit_is_not_an_internal_disagreement(planar, capsys,
     assert "internal disagreement" not in err
 
 
+def test_out_of_memory_is_a_usage_error(planar, capsys, monkeypatch):
+    def too_large(args, doc):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._HANDLERS, "print", too_large)
+    assert run(capsys, "print", "--input", planar) == (
+        2, "", "error: input too large to evaluate in memory\n")
+
+
+# ------------------------------------------------------------- degree budget
+
+def test_power_at_the_degree_limit_is_evaluated(tmp_path, capsys):
+    assert curl_of(tmp_path, capsys, f"x^{ring.MAX_DEGREE} e1") == (
+        0, f"{ring.MAX_DEGREE}*x^{ring.MAX_DEGREE - 1}\n", "")
+
+
+@pytest.mark.parametrize("body, col, what", [
+    (f"x^{ring.MAX_DEGREE + 1} e1", 9, "power"),
+    ("1/(x^20000)^2 e1", 19, "power"),
+    ("x^100000000000 e1", 9, "power"),
+    ("x^20000 * y^20000 e1", 16, "product"),
+    ("x^20000 y^20000 e1", 16, "product"),
+    ("(1/x^20000) / y^20000 e1", 20, "product"),
+    ("x^20000 e1 ^^ y^20000 e2", 19, "product"),
+])
+def test_degree_past_the_limit_is_refused_early(tmp_path, capsys, body, col,
+                                                what):
+    start = time.perf_counter()
+    code, out, err = curl_of(tmp_path, capsys, body)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 2, column {col}: {what} too large to expand: "
+                   f"its degree may pass {ring.MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    # a sum's common denominator is a product the DSL does not pre-check
+    ("chart x y\nfunc f = 1/x^20000 + 1/y^20000\n", ["print"],
+     "line 2, column 20: polynomial degree 40000 exceeds the limit 32767"),
+    ("chart x y z\nmv P = x^20000 e1^^e2 + y^20000 e2^^e3\n", ["jacobi", "P"],
+     "polynomial degree 39999 exceeds the limit 32767"),
+])
+def test_degree_past_the_limit_in_a_computation_is_exit_2(tmp_path, capsys,
+                                                          doc, argv, message):
+    path = tmp_path / "wide.mv"
+    path.write_text(doc)
+    assert run(capsys, *argv, "--input", str(path)) == (2, "", f"error: {message}\n")
+
+
+HUGE_POWER = "chart x y\nfunc f = (x^100000000000+y)/(x^3+y)\nmv A = f e1^^e2\n"
+
+
+@pytest.mark.parametrize("argv", [["print"], ["print", "--json"],
+                                  ["curl", "A"]])
+def test_huge_power_document_is_refused_without_a_traceback(tmp_path, argv):
+    path = tmp_path / "huge.mv"
+    path.write_text(HUGE_POWER)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "mvcurl.cli", *argv,
+                            "--input", str(path)], capture_output=True,
+                           text=True, env=env, stdin=subprocess.DEVNULL,
+                           timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (2, "")
+    assert fresh.stderr == ("error: line 2, column 12: power too large to "
+                            f"expand: its degree may pass {ring.MAX_DEGREE}\n")
+
+
 # ---------------------------------------------------------------- JSON output
 
 def test_lm_check_json(planar, capsys):

@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from mvcurl.dsl import (
+    MAX_POWER_DIGITS,
     DslError,
     document_from_json,
     document_to_json,
+    has_long_coefficient,
     parse,
     print_canonical,
     value_to_json,
 )
-from mvcurl.exterior import DifferentialForm, Multivector, VolumeForm
+from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm
 from mvcurl.ring import Polynomial, RationalFunc
 
 F = Fraction
@@ -245,3 +247,21 @@ def test_json_reader_refuses_float_coefficients():
     data["bindings"][0]["value"]["num"][0]["coeff"] = 0.1
     with pytest.raises(TypeError, match="inexact coefficient"):
         document_from_json(data)
+
+
+BOUND = 10 ** MAX_POWER_DIGITS
+
+
+@pytest.mark.parametrize("terms, long", [
+    ({(1, 0): Fraction(1, BOUND), (0, 1): Fraction(1, 3)}, True),
+    ({(1, 0): Fraction(BOUND), (0, 1): 1}, True),
+    ({(1, 0): Fraction(BOUND - 1), (0, 1): 1}, False),
+    # the common denominator 3·BOUND/2 passes the bound, but each
+    # coefficient in lowest terms stays below it
+    ({(1, 0): Fraction(2, BOUND), (0, 1): Fraction(1, 3)}, False),
+    ({(1, 0): Fraction(BOUND - 1, 3), (0, 1): Fraction(1, 2)}, False),
+])
+def test_long_coefficients_are_judged_in_lowest_terms(terms, long):
+    value = RationalFunc(Polynomial(2, terms))
+    assert has_long_coefficient(value) is long
+    assert has_long_coefficient(Multivector(Chart(["x", "y"]), 1, {1: value})) is long

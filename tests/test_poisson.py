@@ -2,6 +2,7 @@
 structures from Lie algebra constants, and unimodularity witnesses."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,54 @@ def test_structure_constant_validation():
     # same value stated both ways is fine
     c = StructureConstants(3, {(0, 1, 2): 1, (1, 0, 2): -1})
     assert c.get(0, 1, 2) == 1
+
+
+def brute_force_jacobi(n, entries):
+    """The first index triple i < j < k, in lexicographic order, whose Jacobi
+    sum is non-zero for some output index, or None."""
+    def c(i, j, k):
+        if i == j:
+            return 0
+        return entries.get((i, j, k), 0) if i < j else -entries.get((j, i, k), 0)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    if sum(c(i, j, m) * c(m, k, l) + c(j, k, m) * c(m, i, l)
+                           + c(k, i, m) * c(m, j, l) for m in range(n)):
+                        return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_jacobi_check_names_the_brute_force_triple(seed):
+    # the bivector route ([pi, pi] = 0) accepts exactly the constants the
+    # index-triple brute force accepts, and names the same first triple
+    rng = random.Random(f"jacobi:{seed}")
+    n = rng.choice([2, 3, 4, 5])
+    entries = {}
+    for _ in range(rng.randint(1, 5)):
+        i, j = sorted(rng.sample(range(n), 2))
+        entries[(i, j, rng.randrange(n))] = rng.choice([-2, -1, F(1, 2), 1, 2])
+    triple = brute_force_jacobi(n, entries)
+    if triple is None:
+        assert StructureConstants(n, entries).c == {
+            k: F(v) for k, v in entries.items()}
+    else:
+        message = f"Jacobi identity fails on triple {triple}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StructureConstants(n, entries)
+
+
+def test_jacobi_check_on_a_direct_sum():
+    # so(3) + so(3) passes; breaking one constant of the second summand
+    # names its triple
+    so3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
+    both = {**so3, (3, 4, 5): 1, (4, 5, 3): 1, (5, 3, 4): 1}
+    assert len(StructureConstants(6, both).c) == 6
+    with pytest.raises(ValueError, match=r"triple \(3, 4, 5\)"):
+        StructureConstants(6, {**both, (3, 4, 3): 1})
 
 
 def test_lie_poisson_requires_matching_chart():

@@ -1,7 +1,9 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import operator
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,7 +321,7 @@ def test_exact_div_rejects_inexact_division(num, den):
         num.exact_div(den)
 
 
-# -- certified coprime exit ---------------------------------------------------
+# -- gcd routes: GCDHEU, then the subresultant PRS ----------------------------
 
 P61 = (1 << 61) - 1
 
@@ -328,16 +330,27 @@ def C(value):
     return Polynomial.constant(2, value)
 
 
-def count_prs(monkeypatch):
-    calls = []
-    original = ring._subresultant_prs
+def count_calls(monkeypatch, name):
+    """Record the result of every call of ``ring.<name>``."""
+    results = []
+    original = getattr(ring, name)
 
     def counted(*args):
-        calls.append(1)
-        return original(*args)
+        result = original(*args)
+        results.append(result)
+        return result
 
-    monkeypatch.setattr(ring, "_subresultant_prs", counted)
-    return calls
+    monkeypatch.setattr(ring, name, counted)
+    return results
+
+
+def count_prs(monkeypatch):
+    return count_calls(monkeypatch, "_subresultant_prs")
+
+
+def heuristic_off(monkeypatch):
+    """Make GCDHEU give up at once, so that every gcd takes the PRS."""
+    monkeypatch.setattr(ring, "_heu_gcd", lambda *args: None)
 
 
 def test_coprime_pair_runs_no_prs(monkeypatch):
@@ -361,19 +374,23 @@ def test_constant_gcds_share_the_constant_one():
 def test_common_factor_is_still_found(monkeypatch):
     calls = count_prs(monkeypatch)
     common = X * X + Y * Y + ONE
-    assert poly_gcd(common * (X + Y), common * (X - Y + ONE)) == common
+    a, b = common * (X + Y), common * (X - Y + ONE)
+    assert poly_gcd(a, b) == common
+    assert calls == []  # GCDHEU found it and division proved it
+    heuristic_off(monkeypatch)
+    assert poly_gcd(a, b) == common
     assert calls
 
 
-# G = (x - 3)(y - 5) + 1 is 1 at x = 3 and at y = 5, the test's point: both
-# images lose their degree, and the image gcds alone would call the pair
-# coprime; only the degree check sends it to the PRS
+# Pairs whose images at x = 3, y = 5 modulo p = 2^61 - 1 degenerate, so a
+# modular coprime test at that point cannot settle them.
+# G = (x - 3)(y - 5) + 1 is 1 at that point: both images lose their degree
 LOSES_ALL = (X - C(3)) * (Y - C(5)) + ONE
 # (x - 3) y^2 + y + 1 loses its leading coefficient in y at x = 3
 LOSES_LEAD = (X - C(3)) * Y * Y + Y + ONE
-# a coefficient whose denominator is the test's prime has no image mod p
+# a coefficient whose denominator is p has no image mod p
 DEN_P = X * Y + C(Fraction(1, P61))
-# the coefficient 2^61 - 1 of x y vanishes mod p: the image in y drops a degree
+# the coefficient p of x y vanishes mod p: the image in y drops a degree
 NUM_P = C(P61) * X * Y + X + ONE
 
 
@@ -391,10 +408,73 @@ NUM_P = C(P61) * X * Y + X + ONE
         "prime-denominator-coprime", "prime-coefficient-multiple",
         "prime-coefficient-coprime"])
 def test_fallback_pairs_take_the_prs(monkeypatch, a, b, expected):
+    # GCDHEU settles each pair; with it off, the PRS finds the same gcd
     calls = count_prs(monkeypatch)
-    g = poly_gcd(a, b)
-    assert g == ring._monic(expected)
-    assert calls, "the coprime test must not certify this pair"
+    assert poly_gcd(a, b) == ring._monic(expected)
+    assert calls == []
+    heuristic_off(monkeypatch)
+    assert poly_gcd(a, b) == ring._monic(expected)
+    assert calls
+
+
+def heuristic_points(a):
+    """The points GCDHEU tries for a primitive integer polynomial a paired
+    with one of larger norm: 2|a| + 29, then 73794 xi isqrt(isqrt(xi)) /
+    27011, as in ``ring._heu_gcd``."""
+    xi = 2 * max(map(abs, a.nums.values())) + 29
+    points = []
+    for _ in range(ring._HEU_TRIES):
+        points.append(xi)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return points
+
+
+def defeating_pair(g, t, c1):
+    """g (t + c1) and g (t + c2), with c2 - c1 the product of every t + c1
+    that GCDHEU tries: at each point the images share all of t + c1, the
+    candidate rebuilt is the whole first input, and it does not divide the
+    second; so the heuristic must give up."""
+    a = g * (t + C(c1))
+    points = heuristic_points(a)
+    c2 = c1 + prod(xi + c1 for xi in points)
+    return a, g * (t + C(c2)), points
+
+
+@pytest.mark.parametrize("g, t, c1", [
+    (X * X + C(3), X, 2),
+    (X + Y + ONE, Y, 1),
+    (X * Y.scale(5) - C(7), Y, 4),
+    (X * X * Y + X + C(11), Y, -3),
+], ids=["univariate", "outer-variable", "large-coefficient", "negative-shift"])
+def test_pairs_that_defeat_the_heuristic_reach_the_prs(monkeypatch, g, t, c1):
+    a, b, points = defeating_pair(g, t, c1)
+    tried = []
+    original = ring._interpolate
+
+    def interpolate(gamma, xi, *rest):
+        tried.append(xi)
+        return original(gamma, xi, *rest)
+
+    monkeypatch.setattr(ring, "_interpolate", interpolate)
+    calls = count_prs(monkeypatch)
+    assert poly_gcd(a, b) == ring._monic(g)
+    assert calls
+    # every point was tried at the outer level: the construction held
+    assert [xi for xi in tried if xi in points] == points
+
+
+def test_a_huge_pair_takes_the_size_guard_to_the_prs(monkeypatch):
+    # a 4300-digit constant term and degree 32000: an image would need
+    # about 14,000 bits times the degree, past the size guard
+    big = 10 ** 4299 + 7
+    a = X ** 32000 + C(big)
+    b = X ** 32000 + C(big + 1)
+    images = count_calls(monkeypatch, "_image")
+    calls = count_prs(monkeypatch)
+    start = time.perf_counter()
+    assert poly_gcd(a, b) == ONE
+    assert time.perf_counter() - start < 5.0
+    assert images == [] and calls
 
 
 # -- quotient-rule memo -------------------------------------------------------
@@ -531,12 +611,18 @@ def test_kernel_results_are_canonical(case, factor, power):
         assert_stored_form(p)
 
 
+def stored(p):
+    """The stored integer numerators, keyed by exponent tuple."""
+    return {exps: int(coeff * p.den) for exps, coeff in p.terms.items()}
+
+
 def test_stored_form_is_integers_over_one_denominator():
     p = P(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 6), (0, 0): 4})
-    assert p.nums == {(1, 0): 4, (0, 1): -1, (0, 0): 24} and p.den == 6
+    assert stored(p) == {(1, 0): 4, (0, 1): -1, (0, 0): 24} and p.den == 6
+    assert all(type(c) is int for c in p.nums.values())
     assert (p - p).nums == {} and (p - p).den == 1
-    assert p.scale(6).den == 1 and p.scale(6).nums == {(1, 0): 4, (0, 1): -1,
-                                                       (0, 0): 24}
+    assert p.scale(6).den == 1 and stored(p.scale(6)) == {(1, 0): 4, (0, 1): -1,
+                                                          (0, 0): 24}
     # equal values, equal storage, equal hashes, whatever the route
     q = P(2, {(1, 0): 8, (0, 1): -2, (0, 0): 48}).scale(Fraction(1, 12))
     assert q == p and hash(q) == hash(p)
@@ -584,3 +670,86 @@ def test_exact_inputs_are_accepted():
     assert p.evaluate([Fraction(1, 10), 0]) == Fraction(1, 100)
     assert p.evaluate(["1/10", "2"]) == Fraction(601, 100)
     assert RationalFunc(X, Y).evaluate(["1/10", Fraction(1, 5)]) == Fraction(1, 2)
+
+
+# -- packed monomial keys and the degree limit --------------------------------
+
+
+def exponents(nvars):
+    # small exponents collide often; large ones reach the field limit
+    field = st.one_of(st.integers(0, 3), st.integers(0, ring.MAX_DEGREE // nvars))
+    return st.lists(field, min_size=nvars, max_size=nvars).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), exponents(n), exponents(n))))
+def test_packed_keys_follow_grlex(case):
+    n, e, f = case
+    ke, kf = ring._pack(e), ring._pack(f)
+    assert ring._unpack(n, ke) == e and ring._unpack(n, kf) == f
+    assert (ke < kf) == (ring.grlex_key(e) < ring.grlex_key(f))
+    assert (ke == kf) == (e == f)
+    if sum(e) + sum(f) <= ring.MAX_DEGREE:
+        assert ring._unpack(n, ke + kf) == tuple(map(operator.add, e, f))
+    q = kf - ke
+    assert (q >= 0 and not q & ring._guards(n)) == all(map(operator.le, e, f))
+
+
+@pytest.mark.parametrize("exps", [(ring.MAX_DEGREE,), (0,) * 15 + (ring.MAX_DEGREE,),
+                                  (ring.MAX_DEGREE - 15,) + (1,) * 15, (0,) * 16])
+def test_packed_keys_at_the_limit_round_trip(exps):
+    n = len(exps)
+    key = ring._pack(exps)
+    assert ring._unpack(n, key) == exps and not key & ring._guards(n)
+    assert Polynomial(n, {exps: 3}).terms == {exps: Fraction(3)}
+
+
+def test_sixteen_variable_arithmetic_matches_the_reference():
+    n = 16
+    a = Polynomial(n, {tuple((i * j) % 3 for j in range(n)): Fraction(i - 2, i + 1)
+                       for i in range(5)})
+    b = Polynomial(n, {tuple((i + j) % 2 for j in range(n)): i + 1 for i in range(3)})
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert dict((a * b).terms) == ref_mul(ta, tb)
+    assert dict((a + b).terms) == ref_merge(ta, tb, 1)
+    assert dict(a.diff(7).terms) == ref_diff(ta, 7)
+    assert (a * b).exact_div(b) == a
+    assert poly_gcd(a * b, b * b) == ring._monic(b)
+    assert (a * b).leading_exponent() == max(ref_mul(ta, tb), key=ring.grlex_key)
+    assert [e for e, _ in (a * b).sorted_terms()] == sorted(
+        ref_mul(ta, tb), key=ring.grlex_key, reverse=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial(1, {(ring.MAX_DEGREE + 1,): 1}),
+    lambda: Polynomial(2, {(20000, 20000): 1}),
+    lambda: Polynomial.monomial(2, (0, ring.MAX_DEGREE + 1)),
+    lambda: X ** (ring.MAX_DEGREE + 1),
+    lambda: (X + Y) ** 100000000000,
+    lambda: X ** 20000 * Y ** 20000,
+    lambda: RationalFunc(ONE, X ** 20000) * RationalFunc(ONE, Y ** 20000),
+    lambda: RationalFunc(X) ** 100000000000,
+], ids=["constructor", "constructor-total", "monomial", "power", "huge-power",
+        "product", "rational-product", "rational-power"])
+def test_degree_past_the_limit_is_refused(build):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the limit 32767"):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_degree_at_the_limit_is_accepted():
+    p = X ** ring.MAX_DEGREE
+    assert p.total_degree() == ring.MAX_DEGREE
+    assert p.leading_exponent() == (ring.MAX_DEGREE, 0)
+    assert (X ** 20000 * Y ** 12767).leading_exponent() == (20000, 12767)
+    assert p.diff(0) == X ** (ring.MAX_DEGREE - 1) * C(ring.MAX_DEGREE)
+    assert p.exact_div(X ** 30000) == X ** (ring.MAX_DEGREE - 30000)
+
+
+def test_non_integer_exponents_are_refused():
+    with pytest.raises(TypeError, match="non-integer exponent"):
+        Polynomial(2, {(1.5, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(1, -1): 1})

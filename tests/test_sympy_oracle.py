@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvcurl import ring
 from mvcurl.ring import Polynomial, RationalFunc, poly_gcd
 from mvcurl.solver import ExactMatrix
 
@@ -95,9 +96,9 @@ def test_gcd_of_coprime_and_sharing_pairs_matches_sympy(case):
 P61 = 2 ** 61 - 1
 
 
-# pairs the modular coprime test must hand to the PRS: at its point x = 3,
-# y = 5, z = 7 the first factor is 1 in every image, the second loses its
-# leading coefficient in y, and the third has no image mod 2^61 - 1
+# pairs whose images at x = 3, y = 5, z = 7 modulo 2^61 - 1 degenerate: the
+# first factor is 1 in every image, the second loses its leading coefficient
+# in y, and the third has no image mod 2^61 - 1
 @pytest.mark.parametrize("a, b", [
     ("((x-3)*(y-5)*(z-7) + 1)*(x + y + z)",
      "((x-3)*(y-5)*(z-7) + 1)*(x - y + 2*z + 1)"),
@@ -110,6 +111,21 @@ P61 = 2 ** 61 - 1
 def test_gcd_fallback_pairs_match_sympy(a, b):
     assert_gcd_matches_sympy(from_sympy(sympy.expand(sympy.sympify(a))),
                              from_sympy(sympy.expand(sympy.sympify(b))))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_heuristic_gcd_matches_sympy(case):
+    # the seeded pairs of test_gcd_matches_sympy, through GCDHEU alone: it
+    # settles every one of them, and its proven gcd agrees with sympy's
+    rng = random.Random(f"gcd:{case}")
+    common = random_poly(rng)
+    a = common * random_poly(rng)
+    b = common * random_poly(rng)
+    used = sorted(ring._variables_used(a) | ring._variables_used(b))
+    g = ring._heu_gcd(a.nums, b.nums, NVARS, used)
+    assert g is not None
+    expected = monic(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+    assert ring._monic(Polynomial._make(NVARS, g)) == expected
 
 
 @pytest.mark.parametrize("case", CASES)
