@@ -27,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm, log10
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import comb, gcd, log10
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mvcurl.exterior import (
     Chart,
@@ -39,7 +39,7 @@ from mvcurl.exterior import (
     wedge,
 )
 from mvcurl.poisson import StructureConstants
-from mvcurl.ring import MAX_DEGREE, Polynomial, RationalFunc
+from mvcurl.ring import MAX_DEGREE, Polynomial, RationalFunc, _variables_used
 
 __all__ = [
     "DslError",
@@ -66,11 +66,14 @@ MAX_POWER_TERMS = 1000
 MAX_POWER_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_POWER_DIGITS
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
+# blanks are spaces and tabs; any other character outside a comment that
+# starts no token is refused where it stands
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<num>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^\^|[-+*/^()=])"
-    r"|(?P<bad>\S))")
+    r"(?P<BLANK>[ \t]+)"
+    r"|(?P<NUM>[0-9]+)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<OP>\^\^|[-+*/^()=])"
+    r"|(?P<BAD>.)")
 # ``1e3`` reads as ``1`` times the basis vector ``e3``; refused as a likely
 # misspelt scientific-notation number
 _EXPONENT_RE = re.compile(r"[eE]([0-9]+)")
@@ -91,8 +94,7 @@ class DslError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM, IDENT, OP, NEWLINE, EOF
     text: str
     line: int
@@ -101,34 +103,27 @@ class _Token:
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
-        pos = 0
-        emitted = False
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None or m.end() == pos:
-                break
-            col = m.start(m.lastgroup) + 1
-            if m.lastgroup == "bad":
-                raise DslError(f"unexpected character {m.group('bad')!r}",
-                               lineno, col)
-            if m.lastgroup == "num":
-                num = m.group("num")
-                if len(num) > MAX_POWER_DIGITS:
+        for m in _TOKEN_RE.finditer(line):
+            kind, word = m.lastgroup, m.group()
+            if kind == "BLANK":
+                continue
+            col = m.start() + 1
+            if kind == "BAD":
+                raise DslError(f"unexpected character {word!r}", lineno, col)
+            if kind == "NUM":
+                if len(word) > MAX_POWER_DIGITS:
                     raise DslError(f"number literal longer than "
                                    f"{MAX_POWER_DIGITS} digits", lineno, col)
                 sci = _EXPONENT_RE.match(line, m.end())
                 if sci:
-                    raise DslError(_scientific_message(num, sci), lineno, col)
-            if m.lastgroup is not None:
-                kind = {"num": "NUM", "ident": "IDENT", "op": "OP"}[m.lastgroup]
-                tokens.append(_Token(kind, m.group(m.lastgroup), lineno, col))
-                emitted = True
-            pos = m.end()
-        if emitted:
+                    raise DslError(_scientific_message(word, sci), lineno, col)
+            tokens.append(_Token(kind, word, lineno, col))
+        if tokens and tokens[-1].line == lineno:
             tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
-    tokens.append(_Token("EOF", "", len(text.splitlines()) + 1, 1))
+    tokens.append(_Token("EOF", "", len(lines) + 1, 1))
     return tokens
 
 
@@ -374,7 +369,7 @@ def _power_terms(p: Polynomial, exponent: int) -> int:
     if t <= 1:
         return 1
     e = min(exponent, MAX_POWER_TERMS)
-    v = sum(1 for i in range(p.nvars) if any(exps[i] for exps in p.terms))
+    v = len(_variables_used(p))
     return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
 
 
@@ -396,12 +391,10 @@ def _coefficient_digits(p: Polynomial) -> float:
     coefficients and |.|_1 the sum of absolute coefficients.  The norm is
     submultiplicative, so every coefficient of p^e is a fraction whose
     numerator and denominator are at most H^e: at most e*log10(H) digits,
-    rounded down, plus one.
+    rounded down, plus one.  In lowest terms D is ``p.den`` and D*p has
+    the coefficients ``p.nums``.
     """
-    coeffs = p.terms.values()
-    den = lcm(*(c.denominator for c in coeffs))
-    return log10(max(den, sum(abs(c.numerator) * (den // c.denominator)
-                              for c in coeffs)))
+    return log10(max(p.den, sum(map(abs, p.nums.values()))))
 
 
 class _Evaluator:

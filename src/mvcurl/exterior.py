@@ -328,14 +328,10 @@ def pairing(omega: DifferentialForm, a: Multivector) -> RationalFunc:
     """Duality pairing; 1 on identically sorted blades, 0 across degrees."""
     if omega.chart != a.chart:
         raise ValueError("chart mismatch")
-    total = RationalFunc.zero(a.chart.dim)
-    if omega.grade != a.grade and omega.terms and a.terms:
-        return total
-    for mask, ca in a.terms.items():
-        cw = omega.terms.get(mask)
-        if cw is not None:
-            total = total + cw * ca
-    return total
+    # 0 across degrees, where contracting a lower grade leaves a non-zero form
+    if omega.grade != a.grade:
+        return RationalFunc.zero(a.chart.dim)
+    return _contract(a, omega).scalar_value()
 
 
 def _contract(outer: _BladeSum, inner: _BladeSum) -> _BladeSum:
@@ -368,20 +364,8 @@ def interior_product_vector(omega: DifferentialForm, a: Multivector) -> Multivec
 
 
 def flat(volume: VolumeForm, a: Multivector) -> DifferentialForm:
-    """Contraction into the volume form: grade k -> degree n - k."""
-    if volume.chart != a.chart:
-        raise ValueError("chart mismatch")
-    chart = a.chart
-    full = chart.full_mask
-    f = volume.density
-    out: Dict[int, RationalFunc] = {}
-    for mask, coeff in a.terms.items():
-        rest = full & ~mask
-        c = coeff * f
-        if merge_sign(mask, rest) < 0:
-            c = -c
-        out[rest] = c
-    return DifferentialForm(chart, chart.dim - a.grade, out)
+    """Contraction into the volume form, i_a V: grade k -> degree n - k."""
+    return _contract(a, volume.top_form())
 
 
 def sharp(volume: VolumeForm, omega: DifferentialForm) -> Multivector:

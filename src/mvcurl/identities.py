@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, curl_scaled, schouten
@@ -44,13 +43,13 @@ def random_exponents(rng: random.Random, nvars: int, max_degree: int) -> Tuple[i
 
 def random_polynomial(rng: random.Random, nvars: int, max_degree: int = 2,
                       max_terms: int = 2, allow_zero: bool = True) -> Polynomial:
-    terms: Dict[Tuple[int, ...], Fraction] = {}
+    terms: Dict[Tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, max_terms)):
         c = rng.randint(-3, 3)
         if c == 0:
             continue
         e = random_exponents(rng, nvars, max_degree)
-        terms[e] = terms.get(e, Fraction(0)) + c
+        terms[e] = terms.get(e, 0) + c
     p = Polynomial(nvars, terms)
     if p.is_zero() and not allow_zero:
         return random_polynomial(rng, nvars, max_degree, max_terms, allow_zero)

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm, _BladeSum
-from mvcurl.ring import Polynomial, RationalFunc, grlex_key, poly_lcm
+from mvcurl.ring import Polynomial, RationalFunc, poly_lcm
 
 # Largest ansatz a solver accepts, in basis elements.  Assembly runs an
 # operator on every element and elimination is up to cubic in the count: on a
@@ -99,6 +99,7 @@ def monomial_exponents(nvars: int, max_degree: int,
         raise ValueError(f"ansatz too large: {size} basis elements, more than "
                          f"{MAX_ANSATZ_SIZE}")
 
+    # each degree comes out in ascending lex order, which is grlex within it
     def compositions(total: int, slots: int):
         if slots == 1:
             yield (total,)
@@ -109,7 +110,7 @@ def monomial_exponents(nvars: int, max_degree: int,
 
     out: List[Tuple[int, ...]] = []
     for total in range(max_degree + 1):
-        out.extend(sorted(compositions(total, nvars), key=grlex_key))
+        out.extend(compositions(total, nvars))
     return out
 
 

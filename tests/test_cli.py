@@ -700,6 +700,27 @@ def test_huge_power_document_is_refused_without_a_traceback(tmp_path, argv):
                             f"expand: its degree may pass {ring.MAX_DEGREE}\n")
 
 
+@pytest.mark.parametrize("char", ["\u00a0", "\u2009", "\u3000", "\u001f"])
+def test_stray_whitespace_is_refused_not_dropped(tmp_path, capsys, char):
+    # refused where it stands, not read as the end of the line ("func f = x")
+    path = tmp_path / "stray.mv"
+    path.write_text(f"chart x y\nfunc f = x{char}+ y*y\n", encoding="utf-8")
+    assert run(capsys, "print", "--input", str(path)) == (
+        2, "", f"error: line 2, column 11: unexpected character {char!r}\n")
+
+
+def test_stray_whitespace_on_stdin_exits_2_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONIOENCODING="utf-8")
+    fresh = subprocess.run([sys.executable, "-m", "mvcurl.cli", "print"],
+                           input="chart x y\nfunc f = x\u00a0+ y\n",
+                           capture_output=True, text=True, encoding="utf-8",
+                           env=env, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (2, "")
+    assert fresh.stderr == ("error: line 2, column 11: unexpected character "
+                            "'\\xa0'\n")
+
+
 # ---------------------------------------------------------------- JSON output
 
 def test_lm_check_json(planar, capsys):

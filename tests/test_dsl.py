@@ -1,12 +1,15 @@
 """Parser, evaluator, canonical printer, and JSON codec behavior."""
 
 import json
+import random
 from fractions import Fraction
+from math import comb, lcm, log10
 
 import pytest
 
 from mvcurl.dsl import (
     MAX_POWER_DIGITS,
+    MAX_POWER_TERMS,
     DslError,
     document_from_json,
     document_to_json,
@@ -15,6 +18,7 @@ from mvcurl.dsl import (
     print_canonical,
     value_to_json,
 )
+from mvcurl.dsl import _coefficient_digits, _power_terms
 from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm
 from mvcurl.ring import Polynomial, RationalFunc
 
@@ -108,6 +112,9 @@ def test_default_volume_selection():
 def test_comments_and_blank_lines():
     doc = parse("chart x y   # the plane\n\n# a constant\nfunc c = 3\n")
     assert doc.scalar("c") == RationalFunc.constant(2, 3)
+    # blanks are spaces and tabs; a comment may hold any character
+    doc = parse("chart\tx  y\n\t func c =\t3 \t# 3\u00a0000\n  \n")
+    assert doc.scalar("c") == RationalFunc.constant(2, 3)
 
 
 def test_lie_binding_constants():
@@ -165,6 +172,30 @@ def test_scientific_notation_look_alikes_are_refused(body, col, message):
         parse(f"chart x y z\nmv P = {body}\n")
     assert (err.value.line, err.value.col) == (2, col)
     assert message in err.value.message
+
+
+# whitespace other than a space or a tab is not a blank: it is refused, and
+# the rest of the line is never dropped
+STRAY_BLANKS = ["\u00a0", "\u2009", "\u3000", "\u001f"]
+
+
+@pytest.mark.parametrize("char", STRAY_BLANKS)
+def test_stray_whitespace_is_refused_where_it_stands(char):
+    with pytest.raises(DslError) as err:
+        parse(f"chart x y\nfunc f = x{char}+ y*y\n")
+    assert (err.value.line, err.value.col) == (2, 11)
+    assert err.value.message == f"unexpected character {char!r}"
+
+
+@pytest.mark.parametrize("char", STRAY_BLANKS)
+def test_stray_whitespace_at_the_end_of_a_line_is_refused(char):
+    with pytest.raises(DslError) as err:
+        parse(f"chart x y{char}\nfunc f = x + y*y{char}\n")
+    assert (err.value.line, err.value.col) == (1, 10)
+    assert err.value.message == f"unexpected character {char!r}"
+    with pytest.raises(DslError) as err:
+        parse(f"chart x y\nfunc f = x + y*y{char}\n")
+    assert (err.value.line, err.value.col) == (2, 17)
 
 
 def test_computed_zero_division_is_a_math_error():
@@ -265,3 +296,64 @@ def test_long_coefficients_are_judged_in_lowest_terms(terms, long):
     value = RationalFunc(Polynomial(2, terms))
     assert has_long_coefficient(value) is long
     assert has_long_coefficient(Multivector(Chart(["x", "y"]), 1, {1: value})) is long
+
+
+# -- power budgets ----------------------------------------------------------
+
+
+def ref_coefficient_digits(p):
+    """log10 of max(D, |D*p|_1) through the Fraction view of p."""
+    coeffs = p.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    return log10(max(den, sum(abs(c.numerator) * (den // c.denominator)
+                              for c in coeffs)))
+
+
+def ref_power_terms(p, exponent):
+    """The term bound for p^exponent through the Fraction view of p."""
+    t = len(p.terms)
+    if t <= 1:
+        return 1
+    e = min(exponent, MAX_POWER_TERMS)
+    v = sum(1 for i in range(p.nvars) if any(exps[i] for exps in p.terms))
+    return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
+
+
+def seeded_polynomial(rng, nvars):
+    used = rng.sample(range(nvars), rng.randint(1, nvars))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, 4) if i in used else 0
+                     for i in range(nvars))
+        den = rng.choice([1, 2, 6, rng.randint(1, 10 ** 6),
+                          rng.randint(1, 10 ** 40)])
+        terms[exps] = Fraction(rng.randint(-10 ** rng.randint(0, 30),
+                                           10 ** rng.randint(0, 30)), den)
+    return Polynomial(nvars, terms)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_budgets_match_the_fraction_view(seed):
+    rng = random.Random(seed)
+    for nvars in range(1, 5):
+        for _ in range(5):
+            p = seeded_polynomial(rng, nvars)
+            assert _coefficient_digits(p) == ref_coefficient_digits(p)
+            for exponent in (0, 1, 2, 7, 43, 10 ** 6):
+                assert _power_terms(p, exponent) == ref_power_terms(p, exponent)
+
+
+def test_budgets_of_named_polynomials():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    third = Polynomial.constant(2, Fraction(1, 3))
+    for p in (Polynomial.zero(2), Polynomial.constant(2, 1), third,
+              x + third, x * y * third + Polynomial.constant(2, Fraction(5, 2)),
+              (x + y + Polynomial.constant(2, 1)) ** 3):
+        assert _coefficient_digits(p) == ref_coefficient_digits(p)
+        assert _power_terms(p, 43) == ref_power_terms(p, 43)
+    # (x + y + 1)^43 has C(45, 2) = 990 terms
+    assert _power_terms(x + y + Polynomial.constant(2, 1), 43) == 990
+    # a polynomial in x alone bounds by degree: at most 86 + 1 monomials
+    x3 = Polynomial.variable(3, 0)
+    assert _power_terms(x3 * x3 + x3 + Polynomial.constant(3, 1), 43) == 87
+    assert _coefficient_digits(x + third) == log10(4)

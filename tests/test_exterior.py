@@ -87,6 +87,8 @@ def test_pairing():
     assert pairing(D1.wedge(D2), E2.wedge(E1)) == CH.constant(-1)
     assert pairing(D1, E1.scale(X * X) + E2) == X * X
     assert pairing(D1, E1.wedge(E2)).is_zero()
+    # a lower grade contracts into a non-zero form, but pairs to 0
+    assert pairing(D1.wedge(D2), E1).is_zero()
     assert pairing(DifferentialForm.scalar(CH, X), Multivector.scalar(CH, Y)) == X * Y
 
 

@@ -1,6 +1,7 @@
 """Exact linear algebra and ansatz-search tests with hand-computed oracles."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mvcurl import cli
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
-from mvcurl.ring import Polynomial, RationalFunc
+from mvcurl.ring import Polynomial, RationalFunc, grlex_key
 from mvcurl.solver import (
     MAX_ANSATZ_SIZE,
     AnsatzSpace,
@@ -42,6 +43,12 @@ def test_monomial_exponents_order_and_count():
     assert exps == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     # dimension of degree <= d in n variables is C(n + d, n)
     assert len(monomial_exponents(3, 3)) == 20
+    # the enumeration is already in grlex order, with no sort
+    for n in range(1, 6):
+        for d in range(7):
+            exps = monomial_exponents(n, d)
+            assert exps == sorted(exps, key=grlex_key)
+            assert len(set(exps)) == comb(n + d, n)
 
 
 def test_ansatz_budget_counts_before_enumerating():
