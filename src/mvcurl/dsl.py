@@ -2,7 +2,8 @@
 functions, multivectors, forms, volumes, and Lie structure constants, plus
 the canonical printer and a lossless JSON document format.
 
-Grammar (one statement per line, `#` starts a comment):
+Grammar (one statement per line, `#` starts a comment; lines end at LF,
+CR LF or CR, and blanks are spaces and tabs):
 
     document  := chart_decl binding*
     chart_decl:= "chart" IDENT+
@@ -20,6 +21,11 @@ literal longer than MAX_POWER_DIGITS digits, and a binding whose value has a
 coefficient longer than that, since neither could be printed.  A power or
 product whose total degree may pass the ring's MAX_DEGREE (32767) is
 refused before it is computed too.
+
+The whole text is tokenized first, so a lexical error (a character that
+starts no token, an over-long literal, a number such as 1e3) is reported
+ahead of any other.  After that the document is evaluated as it is read, and
+the first error in reading order is reported.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, log10
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from mvcurl.exterior import (
     Chart,
@@ -55,8 +61,10 @@ __all__ = [
 Value = Union[RationalFunc, Multivector, DifferentialForm]
 
 _KEYWORDS = ("chart", "func", "mv", "form", "volume", "lie")
-# parsing and evaluating take a few stack frames per level of parentheses or
-# unary minus; this bound keeps both inside Python's default recursion limit
+# the parser evaluates as it reads, six stack frames per level of parentheses
+# (a run of unary minus signs takes none): at this bound a document takes
+# about 620 frames, ring work at the deepest level included, which leaves
+# callers over 350 of Python's default recursion limit of 1000
 MAX_NESTING = 100
 # expanding and printing a power costs about the square of its term count:
 # (x+y+1)^43 has 990 terms, (x+y+1)^80 has 3321
@@ -66,6 +74,9 @@ MAX_POWER_TERMS = 1000
 MAX_POWER_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_POWER_DIGITS
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
+# lines end at \n, \r\n or \r only: str.splitlines would also end them at
+# \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029, which are characters here
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 # blanks are spaces and tabs; any other character outside a comment that
 # starts no token is refused where it stands
 _TOKEN_RE = re.compile(
@@ -103,7 +114,9 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    lines = text.splitlines()
+    lines = _LINE_END_RE.split(text)
+    if not lines[-1]:
+        lines.pop()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         for m in _TOKEN_RE.finditer(line):
@@ -137,53 +150,23 @@ def _scientific_message(num: str, sci: "re.Match") -> str:
             f"not have: write {num}*{text} for a product, or {number}")
 
 
-# -- syntax tree ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Num:
-    value: int
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _Name:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _Unary:
-    operand: object
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _BinOp:
-    op: str
-    left: object
-    right: object
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _RawBinding:
-    kind: str
-    name: str
-    expr: object
-    line: int
-    col: int
+# -- parsing and evaluation -------------------------------------------------
 
 
 class _Parser:
+    """Recursive descent that evaluates as it reads: each expression method
+    returns the value of the text it consumed, so errors come in reading
+    order."""
+
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # identifiers read so far: a zero divisor that read none is a zero
+        # constant (exit 2), one that read some a zero expression (exit 3)
+        self.names_read = 0
+        self.chart: Optional[Chart] = None
+        self.bindings: Dict[str, Binding] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -206,19 +189,16 @@ class _Parser:
         while self.peek().kind == "NEWLINE":
             self.advance()
 
-    def nested(self, parse, tok: _Token):
-        """Run a sub-parser one nesting level down from ``tok``."""
+    def descend(self, tok: _Token) -> None:
+        """Go one nesting level down at ``tok``."""
         if self.depth == MAX_NESTING:
             raise DslError(f"expression nested deeper than {MAX_NESTING} levels",
                            tok.line, tok.col)
         self.depth += 1
-        node = parse()
-        self.depth -= 1
-        return node
 
     # -- statements ---------------------------------------------------------
 
-    def document(self) -> Tuple[List[str], List[_RawBinding], int]:
+    def document(self) -> Document:
         self.skip_newlines()
         head = self.expect("IDENT")
         if head.text != "chart":
@@ -238,7 +218,10 @@ class _Parser:
             if tok.text in _KEYWORDS or _BASIS_RE.match(tok.text):
                 raise DslError(f"reserved name {tok.text!r} cannot be a coordinate",
                                tok.line, tok.col)
-        bindings = []
+        try:
+            self.chart = Chart([t.text for t in names])
+        except ValueError as exc:
+            raise DslError(str(exc), head.line, 1) from exc
         while True:
             self.skip_newlines()
             tok = self.peek()
@@ -252,86 +235,186 @@ class _Parser:
                 raise DslError("only one chart declaration is allowed",
                                tok.line, tok.col)
             self.advance()
-            name = self.expect("IDENT")
-            if name.text in _KEYWORDS or _BASIS_RE.match(name.text):
-                raise DslError(f"reserved name {name.text!r} cannot be bound",
-                               name.line, name.col)
+            name_tok = self.expect("IDENT")
+            name = name_tok.text
+            if name in _KEYWORDS or _BASIS_RE.match(name):
+                raise DslError(f"reserved name {name!r} cannot be bound",
+                               name_tok.line, name_tok.col)
+            if name in self.chart.names:
+                raise DslError(f"name {name!r} is already a coordinate",
+                               tok.line, tok.col)
+            if name in self.bindings:
+                raise DslError(f"duplicate binding name {name!r}",
+                               tok.line, tok.col)
             self.expect("OP", "=")
-            expr = self.additive()
+            value = self.additive()
             nxt = self.peek()
             if nxt.kind not in ("NEWLINE", "EOF"):
                 raise DslError(f"unexpected {nxt.text!r} after expression",
                                nxt.line, nxt.col)
-            bindings.append(_RawBinding(tok.text, name.text, expr,
-                                        tok.line, tok.col))
-        return [t.text for t in names], bindings, head.line
+            self.bindings[name] = _finish_binding(tok, name, value, self.chart)
+        return Document(self.chart, list(self.bindings.values()))
 
     # -- expressions --------------------------------------------------------
 
-    def additive(self):
-        node = self.wedge()
+    def additive(self) -> Value:
+        value = self.wedge()
         while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
             op = self.advance()
-            node = _BinOp(op.text, node, self.wedge(), op.line, op.col)
-        return node
+            value = self.binop(op, op.text, value, self.wedge())
+        return value
 
-    def wedge(self):
-        node = self.term()
+    def wedge(self) -> Value:
+        value = self.term()
         while self.peek().kind == "OP" and self.peek().text == "^^":
             op = self.advance()
-            node = _BinOp("^^", node, self.term(), op.line, op.col)
-        return node
+            value = self.binop(op, "^^", value, self.term())
+        return value
 
-    def term(self):
-        node = self.unary()
+    def term(self) -> Value:
+        value = self.unary()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in ("*", "/"):
                 self.advance()
-                node = _BinOp(tok.text, node, self.unary(), tok.line, tok.col)
+                names_read = self.names_read
+                right = self.unary()
+                value = self.binop(tok, tok.text, value, right,
+                                   self.names_read > names_read)
             elif tok.kind in ("NUM", "IDENT") or (tok.kind == "OP"
                                                   and tok.text == "("):
                 # juxtaposition, e.g. "(x^2+y) e1"
-                node = _BinOp("*", node, self.unary(), tok.line, tok.col)
+                value = self.binop(tok, "*", value, self.unary())
             else:
-                return node
+                return value
 
-    def unary(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
-            return _Unary(self.nested(self.unary, tok), tok.line, tok.col)
-        return self.power()
+    def unary(self) -> Value:
+        signs = 0
+        while self.peek().kind == "OP" and self.peek().text == "-":
+            self.descend(self.advance())
+            signs += 1
+        value = self.power()
+        self.depth -= signs
+        return value.scale(-1) if signs % 2 else value
 
-    def power(self):
-        node = self.atom()
+    def power(self) -> Value:
+        value = self.atom()
         while self.peek().kind == "OP" and self.peek().text == "^":
             op = self.advance()
             sign = 1
             if self.peek().kind == "OP" and self.peek().text == "-":
                 self.advance()
                 sign = -1
-            exp = self.expect("NUM")
-            node = _BinOp("^", node, _Num(sign * int(exp.text), exp.line,
-                                          exp.col), op.line, op.col)
-        return node
+            exponent = sign * int(self.expect("NUM").text)
+            if not isinstance(value, RationalFunc):
+                raise DslError("powers apply to scalar expressions only",
+                               op.line, op.col)
+            if max(_power_terms(value.num, abs(exponent)),
+                   _power_terms(value.den, abs(exponent))) > MAX_POWER_TERMS:
+                raise DslError(f"power too large to expand: the result may have "
+                               f"more than {MAX_POWER_TERMS} terms",
+                               op.line, op.col)
+            # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of
+            # n, so the sum bounds either sign; each log10(H) is 0 or at least
+            # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
+            e = min(abs(exponent), 4 * MAX_POWER_DIGITS)
+            if e * (_coefficient_digits(value.num)
+                    + _coefficient_digits(value.den)) >= MAX_POWER_DIGITS:
+                raise DslError(f"power too large to expand: its coefficients "
+                               f"may have more than {MAX_POWER_DIGITS} digits",
+                               op.line, op.col)
+            if exponent and max(_degrees(value)) * abs(exponent) > MAX_DEGREE:
+                raise DslError(f"power too large to expand: its degree may "
+                               f"pass {MAX_DEGREE}", op.line, op.col)
+            value = value ** exponent
+        return value
 
-    def atom(self):
-        tok = self.peek()
+    def atom(self) -> Value:
+        tok = self.advance()
         if tok.kind == "NUM":
-            self.advance()
-            return _Num(int(tok.text), tok.line, tok.col)
+            return RationalFunc.constant(self.chart.dim, int(tok.text))
         if tok.kind == "IDENT":
-            self.advance()
-            return _Name(tok.text, tok.line, tok.col)
+            self.names_read += 1
+            return self.lookup(tok)
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            node = self.nested(self.additive, tok)
+            self.descend(tok)
+            value = self.additive()
+            self.depth -= 1
             self.expect("OP", ")")
-            return node
+            return value
         got = tok.text if tok.text else tok.kind.lower()
         raise DslError(f"expected an expression, found {got!r}",
                        tok.line, tok.col)
+
+    def lookup(self, tok: _Token) -> Value:
+        name, chart = tok.text, self.chart
+        if name in chart.names:
+            return RationalFunc(
+                Polynomial.variable(chart.dim, chart.names.index(name)))
+        m = _BASIS_RE.match(name)
+        if m:
+            index = int(m.group(1))
+            if not 1 <= index <= chart.dim:
+                raise DslError(f"basis index {index} out of range for "
+                               f"dimension {chart.dim}", tok.line, tok.col)
+            if name[0] == "e":
+                return Multivector.basis_vector(chart, index - 1)
+            return DifferentialForm.basis_form(chart, index - 1)
+        binding = self.bindings.get(name)
+        if binding is None:
+            raise DslError(f"unknown identifier {name!r}", tok.line, tok.col)
+        if binding.kind == "volume":
+            raise DslError(f"volume {name!r} cannot be used in an expression",
+                           tok.line, tok.col)
+        return binding.value
+
+    def binop(self, tok: _Token, op: str, left: Value, right: Value,
+              named_divisor: bool = False) -> Value:
+        if op not in ("+", "-"):
+            (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
+            if op == "/":
+                rn, rd = rd, rn
+            if max(ln + rn, ld + rd) > MAX_DEGREE:
+                raise DslError(f"product too large to expand: its degree may "
+                               f"pass {MAX_DEGREE}", tok.line, tok.col)
+        kinds = (_value_kind(left), _value_kind(right))
+        if op in ("+", "-"):
+            if kinds[0] != kinds[1]:
+                raise DslError(f"cannot add {kinds[0]} and {kinds[1]}",
+                               tok.line, tok.col)
+            try:
+                return left + right if op == "+" else left - right
+            except ValueError as exc:
+                raise DslError(str(exc), tok.line, tok.col) from exc
+        if op == "*":
+            if kinds == ("scalar", "scalar"):
+                return left * right
+            if kinds[0] == "scalar":
+                return right.scale(left)
+            if kinds[1] == "scalar":
+                return left.scale(right)
+            raise DslError("use ^^ to combine non-scalar factors",
+                           tok.line, tok.col)
+        if op == "/":
+            if kinds[1] != "scalar":
+                raise DslError("division requires a scalar divisor",
+                               tok.line, tok.col)
+            if right.is_zero():
+                if named_divisor:
+                    raise ZeroDivisionError("division by a zero expression")
+                raise DslError("division by zero constant", tok.line, tok.col)
+            if kinds[0] == "scalar":
+                return left / right
+            return left.scale(right.inverse())
+        # wedge
+        if kinds[0] == "scalar":
+            return right * left if kinds[1] == "scalar" else right.scale(left)
+        if kinds[1] == "scalar":
+            return left.scale(right)
+        if kinds[0] != kinds[1]:
+            raise DslError("wedge of mixed kinds (multivector vs form)",
+                           tok.line, tok.col)
+        return wedge(left, right)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -343,19 +426,6 @@ def _value_kind(v: Value) -> str:
     if isinstance(v, Multivector):
         return "multivector"
     return "form"
-
-
-def _contains_name(node) -> bool:
-    pending = [node]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, _Name):
-            return True
-        if isinstance(node, _Unary):
-            pending.append(node.operand)
-        elif isinstance(node, _BinOp):
-            pending.extend((node.left, node.right))
-    return False
 
 
 def _power_terms(p: Polynomial, exponent: int) -> int:
@@ -395,121 +465,6 @@ def _coefficient_digits(p: Polynomial) -> float:
     the coefficients ``p.nums``.
     """
     return log10(max(p.den, sum(map(abs, p.nums.values()))))
-
-
-class _Evaluator:
-    def __init__(self, chart: Chart, bindings: Dict[str, "Binding"]):
-        self.chart = chart
-        self.bindings = bindings
-
-    def eval(self, node) -> Value:
-        # operator chains are left-deep: walk the left spine, then fold back up
-        spine = []
-        while isinstance(node, _BinOp):
-            spine.append(node)
-            node = node.left
-        if isinstance(node, _Num):
-            value = RationalFunc.constant(self.chart.dim, node.value)
-        elif isinstance(node, _Name):
-            value = self.lookup(node)
-        else:
-            value = self.eval(node.operand).scale(-1)
-        for op in reversed(spine):
-            value = self.binop(op, value)
-        return value
-
-    def lookup(self, node: _Name) -> Value:
-        name = node.text
-        if name in self.chart.names:
-            return RationalFunc(
-                Polynomial.variable(self.chart.dim, self.chart.names.index(name)))
-        m = _BASIS_RE.match(name)
-        if m:
-            index = int(m.group(1))
-            if not 1 <= index <= self.chart.dim:
-                raise DslError(f"basis index {index} out of range for "
-                               f"dimension {self.chart.dim}", node.line, node.col)
-            if name[0] == "e":
-                return Multivector.basis_vector(self.chart, index - 1)
-            return DifferentialForm.basis_form(self.chart, index - 1)
-        binding = self.bindings.get(name)
-        if binding is None:
-            raise DslError(f"unknown identifier {name!r}", node.line, node.col)
-        if binding.kind == "volume":
-            raise DslError(f"volume {name!r} cannot be used in an expression",
-                           node.line, node.col)
-        return binding.value
-
-    def binop(self, node: _BinOp, left: Value) -> Value:
-        if node.op == "^":
-            if not isinstance(left, RationalFunc):
-                raise DslError("powers apply to scalar expressions only",
-                               node.line, node.col)
-            exponent = node.right.value
-            if max(_power_terms(left.num, abs(exponent)),
-                   _power_terms(left.den, abs(exponent))) > MAX_POWER_TERMS:
-                raise DslError(f"power too large to expand: the result may have "
-                               f"more than {MAX_POWER_TERMS} terms",
-                               node.line, node.col)
-            # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of
-            # n, so the sum bounds either sign; each log10(H) is 0 or at least
-            # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
-            e = min(abs(exponent), 4 * MAX_POWER_DIGITS)
-            if e * (_coefficient_digits(left.num)
-                    + _coefficient_digits(left.den)) >= MAX_POWER_DIGITS:
-                raise DslError(f"power too large to expand: its coefficients "
-                               f"may have more than {MAX_POWER_DIGITS} digits",
-                               node.line, node.col)
-            if exponent and max(_degrees(left)) * abs(exponent) > MAX_DEGREE:
-                raise DslError(f"power too large to expand: its degree may "
-                               f"pass {MAX_DEGREE}", node.line, node.col)
-            return left ** exponent
-        right = self.eval(node.right)
-        if node.op not in ("+", "-"):
-            (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
-            if node.op == "/":
-                rn, rd = rd, rn
-            if max(ln + rn, ld + rd) > MAX_DEGREE:
-                raise DslError(f"product too large to expand: its degree may "
-                               f"pass {MAX_DEGREE}", node.line, node.col)
-        kinds = (_value_kind(left), _value_kind(right))
-        if node.op in ("+", "-"):
-            if kinds[0] != kinds[1]:
-                raise DslError(f"cannot add {kinds[0]} and {kinds[1]}",
-                               node.line, node.col)
-            try:
-                return left + right if node.op == "+" else left - right
-            except ValueError as exc:
-                raise DslError(str(exc), node.line, node.col) from exc
-        if node.op == "*":
-            if kinds == ("scalar", "scalar"):
-                return left * right
-            if kinds[0] == "scalar":
-                return right.scale(left)
-            if kinds[1] == "scalar":
-                return left.scale(right)
-            raise DslError("use ^^ to combine non-scalar factors",
-                           node.line, node.col)
-        if node.op == "/":
-            if kinds[1] != "scalar":
-                raise DslError("division requires a scalar divisor",
-                               node.line, node.col)
-            if right.is_zero():
-                if _contains_name(node.right):
-                    raise ZeroDivisionError("division by a zero expression")
-                raise DslError("division by zero constant", node.line, node.col)
-            if kinds[0] == "scalar":
-                return left / right
-            return left.scale(right.inverse())
-        # wedge
-        if kinds[0] == "scalar":
-            return right * left if kinds[1] == "scalar" else right.scale(left)
-        if kinds[1] == "scalar":
-            return left.scale(right)
-        if kinds[0] != kinds[1]:
-            raise DslError("wedge of mixed kinds (multivector vs form)",
-                           node.line, node.col)
-        return wedge(left, right)
 
 
 # -- documents --------------------------------------------------------------
@@ -605,79 +560,57 @@ def has_long_coefficient(value: Value) -> bool:
                for c in p.nums.values())
 
 
-def _check_digits(raw: _RawBinding, value: Value) -> None:
-    """Refuse a binding with a coefficient of more than MAX_POWER_DIGITS
-    digits: a product of powers can build one that no power check sees."""
+def _finish_binding(tok: _Token, name: str, value: Value,
+                    chart: Chart) -> Binding:
+    """Check a value against its binding keyword ``tok`` and bind it."""
+    kind, line, col = tok.text, tok.line, tok.col
+    # a product of powers can build a coefficient that no power check sees
     if has_long_coefficient(value):
         raise DslError(f"a coefficient has more than {MAX_POWER_DIGITS} digits",
-                       raw.line, raw.col)
-
-
-def _finish_binding(raw: _RawBinding, value: Value, chart: Chart) -> Binding:
-    kind = raw.kind
+                       line, col)
     if kind == "func":
         if not isinstance(value, RationalFunc):
-            raise DslError("func binding must be scalar", raw.line, raw.col)
-        return Binding(kind, raw.name, value)
+            raise DslError("func binding must be scalar", line, col)
+        return Binding(kind, name, value)
     if kind == "mv":
         if isinstance(value, RationalFunc):
             value = Multivector.scalar(chart, value)
         if not isinstance(value, Multivector):
-            raise DslError("mv binding must be a multivector", raw.line, raw.col)
-        return Binding(kind, raw.name, value)
+            raise DslError("mv binding must be a multivector", line, col)
+        return Binding(kind, name, value)
     if kind == "form":
         if isinstance(value, RationalFunc):
             value = DifferentialForm.scalar(chart, value)
         if not isinstance(value, DifferentialForm):
             raise DslError("form binding must be a differential form",
-                           raw.line, raw.col)
-        return Binding(kind, raw.name, value)
+                           line, col)
+        return Binding(kind, name, value)
     if kind == "volume":
         if isinstance(value, DifferentialForm):
             if value.grade != chart.dim or set(value.terms) - {chart.full_mask}:
                 raise DslError("volume form must be a top-degree form",
-                               raw.line, raw.col)
+                               line, col)
             value = value.terms.get(chart.full_mask,
                                     RationalFunc.zero(chart.dim))
         if not isinstance(value, RationalFunc):
             raise DslError("volume binding must be a scalar density or a "
-                           "top-degree form", raw.line, raw.col)
+                           "top-degree form", line, col)
         if value.is_zero():
-            raise DslError("volume density must be non-zero", raw.line, raw.col)
-        return Binding(kind, raw.name, VolumeForm(chart, value))
+            raise DslError("volume density must be non-zero", line, col)
+        return Binding(kind, name, VolumeForm(chart, value))
     # lie
     if isinstance(value, RationalFunc) and value.is_zero():
         value = Multivector.zero(chart, 2)
     if not isinstance(value, Multivector) or (value.grade != 2
                                               and not value.is_zero()):
-        raise DslError("lie binding must be a bivector", raw.line, raw.col)
-    constants = _constants_from_bivector(value, raw.line, raw.col)
-    return Binding(kind, raw.name, value, constants)
+        raise DslError("lie binding must be a bivector", line, col)
+    constants = _constants_from_bivector(value, line, col)
+    return Binding(kind, name, value, constants)
 
 
 def parse(text: str) -> Document:
     """Parse and evaluate a document; raises DslError with positions."""
-    names, raw_bindings, chart_line = _Parser(_tokenize(text)).document()
-    try:
-        chart = Chart(names)
-    except ValueError as exc:
-        raise DslError(str(exc), chart_line, 1) from exc
-    by_name: Dict[str, Binding] = {}
-    bindings: List[Binding] = []
-    evaluator = _Evaluator(chart, by_name)
-    for raw in raw_bindings:
-        if raw.name in chart.names:
-            raise DslError(f"name {raw.name!r} is already a coordinate",
-                           raw.line, raw.col)
-        if raw.name in by_name:
-            raise DslError(f"duplicate binding name {raw.name!r}",
-                           raw.line, raw.col)
-        value = evaluator.eval(raw.expr)
-        _check_digits(raw, value)
-        binding = _finish_binding(raw, value, chart)
-        bindings.append(binding)
-        by_name[raw.name] = binding
-    return Document(chart, bindings)
+    return _Parser(_tokenize(text)).document()
 
 
 # -- canonical printing -----------------------------------------------------

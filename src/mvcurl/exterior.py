@@ -282,7 +282,7 @@ class DifferentialForm(_BladeSum):
 class VolumeForm:
     """Top-degree form (density) * dx^1 ^ ... ^ dx^n with non-zero density."""
 
-    __slots__ = ("chart", "density")
+    __slots__ = ("chart", "density", "_top")
 
     def __init__(self, chart: Chart, density: RationalFunc):
         if density.nvars != chart.dim:
@@ -291,6 +291,7 @@ class VolumeForm:
             raise ValueError("volume density must be non-zero")
         self.chart = chart
         self.density = density
+        self._top = DifferentialForm(chart, chart.dim, {chart.full_mask: density})
 
     @classmethod
     def unit(cls, chart: Chart) -> "VolumeForm":
@@ -302,8 +303,7 @@ class VolumeForm:
         return VolumeForm(self.chart, self.density * m)
 
     def top_form(self) -> DifferentialForm:
-        return DifferentialForm(self.chart, self.chart.dim,
-                                {self.chart.full_mask: self.density})
+        return self._top
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VolumeForm):

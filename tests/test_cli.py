@@ -721,6 +721,38 @@ def test_stray_whitespace_on_stdin_exits_2_without_a_traceback():
                             "'\\xa0'\n")
 
 
+@pytest.mark.parametrize("doc, position, char", [
+    ("chart x y\nfunc f = x + y\x85\n", "line 2, column 15", "\x85"),
+    ("chart x y\nfunc f = x\u2028func g = y\n", "line 2, column 11", "\u2028"),
+    ("chart x y\nfunc f = x\x1c+ y\n", "line 2, column 11", "\x1c"),
+])
+def test_unicode_line_break_is_refused_not_a_line_end(tmp_path, capsys, doc,
+                                                      position, char):
+    path = tmp_path / "break.mv"
+    path.write_text(doc, encoding="utf-8")
+    assert run(capsys, "print", "--input", str(path)) == (
+        2, "", f"error: {position}: unexpected character {char!r}\n")
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    ("chart x y\nfunc f = q\nfunc g = (\n", 2,
+     "line 2, column 10: unknown identifier 'q'"),
+    ("chart x y\nfunc z = x - x\nfunc f = 1/z\nfunc g = (\n", 3,
+     "division by a zero expression"),
+    ("chart x x\nfunc g = (\n", 2,
+     "line 1, column 1: coordinate names must be distinct"),
+    # lexical errors still come first
+    ("chart x y\nfunc f = q\nfunc g = x\u00a0\n", 2,
+     "line 3, column 11: unexpected character '\\xa0'"),
+])
+def test_first_error_in_reading_order_is_reported(tmp_path, capsys, doc, code,
+                                                  message):
+    path = tmp_path / "errors.mv"
+    path.write_text(doc, encoding="utf-8")
+    assert run(capsys, "print", "--input", str(path)) == (
+        code, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- JSON output
 
 def test_lm_check_json(planar, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb, lcm, log10
 
@@ -196,6 +197,79 @@ def test_stray_whitespace_at_the_end_of_a_line_is_refused(char):
     with pytest.raises(DslError) as err:
         parse(f"chart x y\nfunc f = x + y*y{char}\n")
     assert (err.value.line, err.value.col) == (2, 17)
+
+
+@pytest.mark.parametrize("source, line, col, char", [
+    ("chart x y\nfunc f = x + y\x85", 2, 15, "\x85"),
+    ("chart x y\nfunc f = x\u2028func g = y", 2, 11, "\u2028"),
+    ("chart x y\nfunc f = x\x1c+ y", 2, 11, "\x1c"),
+    ("chart x y\x0b\nfunc f = x", 1, 10, "\x0b"),
+    ("chart x y\nfunc f = x\u2029", 2, 11, "\u2029"),
+])
+def test_unicode_line_breaks_are_characters(source, line, col, char):
+    # lines end at \n, \r\n and \r only; str.splitlines ends them at more
+    with pytest.raises(DslError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message == f"unexpected character {char!r}"
+
+
+def test_line_ends_and_the_end_of_input():
+    for source in ("chart x y\nfunc f = x\n", "chart x y\r\nfunc f = x\r\n",
+                   "chart x y\rfunc f = x\r", "chart x y\nfunc f = x"):
+        assert parse(source).scalar("f") == RationalFunc.variable(2, 0)
+    # inside a comment a line break character is part of the comment
+    doc = parse("chart x y # a\x85b\u2028c\nfunc f = y # \x0c\n")
+    assert doc.scalar("f") == RationalFunc.variable(2, 1)
+    # the end of input is on the line after the last line end
+    for source, line in (("", 1), ("\n\n", 3), ("\r\n\r", 3), ("\n \n", 3)):
+        with pytest.raises(DslError) as err:
+            parse(source)
+        assert err.value.line == line
+
+
+# a document with more than one error reports the first lexical error, if
+# any, and otherwise the first error in reading order (more cases with exit
+# codes are in test_cli.py)
+@pytest.mark.parametrize("source, message, line, col", [
+    ("chart x y\nfunc f = e1 + 1\nfunc g = x y)\n", "cannot add multivector "
+     "and scalar", 2, 13),
+    ("chart x y\nfunc f = q + (\nfunc g = 1e3\n", "1e3 looks like "
+     "scientific notation, which documents do not have: write 1*e3 for a "
+     "product, or 1000", 3, 10),
+])
+def test_errors_come_in_reading_order(source, message, line, col):
+    with pytest.raises(DslError) as err:
+        parse(source)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        message, line, col)
+
+
+def _frames() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_nesting_limit_leaves_room_for_callers():
+    # evaluation runs inside the parser's frames: 99 parentheses around a
+    # rational body whose own parentheses reach the limit, and whose division
+    # needs a non-trivial gcd in 16 variables, still parse when the call to
+    # parse is 300 frames deep
+    names = [f"x{i}" for i in range(1, 17)]
+    s = "+".join(names)
+    source = ("chart " + " ".join(names) + "\nfunc f = " + "(" * 99
+              + f"({s})^2/({s})" + ")" * 99 + "\n")
+
+    def below(frames):
+        return below(frames - 1) if frames > 1 else parse(source)
+
+    doc = below(300 - _frames())
+    assert doc.scalar("f") == sum((RationalFunc.variable(16, i)
+                                   for i in range(16)), RationalFunc.zero(16))
+    with pytest.raises(DslError, match="nested deeper than 100 levels"):
+        parse(source.replace("func f = ", "func f = ("))
 
 
 def test_computed_zero_division_is_a_math_error():
