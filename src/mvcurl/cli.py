@@ -8,7 +8,6 @@ denominator or a non-Poisson input where one is required.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -31,7 +30,6 @@ from mvcurl.poisson import (
     NonPoissonError,
     hamiltonian_field,
     jacobi_residual,
-    lie_poisson,
     modular_field,
     require_poisson,
     unimodularity_check,
@@ -248,8 +246,7 @@ def _cmd_unimodular(args, doc: Document) -> int:
 
 
 def _cmd_lie_poisson(args, doc: Document) -> int:
-    result = lie_poisson(doc.lie_constants(args.name), doc.chart)
-    _print_value(args, doc, result)
+    _print_value(args, doc, doc.lie(args.name))
     return 0
 
 
@@ -258,7 +255,7 @@ def _cmd_cohomology(args, doc: Document) -> int:
                                         doc.multivector(args.name),
                                         args.k, args.max_degree)
     if args.json:
-        print(json.dumps(dataclasses.asdict(report)))
+        print(json.dumps(report._asdict()))
     else:
         print(f"k: {report.k}")
         print(f"degree bound: {report.domain_degree_bound}")

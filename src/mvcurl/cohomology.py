@@ -19,10 +19,9 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
@@ -61,14 +60,16 @@ class MultivectorBasis(SearchSpace):
         n = chart.dim
         exponents = monomial_exponents(n, max_degree, comb(n, grade))
         basis: List[Multivector] = []
-        index: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        # (blade mask, packed monomial key) -> slot
+        index: Dict[Tuple[int, int], int] = {}
         for mask in range(1 << n):
             if mask.bit_count() != grade:
                 continue
             for exps in exponents:
-                index[(mask, exps)] = len(basis)
-                coeff = RationalFunc(Polynomial.monomial(n, exps))
-                basis.append(Multivector(chart, grade, {mask: coeff}))
+                monomial = Polynomial.monomial(n, exps)
+                index[(mask, *monomial.nums)] = len(basis)
+                basis.append(Multivector(chart, grade,
+                                         {mask: RationalFunc(monomial)}))
         super().__init__(chart, basis)
         self._index = index
 
@@ -80,11 +81,12 @@ class MultivectorBasis(SearchSpace):
         for mask, coeff in a.terms.items():
             if not coeff.den.is_one():
                 raise ValueError("coefficients must be polynomial")
-            for exps, value in coeff.num.terms.items():
-                slot = self._index.get((mask, exps))
+            num = coeff.num
+            for key, c in num.nums.items():
+                slot = self._index.get((mask, key))
                 if slot is None:
                     raise ValueError("multivector exceeds the degree bound")
-                out[slot] = value
+                out[slot] = Fraction(c, num.den)
         return out
 
 
@@ -116,8 +118,7 @@ def _exact_and_kernel_dims(volume: VolumeForm, pi: Multivector, grade: int,
     return ambient.dimension - rank_c, ambient.dimension - stacked.rank()
 
 
-@dataclass(frozen=True)
-class TruncatedComplexReport:
+class TruncatedComplexReport(NamedTuple):
     """Exact dimensions for one truncated slot of the curl-free complex.
 
     truncated_h_dim is kernel minus image within the truncation; the caveat

@@ -26,15 +26,18 @@ The whole text is tokenized first, so a lexical error (a character that
 starts no token, an over-long literal, a number such as 1e3) is reported
 ahead of any other.  After that the document is evaluated as it is read, and
 the first error in reading order is reported.
+
+A ``lie`` binding is its own bivector: its coefficients must be homogeneous
+linear polynomials, and the Jacobi identity is proved on it as it is bound.
+Text and JSON documents go through one binding step, so a JSON document
+passes the same checks as a text one; its errors carry no position.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, gcd, log10
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from mvcurl.exterior import (
     Chart,
@@ -44,7 +47,7 @@ from mvcurl.exterior import (
     blade_indices,
     wedge,
 )
-from mvcurl.poisson import StructureConstants
+from mvcurl.poisson import NonPoissonError, require_poisson
 from mvcurl.ring import MAX_DEGREE, Polynomial, RationalFunc, _variables_used
 
 __all__ = [
@@ -74,6 +77,8 @@ MAX_POWER_TERMS = 1000
 MAX_POWER_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_POWER_DIGITS
 _BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
 # lines end at \n, \r\n or \r only: str.splitlines would also end them at
 # \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029, which are characters here
 _LINE_END_RE = re.compile(r"\r\n|\r|\n")
@@ -82,7 +87,7 @@ _LINE_END_RE = re.compile(r"\r\n|\r|\n")
 _TOKEN_RE = re.compile(
     r"(?P<BLANK>[ \t]+)"
     r"|(?P<NUM>[0-9]+)"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<IDENT>{_NAME})"
     r"|(?P<OP>\^\^|[-+*/^()=])"
     r"|(?P<BAD>.)")
 # ``1e3`` reads as ``1`` times the basis vector ``e3``; refused as a likely
@@ -214,14 +219,8 @@ class _Parser:
             bad = self.peek()
             raise DslError(f"invalid coordinate name {bad.text!r}",
                            bad.line, bad.col)
-        for tok in names:
-            if tok.text in _KEYWORDS or _BASIS_RE.match(tok.text):
-                raise DslError(f"reserved name {tok.text!r} cannot be a coordinate",
-                               tok.line, tok.col)
-        try:
-            self.chart = Chart([t.text for t in names])
-        except ValueError as exc:
-            raise DslError(str(exc), head.line, 1) from exc
+        self.chart = _chart([t.text for t in names],
+                            [(t.line, t.col) for t in names], (head.line, 1))
         while True:
             self.skip_newlines()
             tok = self.peek()
@@ -235,25 +234,20 @@ class _Parser:
                 raise DslError("only one chart declaration is allowed",
                                tok.line, tok.col)
             self.advance()
-            name_tok = self.expect("IDENT")
-            name = name_tok.text
-            if name in _KEYWORDS or _BASIS_RE.match(name):
-                raise DslError(f"reserved name {name!r} cannot be bound",
-                               name_tok.line, name_tok.col)
-            if name in self.chart.names:
-                raise DslError(f"name {name!r} is already a coordinate",
-                               tok.line, tok.col)
-            if name in self.bindings:
-                raise DslError(f"duplicate binding name {name!r}",
-                               tok.line, tok.col)
-            self.expect("OP", "=")
-            value = self.additive()
-            nxt = self.peek()
-            if nxt.kind not in ("NEWLINE", "EOF"):
-                raise DslError(f"unexpected {nxt.text!r} after expression",
-                               nxt.line, nxt.col)
-            self.bindings[name] = _finish_binding(tok, name, value, self.chart)
+            name = self.expect("IDENT")
+            _bind(self.bindings, self.chart, tok.text, name.text, self.value,
+                  (tok.line, tok.col), (name.line, name.col))
         return Document(self.chart, list(self.bindings.values()))
+
+    def value(self) -> Value:
+        """The ``= expr`` of a binding, which must end its line."""
+        self.expect("OP", "=")
+        value = self.additive()
+        nxt = self.peek()
+        if nxt.kind not in ("NEWLINE", "EOF"):
+            raise DslError(f"unexpected {nxt.text!r} after expression",
+                           nxt.line, nxt.col)
+        return value
 
     # -- expressions --------------------------------------------------------
 
@@ -470,83 +464,47 @@ def _coefficient_digits(p: Polynomial) -> float:
 # -- documents --------------------------------------------------------------
 
 
-@dataclass
-class Binding:
+class Binding(NamedTuple):
     kind: str  # func | mv | form | volume | lie
     name: str
     value: object
-    constants: Optional[StructureConstants] = None
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     chart: Chart
-    bindings: List[Binding] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._by_name = {b.name: b for b in self.bindings}
-        if len(self._by_name) != len(self.bindings):
-            raise DslError("duplicate binding names in document")
+    bindings: List[Binding]
 
     def binding(self, name: str) -> Binding:
-        b = self._by_name.get(name)
-        if b is None:
-            raise DslError(f"no binding named {name!r}")
-        return b
+        for b in self.bindings:
+            if b.name == name:
+                return b
+        raise DslError(f"no binding named {name!r}")
+
+    def _value(self, name: str, *kinds: str):
+        b = self.binding(name)
+        if b.kind not in kinds:
+            raise DslError(f"binding {name!r} is a {b.kind}, expected {kinds[0]}")
+        return b.value
 
     def scalar(self, name: str) -> RationalFunc:
-        b = self.binding(name)
-        if b.kind != "func":
-            raise DslError(f"binding {name!r} is a {b.kind}, expected func")
-        return b.value
+        return self._value(name, "func")
 
     def multivector(self, name: str) -> Multivector:
-        b = self.binding(name)
-        if b.kind == "lie":
-            return b.value
-        if b.kind != "mv":
-            raise DslError(f"binding {name!r} is a {b.kind}, expected mv")
-        return b.value
+        return self._value(name, "mv", "lie")
 
-    def lie_constants(self, name: str) -> StructureConstants:
-        b = self.binding(name)
-        if b.kind != "lie":
-            raise DslError(f"binding {name!r} is a {b.kind}, expected lie")
-        return b.constants
+    def lie(self, name: str) -> Multivector:
+        """The proven linear Poisson bivector of a lie binding."""
+        return self._value(name, "lie")
 
     def volume(self, name: Optional[str] = None) -> VolumeForm:
         if name is not None:
-            b = self.binding(name)
-            if b.kind != "volume":
-                raise DslError(f"binding {name!r} is a {b.kind}, expected volume")
-            return b.value
+            return self._value(name, "volume")
         volumes = [b for b in self.bindings if b.kind == "volume"]
         if not volumes:
             return VolumeForm.unit(self.chart)
         if len(volumes) > 1:
             raise DslError("multiple volume bindings; select one with --volume")
         return volumes[0].value
-
-
-def _constants_from_bivector(pi: Multivector, line: int,
-                             col: int) -> StructureConstants:
-    n = pi.chart.dim
-    entries: Dict[Tuple[int, int, int], Fraction] = {}
-    for mask, coeff in pi.terms.items():
-        if not coeff.den.is_one():
-            raise DslError("lie binding coefficients must be polynomial",
-                           line, col)
-        i = (mask & -mask).bit_length() - 1
-        j = mask.bit_length() - 1
-        for exps, value in coeff.num.terms.items():
-            if sum(exps) != 1:
-                raise DslError("lie binding requires homogeneous linear "
-                               "coefficients", line, col)
-            entries[(i, j, exps.index(1))] = value
-    try:
-        return StructureConstants(n, entries)
-    except ValueError as exc:
-        raise DslError(str(exc), line, col) from exc
 
 
 def has_long_coefficient(value: Value) -> bool:
@@ -560,52 +518,94 @@ def has_long_coefficient(value: Value) -> bool:
                for c in p.nums.values())
 
 
-def _finish_binding(tok: _Token, name: str, value: Value,
-                    chart: Chart) -> Binding:
-    """Check a value against its binding keyword ``tok`` and bind it."""
-    kind, line, col = tok.text, tok.line, tok.col
+def _chart(names: List[str], name_at: Optional[List[tuple]] = None,
+           at: tuple = ()) -> Chart:
+    """The chart of a document of either reader.  In a text document
+    ``name_at`` holds each name's (line, column) and ``at`` the chart
+    line's; JSON errors carry no position."""
+    for i, name in enumerate(names):
+        where = name_at[i] if name_at else ()
+        if not _NAME_RE.fullmatch(name):
+            raise DslError(f"invalid coordinate name {name!r}", *where)
+        if name in _KEYWORDS or _BASIS_RE.match(name):
+            raise DslError(f"reserved name {name!r} cannot be a coordinate",
+                           *where)
+    try:
+        return Chart(names)
+    except ValueError as exc:
+        raise DslError(str(exc), *at) from exc
+
+
+def _bind(bindings: Dict[str, Binding], chart: Chart, kind: str, name: str,
+          read: Callable[[], Value], at: tuple = (),
+          name_at: tuple = ()) -> None:
+    """The binding step of both readers: check ``name``, read its value with
+    ``read``, check the value against ``kind`` and add the binding.  In a
+    text document ``at`` and ``name_at`` are the (line, column) of the
+    keyword and of the name; JSON errors carry no position."""
+    if not _NAME_RE.fullmatch(name):
+        raise DslError(f"invalid binding name {name!r}", *name_at)
+    if name in _KEYWORDS or _BASIS_RE.match(name):
+        raise DslError(f"reserved name {name!r} cannot be bound", *name_at)
+    if name in chart.names:
+        raise DslError(f"name {name!r} is already a coordinate", *at)
+    if name in bindings:
+        raise DslError(f"duplicate binding name {name!r}", *at)
+    value = read()
     # a product of powers can build a coefficient that no power check sees
     if has_long_coefficient(value):
         raise DslError(f"a coefficient has more than {MAX_POWER_DIGITS} digits",
-                       line, col)
+                       *at)
     if kind == "func":
         if not isinstance(value, RationalFunc):
-            raise DslError("func binding must be scalar", line, col)
-        return Binding(kind, name, value)
-    if kind == "mv":
+            raise DslError("func binding must be scalar", *at)
+    elif kind == "mv":
         if isinstance(value, RationalFunc):
             value = Multivector.scalar(chart, value)
         if not isinstance(value, Multivector):
-            raise DslError("mv binding must be a multivector", line, col)
-        return Binding(kind, name, value)
-    if kind == "form":
+            raise DslError("mv binding must be a multivector", *at)
+    elif kind == "form":
         if isinstance(value, RationalFunc):
             value = DifferentialForm.scalar(chart, value)
         if not isinstance(value, DifferentialForm):
-            raise DslError("form binding must be a differential form",
-                           line, col)
-        return Binding(kind, name, value)
-    if kind == "volume":
+            raise DslError("form binding must be a differential form", *at)
+    elif kind == "volume":
         if isinstance(value, DifferentialForm):
             if value.grade != chart.dim or set(value.terms) - {chart.full_mask}:
-                raise DslError("volume form must be a top-degree form",
-                               line, col)
+                raise DslError("volume form must be a top-degree form", *at)
             value = value.terms.get(chart.full_mask,
                                     RationalFunc.zero(chart.dim))
         if not isinstance(value, RationalFunc):
             raise DslError("volume binding must be a scalar density or a "
-                           "top-degree form", line, col)
+                           "top-degree form", *at)
         if value.is_zero():
-            raise DslError("volume density must be non-zero", line, col)
-        return Binding(kind, name, VolumeForm(chart, value))
-    # lie
-    if isinstance(value, RationalFunc) and value.is_zero():
+            raise DslError("volume density must be non-zero", *at)
+        value = VolumeForm(chart, value)
+    else:  # lie
+        value = _lie_bivector(value, chart, at)
+    bindings[name] = Binding(kind, name, value)
+
+
+def _lie_bivector(value: Value, chart: Chart, at: tuple) -> Multivector:
+    """The value of a lie binding: a bivector whose coefficients are
+    homogeneous linear polynomials, read on the integer kernel, and which
+    is proved to satisfy the Jacobi identity."""
+    if isinstance(value, (RationalFunc, Multivector)) and value.is_zero():
         value = Multivector.zero(chart, 2)
-    if not isinstance(value, Multivector) or (value.grade != 2
-                                              and not value.is_zero()):
-        raise DslError("lie binding must be a bivector", line, col)
-    constants = _constants_from_bivector(value, line, col)
-    return Binding(kind, name, value, constants)
+    if not isinstance(value, Multivector) or value.grade != 2:
+        raise DslError("lie binding must be a bivector", *at)
+    for coeff in value.terms.values():
+        if not coeff.den.is_one():
+            raise DslError("lie binding coefficients must be polynomial", *at)
+        # the constant monomial has the packed key 0
+        if coeff.num.total_degree() != 1 or 0 in coeff.num.nums:
+            raise DslError("lie binding requires homogeneous linear "
+                           "coefficients", *at)
+    try:
+        require_poisson(value)
+    except NonPoissonError as exc:
+        raise DslError(str(exc), *at) from exc
+    return value
 
 
 def parse(text: str) -> Document:
@@ -705,30 +705,24 @@ def document_to_json(doc: Document) -> dict:
     return out
 
 
+def _value_from_json(chart: Chart, entry: dict) -> Value:
+    n, kind = chart.dim, entry["kind"]
+    if kind == "func":
+        return _rf_from_json(n, entry["value"])
+    if kind == "volume":
+        return _rf_from_json(n, entry["density"])
+    if kind in ("mv", "lie", "form"):
+        cls = DifferentialForm if kind == "form" else Multivector
+        return cls(chart, entry["grade"], _terms_from_json(n, entry["terms"]))
+    raise DslError(f"unknown binding kind {kind!r} in JSON document")
+
+
 def document_from_json(data: dict) -> Document:
-    chart = Chart(data["chart"])
-    n = chart.dim
-    bindings: List[Binding] = []
+    """Read a document written by ``document_to_json``; each entry passes the
+    same binding step as a text binding."""
+    chart = _chart(data["chart"])
+    bindings: Dict[str, Binding] = {}
     for entry in data["bindings"]:
-        kind = entry["kind"]
-        name = entry["name"]
-        if kind == "func":
-            bindings.append(Binding(kind, name, _rf_from_json(n, entry["value"])))
-        elif kind in ("mv", "lie"):
-            value = Multivector(chart, entry["grade"],
-                                _terms_from_json(n, entry["terms"]))
-            if kind == "lie":
-                constants = _constants_from_bivector(value, 0, 0)
-                bindings.append(Binding(kind, name, value, constants))
-            else:
-                bindings.append(Binding(kind, name, value))
-        elif kind == "form":
-            value = DifferentialForm(chart, entry["grade"],
-                                     _terms_from_json(n, entry["terms"]))
-            bindings.append(Binding(kind, name, value))
-        elif kind == "volume":
-            bindings.append(Binding(
-                kind, name, VolumeForm(chart, _rf_from_json(n, entry["density"]))))
-        else:
-            raise DslError(f"unknown binding kind {kind!r} in JSON document")
-    return Document(chart, bindings)
+        _bind(bindings, chart, entry["kind"], entry["name"],
+              lambda: _value_from_json(chart, entry))
+    return Document(chart, list(bindings.values()))

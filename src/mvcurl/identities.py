@@ -9,8 +9,7 @@ are no tolerances anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from mvcurl.curl import curl, curl_scaled, schouten
 from mvcurl.exterior import (
@@ -217,8 +216,7 @@ IDENTITY_CHECKS: List[Tuple[str, Callable[[random.Random], bool]]] = [
 ]
 
 
-@dataclass
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     cases: int
     failures: int

@@ -20,7 +20,7 @@ from mvcurl.exterior import (
     blade_indices,
     interior_product_vector,
 )
-from mvcurl.ring import Polynomial, RationalFunc
+from mvcurl.ring import Polynomial, RationalFunc, _exact
 from mvcurl.solver import AnsatzSpace, collect_affine_system
 
 __all__ = [
@@ -49,8 +49,12 @@ def jacobi_residual(pi: Multivector) -> Multivector:
 
 
 def require_poisson(pi: Multivector) -> None:
-    if not jacobi_residual(pi).is_zero():
-        raise NonPoissonError("bivector does not satisfy the Jacobi identity")
+    """Prove the Jacobi identity [pi, pi] = 0, or name the first index triple
+    (i, j, k), 0-based and in lexicographic order, on which it fails."""
+    residual = jacobi_residual(pi)
+    if not residual.is_zero():
+        triple = min(blade_indices(mask) for mask in residual.terms)
+        raise NonPoissonError(f"Jacobi identity fails on triple {triple}")
 
 
 def hamiltonian_field(pi: Multivector, f: RationalFunc) -> Multivector:
@@ -103,12 +107,13 @@ def lm_system_residuals(volume: VolumeForm, m: RationalFunc,
 class StructureConstants:
     """Antisymmetric structure constants of a Lie algebra.
 
-    Stored on i < j index pairs (0-based).  The Jacobi identity is proved
-    once at construction, as [pi, pi] = 0 for the linear bivector
+    Stored on i < j index pairs (0-based), as exact rationals: floats are
+    refused like polynomial coefficients.  The Jacobi identity is proved
+    once at construction, by ``require_poisson`` on the linear bivector
     pi = ``lie_poisson(self)``: for a linear pi, the e_i^e_j^e_k component
     of [pi, pi] is, up to a factor 2, the Jacobi sum of the triple
     (i, j, k) contracted with the coordinates.  So any instance defines an
-    actual Lie algebra.
+    actual Lie algebra; a failure raises NonPoissonError, a ValueError.
     """
 
     __slots__ = ("dim", "c")
@@ -118,7 +123,7 @@ class StructureConstants:
             raise ValueError("dimension must be positive")
         store: Dict[Tuple[int, int, int], Fraction] = {}
         for (i, j, k), value in entries.items():
-            v = Fraction(value)
+            v = Fraction(*_exact(value))
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise ValueError(f"index {idx} out of range for dimension {dim}")
@@ -132,10 +137,7 @@ class StructureConstants:
             store[key] = signed
         self.dim = dim
         self.c = {k: v for k, v in store.items() if v != 0}
-        residual = jacobi_residual(lie_poisson(self))
-        if not residual.is_zero():
-            triple = min(blade_indices(mask) for mask in residual.terms)
-            raise ValueError(f"Jacobi identity fails on triple {triple}")
+        require_poisson(lie_poisson(self))
 
     def get(self, i: int, j: int, k: int) -> Fraction:
         if i == j:

@@ -153,6 +153,13 @@ def test_lie_poisson_expands_constants(so3, capsys):
     assert out == "(z) e1^^e2 + (-y) e1^^e3 + (x) e2^^e3\n"
 
 
+def test_lie_poisson_refuses_other_kinds(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("chart x y\nmv P = x e1^^e2\n"))
+    code, out, err = run(capsys, "lie-poisson", "P")
+    assert (code, out) == (2, "")
+    assert err == "error: binding 'P' is a mv, expected lie\n"
+
+
 def test_cohomology_report_lines(so3, capsys):
     code, out, _ = run(capsys, "cohomology", "g", "--input", so3,
                        "--k", "0", "--max-degree", "2")
@@ -320,7 +327,7 @@ def test_volume_flag_selects_binding(tmp_path, capsys):
 def test_modular_requires_poisson(nonpoisson, capsys):
     code, _, err = run(capsys, "modular", "Q", "--input", nonpoisson)
     assert code == 3
-    assert "Jacobi" in err or "Poisson" in err
+    assert err == "error: Jacobi identity fails on triple (0, 1, 2)\n"
 
 
 def test_hamiltonian_requires_poisson(nonpoisson, capsys):
@@ -805,6 +812,10 @@ def test_cohomology_json(so3, capsys):
     assert payload["dim_kernel"] == 2
     assert payload["truncated_h_dim"] == 2
     assert payload["caveat"] is True
+    # the report's fields in declaration order, byte for byte
+    assert out == ('{"k": 0, "domain_degree_bound": 2, "dim_exact_k": 10, '
+                   '"dim_kernel": 2, "dim_image_from_km1": 0, '
+                   '"truncated_h_dim": 2, "caveat": true}\n')
 
 
 def test_identities_json(capsys):

@@ -21,6 +21,7 @@ from mvcurl.dsl import (
 )
 from mvcurl.dsl import _coefficient_digits, _power_terms
 from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm
+from mvcurl.poisson import StructureConstants, lie_poisson
 from mvcurl.ring import Polynomial, RationalFunc
 
 F = Fraction
@@ -119,11 +120,11 @@ def test_comments_and_blank_lines():
 
 
 def test_lie_binding_constants():
+    # a lie binding is its own bivector: the linear bivector of so(3)
     doc = parse("chart x y z\nlie g = z e1^^e2 + x e2^^e3 + y e3^^e1\n")
-    constants = doc.lie_constants("g")
-    assert constants.get(0, 1, 2) == 1
-    assert constants.get(1, 2, 0) == 1
-    assert constants.get(2, 0, 1) == 1
+    so3 = StructureConstants(3, {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1})
+    assert doc.lie("g") == lie_poisson(so3, doc.chart)
+    assert doc.multivector("g") is doc.lie("g")
 
 
 # -- error reporting --------------------------------------------------------
@@ -141,6 +142,8 @@ def test_lie_binding_constants():
     ("chart x y\nmv a = (x\n", "expected )", 2),
     ("chart x y\nmv a = e1 e1\n", "", 2),
     ("chart x y\nlie g = x^2 e1^^e2\n", "linear", 2),
+    ("chart x y\nlie g = (x + 1) e1^^e2\n", "linear", 2),
+    ("chart x y\nlie g = 1/x e1^^e2\n", "polynomial", 2),
     ("chart x y\nlie g = e1\n", "bivector", 2),
     ("chart x y z\nlie g = z e1^^e2 + x e1^^e3\n", "Jacobi", 2),
     ("chart x y\nvolume V = 0\n", "non-zero", 2),
@@ -331,7 +334,8 @@ def test_json_document_round_trip():
     restored = document_from_json(json.loads(encoded))
     assert restored == doc
     assert document_to_json(restored) == document_to_json(doc)
-    assert restored.lie_constants("g") == doc.lie_constants("g")
+    assert restored.lie("g") == lie_poisson(
+        StructureConstants(3, {(0, 1, 2): 1}), doc.chart)
     # the typed zero keeps its grade through JSON
     assert restored.multivector("Z").grade == 2
 
@@ -352,6 +356,70 @@ def test_json_reader_refuses_float_coefficients():
     data["bindings"][0]["value"]["num"][0]["coeff"] = 0.1
     with pytest.raises(TypeError, match="inexact coefficient"):
         document_from_json(data)
+
+
+def _json_entries(source, **changes):
+    """The JSON document of ``source`` with its last binding entry updated by
+    ``changes``."""
+    data = document_to_json(parse(source))
+    data["bindings"][-1].update(changes)
+    return data
+
+
+@pytest.mark.parametrize("source, data", [
+    # a grade-3 lie entry
+    ("chart x y z\nlie g = x e1^^e2^^e3\n",
+     _json_entries("chart x y z\nmv g = x e1^^e2^^e3\n", kind="lie")),
+    # binding names that are a coordinate, a basis symbol, a duplicate
+    ("chart x y\nfunc x = 1\n", _json_entries("chart x y\nfunc f = 1\n",
+                                               name="x")),
+    ("chart x y\nfunc e1 = 1\n", _json_entries("chart x y\nfunc f = 1\n",
+                                                name="e1")),
+    ("chart x y\nfunc a = 1\nfunc a = 2\n",
+     _json_entries("chart x y\nfunc a = 1\nfunc b = 2\n", name="a")),
+    # a zero volume density
+    ("chart x y\nvolume V = 0\n",
+     _json_entries("chart x y\nvolume V = 1\n",
+                   density={"num": [], "den": [{"exps": [0, 0], "coeff": "1"}]})),
+    # lie entries that are not linear, not polynomial or not Poisson
+    ("chart x y\nlie g = x^2 e1^^e2\n",
+     _json_entries("chart x y\nmv g = x^2 e1^^e2\n", kind="lie")),
+    ("chart x y\nlie g = 1/x e1^^e2\n",
+     _json_entries("chart x y\nmv g = 1/x e1^^e2\n", kind="lie")),
+    ("chart x y z\nlie g = z e1^^e2 + x e1^^e3\n",
+     _json_entries("chart x y z\nmv g = z e1^^e2 + x e1^^e3\n", kind="lie")),
+    # a reserved coordinate name
+    ("chart e1 y\n", {"chart": ["e1", "y"], "bindings": []}),
+])
+def test_json_reader_refuses_what_the_text_parser_refuses(source, data):
+    with pytest.raises(DslError) as text_err:
+        parse(source)
+    with pytest.raises(DslError) as json_err:
+        document_from_json(data)
+    # the same message; a JSON error has no position
+    assert json_err.value.message == text_err.value.message
+    assert (json_err.value.line, json_err.value.col) == (None, None)
+    assert str(json_err.value) == text_err.value.message
+    assert not str(json_err.value).startswith("line ")
+
+
+def test_json_reader_refuses_names_the_grammar_cannot_read():
+    # such a document would print text that does not parse
+    with pytest.raises(DslError, match=r"^invalid coordinate name 'x y'$"):
+        document_from_json({"chart": ["x y"], "bindings": []})
+    with pytest.raises(DslError, match=r"^invalid coordinate name '\u00e9'$"):
+        document_from_json({"chart": ["\u00e9"], "bindings": []})
+    data = _json_entries("chart x y\nfunc f = x\n", name="f 2")
+    with pytest.raises(DslError, match=r"^invalid binding name 'f 2'$"):
+        document_from_json(data)
+
+
+def test_lie_binding_of_a_zero_is_the_zero_bivector():
+    for body in ("0", "0 e1", "x e1 - x e1"):
+        value = parse(f"chart x y\nlie g = {body}\n").lie("g")
+        assert value.is_zero() and value.grade == 2
+    with pytest.raises(DslError, match="must be a bivector"):
+        parse("chart x y\nlie g = 0 d1\n")
 
 
 BOUND = 10 ** MAX_POWER_DIGITS

@@ -26,6 +26,7 @@ from mvcurl.poisson import (
     lie_poisson,
     lm_system_residuals,
     modular_field,
+    require_poisson,
     two_dim_multiplier,
     unimodularity_check,
 )
@@ -74,6 +75,10 @@ def test_contact_dual_bivector_is_not_poisson():
     assert not jacobi_residual(pi).is_zero()
     with pytest.raises(NonPoissonError):
         hamiltonian_field(pi, var(3, 0))
+    # the one Jacobi proof names the failing index triple, 0-based
+    with pytest.raises(NonPoissonError,
+                       match=r"^Jacobi identity fails on triple \(0, 1, 2\)$"):
+        require_poisson(pi)
 
 
 def test_jacobi_residual_rejects_wrong_grade():
@@ -209,6 +214,15 @@ def test_structure_constant_validation():
     # same value stated both ways is fine
     c = StructureConstants(3, {(0, 1, 2): 1, (1, 0, 2): -1})
     assert c.get(0, 1, 2) == 1
+    # a binary float is refused as in a polynomial coefficient, and a
+    # failing Jacobi identity is a NonPoissonError
+    with pytest.raises(TypeError, match="inexact coefficient 0.1"):
+        StructureConstants(3, {(0, 1, 2): 0.1, (1, 2, 0): 0.1, (2, 0, 1): 0.1})
+    assert StructureConstants(3, {(0, 1, 2): "1/10", (1, 2, 0): F(1, 10),
+                                  (2, 0, 1): "0.1"}).get(2, 0, 1) == F(1, 10)
+    with pytest.raises(NonPoissonError, match=r"^Jacobi identity fails on "
+                                              r"triple \(0, 1, 2\)$"):
+        StructureConstants(3, {(0, 1, 1): 1, (0, 2, 2): 1, (1, 2, 0): 1})
 
 
 def brute_force_jacobi(n, entries):
