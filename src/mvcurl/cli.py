@@ -28,6 +28,7 @@ from mvcurl.dsl import (
 from mvcurl.identities import DEFAULT_SEED, run_identity_suite
 from mvcurl.poisson import (
     NonPoissonError,
+    clear_poisson_memo,
     hamiltonian_field,
     jacobi_residual,
     modular_field,
@@ -310,9 +311,11 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     Repeated calls in one process share one argument parser, built on the
-    first call; every call starts with an empty quotient-rule memo.
+    first call; every call starts with an empty quotient-rule memo and no
+    bivector taken as proved Poisson.
     """
     clear_quotient_memo()
+    clear_poisson_memo()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -107,7 +107,9 @@ def exact_basis(volume: VolumeForm, grade: int,
 def _exact_and_kernel_dims(volume: VolumeForm, pi: Multivector, grade: int,
                            max_degree: int) -> Tuple[int, int]:
     """n - rank C and n - rank [C; D] on the monomial grade-k multivectors,
-    from one assembly that runs curl and [pi, .] once per basis element."""
+    from one stacked assembly: curl and [pi, .] run on each blade, on each
+    blade times each coordinate and, from degree 2, on one check element
+    per blade, not on every basis element."""
     ambient = MultivectorBasis(volume.chart, grade, max_degree)
     stacked = collect_linear_system(
         lambda a: (curl(volume, a), schouten(pi, a)), ambient)

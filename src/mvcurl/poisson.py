@@ -9,7 +9,7 @@ failure of Hamiltonian flows to preserve that volume.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import (
@@ -28,6 +28,7 @@ __all__ = [
     "StructureConstants",
     "jacobi_residual",
     "require_poisson",
+    "clear_poisson_memo",
     "hamiltonian_field",
     "modular_field",
     "lm_system_residuals",
@@ -48,13 +49,30 @@ def jacobi_residual(pi: Multivector) -> Multivector:
     return schouten(pi, pi)
 
 
+# bivectors proved Poisson, by value: equality is structural on canonical
+# coefficients, so an equal bivector is proved too; bounded, and emptied by
+# ``clear_poisson_memo`` (the CLI does so once per command)
+POISSON_MEMO_SIZE = 256
+_PROVEN: Set[Multivector] = set()
+
+
+def clear_poisson_memo() -> None:
+    _PROVEN.clear()
+
+
 def require_poisson(pi: Multivector) -> None:
     """Prove the Jacobi identity [pi, pi] = 0, or name the first index triple
-    (i, j, k), 0-based and in lexicographic order, on which it fails."""
+    (i, j, k), 0-based and in lexicographic order, on which it fails.  A
+    bivector equal to one already proved is not proved again."""
+    if pi in _PROVEN:
+        return
     residual = jacobi_residual(pi)
     if not residual.is_zero():
         triple = min(blade_indices(mask) for mask in residual.terms)
         raise NonPoissonError(f"Jacobi identity fails on triple {triple}")
+    if len(_PROVEN) >= POISSON_MEMO_SIZE:
+        _PROVEN.clear()
+    _PROVEN.add(pi)
 
 
 def hamiltonian_field(pi: Multivector, f: RationalFunc) -> Multivector:

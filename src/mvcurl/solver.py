@@ -7,6 +7,13 @@ a (blade, monomial) row basis after clearing all denominators with one
 common denominator for the whole system; a per-column denominator would
 rescale columns and corrupt the recovered solution functions.
 
+Every map a solver takes is also a first-order differential operator in the
+coefficient: Liouville's transport equation curl(m A) = m curl A +- i_{dm} A
+and the derivation [pi, .] are.  So the map runs on each seed (a blade over
+a coefficient denominator) and on the seed times each variable, and each
+basis element's column is assembled from those few values by shifting
+monomial keys, not by running the map on the element.
+
 The values come straight from the ring's integer numerators, so a system
 is stored as sparse rows of ``int`` (a ``Fraction`` only where a value is
 not an integer) and eliminated fraction-free; no dense matrix is built on
@@ -22,12 +29,14 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm, _BladeSum
-from mvcurl.ring import Polynomial, RationalFunc, poly_lcm
+from mvcurl.ring import Polynomial, RationalFunc, _field, _unpack, poly_lcm
 
-# Largest ansatz a solver accepts, in basis elements.  Assembly runs an
-# operator on every element and elimination is up to cubic in the count: on a
-# 2-core x86 host, so(3) casimir at degree 20 (1,771 elements) took 2.3 s and
-# at degree 30 (5,456) 22 s.
+# Largest ansatz a solver accepts, in basis elements.  Assembly runs the
+# operator a few times per seed, but elimination is up to cubic in the count:
+# on a 2-core x86 host with Python 3.11, so(3) casimir at degree 20 (1,771
+# elements) took 0.03 s to assemble and about 0.1 s to eliminate (0.24 s for
+# the whole CLI process), and at degree 30 (5,456) about 0.1 s and 0.6-0.8 s.
+# so(3) systems stay sparse; a denser system fills in as it is eliminated.
 MAX_ANSATZ_SIZE = 2000
 
 
@@ -305,53 +314,201 @@ def _residual_terms(value) -> Dict[object, RationalFunc]:
     raise TypeError(f"unsupported residual type: {type(value).__name__}")
 
 
-def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
-                                    nvars: int) -> List[Dict[object, Fraction]]:
-    """Clear all denominators with one shared multiplier; a per-output
-    multiplier would rescale columns and corrupt recovered solutions.
-    Values are the numerators' ints, or ``Fraction`` over a numerator's
-    common denominator when that is not 1."""
+def _common_multiplier(outputs: Sequence[Dict[object, RationalFunc]],
+                       nvars: int) -> RationalFunc | None:
+    """The lcm of every denominator in the outputs, or None when it is 1."""
     common = Polynomial.constant(nvars, 1)
     for out in outputs:
         for coeff in out.values():
             if not coeff.den.is_one():
                 common = poly_lcm(common, coeff.den)
-    common_rf = None if common.is_one() else RationalFunc(common)
-    expanded: List[Dict[object, Fraction]] = []
-    for out in outputs:
-        col: Dict[object, Fraction] = {}
-        for slot, coeff in out.items():
-            if common_rf is not None:
-                coeff = coeff * common_rf
-                if not coeff.den.is_one():
-                    raise RuntimeError("common denominator failed to clear residual")
-            nums, den = coeff.num.nums, coeff.num.den
-            if den == 1:
-                for exps, c in nums.items():
-                    col[(slot, exps)] = c
-            else:
-                for exps, c in nums.items():
-                    col[(slot, exps)] = Fraction(c, den)
-        expanded.append(col)
-    return expanded
+    return None if common.is_one() else RationalFunc(common)
+
+
+def _expand(out: Dict[object, RationalFunc],
+            common_rf: RationalFunc | None) -> Dict[object, Fraction]:
+    """One output times the common multiplier, as {(slot, packed key): value}
+    with an int wherever a value is an integer and a ``Fraction`` only
+    where it is not."""
+    col: Dict[object, Fraction] = {}
+    for slot, coeff in out.items():
+        if common_rf is not None:
+            coeff = coeff * common_rf
+            if not coeff.den.is_one():
+                raise RuntimeError("common denominator failed to clear residual")
+        nums, den = coeff.num.nums, coeff.num.den
+        if den == 1:
+            for key, c in nums.items():
+                col[(slot, key)] = c
+        else:
+            for key, c in nums.items():
+                col[(slot, key)] = Fraction(c, den) if c % den else c // den
+    return col
+
+
+def _settled(col: Dict[object, Fraction]) -> Dict[object, Fraction]:
+    """The non-zero values of ``col``, an int wherever one is an integer."""
+    return {k: v.numerator if v.denominator == 1 else v
+            for k, v in col.items() if v}
+
+
+def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
+                                    nvars: int) -> List[Dict[object, Fraction]]:
+    """Clear all denominators with one shared multiplier; a per-output
+    multiplier would rescale columns and corrupt recovered solutions."""
+    common_rf = _common_multiplier(outputs, nvars)
+    return [_expand(out, common_rf) for out in outputs]
+
+
+def _seeded_terms(element) -> List[Tuple[object, Callable, Polynomial]]:
+    """The element as (seed key, make, num) per blade: it is the sum of
+    make(num) over its blades, where make(p) is p over the blade's
+    coefficient denominator, on that blade."""
+    if isinstance(element, RationalFunc):
+        den = element.den
+        return [] if element.is_zero() else [
+            (den, lambda p: RationalFunc(p, den), element.num)]
+    if isinstance(element, _BladeSum):
+        kind, chart, grade = type(element), element.chart, element.grade
+        return [((grade, mask, c.den),
+                 lambda p, mask=mask, den=c.den:
+                     kind(chart, grade, {mask: RationalFunc(p, den)}),
+                 c.num) for mask, c in element.terms.items()]
+    raise TypeError(f"unsupported basis element: {type(element).__name__}")
+
+
+def _shift_into(col: Dict[object, Fraction], piece: Dict[object, Fraction],
+                shift: int, factor) -> None:
+    """col += factor * x^shift * piece, a packed key ``shift`` added to each
+    monomial key; may leave zeros in ``col``."""
+    get = col.get
+    for (slot, key), v in piece.items():
+        k = (slot, key + shift)
+        col[k] = get(k, 0) + factor * v
 
 
 def _system_columns(residual_map: Callable, space: SearchSpace,
                     extra: Sequence) -> List[Dict[object, Fraction]]:
     """Exact columns of the map on each basis element, then of each extra
-    residual, all cleared by one common denominator."""
-    outputs = [_residual_terms(residual_map(b)) for b in space.basis]
-    _linearity_spot_check(residual_map, space, outputs)
-    return _expand_with_common_denominator(
-        outputs + [_residual_terms(v) for v in extra], space.chart.dim)
+    residual, all cleared by one common denominator.
+
+    Each basis element is a sum of terms c x^beta s over seeds s, a blade
+    with coefficient 1/den.  A first-order L has, per seed, Q = L(s) and
+    P_i = L(x_i s) - x_i Q with
+
+        L(x^beta s) = x^beta Q + sum_i beta_i x^(beta - e_i) P_i,
+
+    so the map runs on each seed and on x_i s for each variable x_i in one
+    of its exponents, and every column is a sum of shifted copies of the
+    cleared Q and P_i.  Seeds and exponents come from the basis elements,
+    which must be ``RationalFunc`` or blade sums.  Where a probe is a basis
+    element up to a constant, that element is what the map runs on, so a
+    group of degree at most 1 reads its columns straight off the probes.
+    The linearity spot check runs first; then, in each seed group with an
+    exponent of degree 2 or more, the column of its highest-degree element
+    is compared with a direct evaluation.
+    """
+    basis = space.basis
+    outputs: Dict[int, Dict[object, RationalFunc]] = {}
+
+    def output(j: int) -> Dict[object, RationalFunc]:
+        """The map on basis element j, run once."""
+        if j not in outputs:
+            outputs[j] = _residual_terms(residual_map(basis[j]))
+        return outputs[j]
+
+    _linearity_spot_check(residual_map, basis, output)
+    nvars = space.chart.dim
+    # seed key -> (make, unit, [(element, packed key, exponents, c)], own):
+    # the seed is make(unit), unit the first coefficient met in the group, so
+    # c is 1 on every element of an ansatz, also over a denominator (whose
+    # elements carry 1/lc, lc the leading coefficient of the monic den); own
+    # maps the packed key of x^beta to an element c x^beta s, |beta| <= 1
+    seeds: Dict[object, tuple] = {}
+    for j, element in enumerate(basis):
+        parts = _seeded_terms(element)
+        for key, make, num in parts:
+            if key not in seeds:
+                first = Fraction(next(iter(num.nums.values())), num.den)
+                seeds[key] = (make, first, [], {})
+            _, unit, terms, own = seeds[key]
+            for kb, c in num.nums.items():
+                exps = _unpack(nvars, kb)
+                n, d = c * unit.denominator, num.den * unit.numerator
+                c = 1 if n == d else Fraction(n, d)
+                terms.append((j, kb, exps, c))
+                if len(parts) == 1 and len(num.nums) == 1 and sum(exps) < 2:
+                    own.setdefault(kb, (j, c))
+    xkey = [_field(nvars, i)[1] for i in range(nvars)]  # packed key of x_i
+    groups = []
+    for make, unit, terms, own in seeds.values():
+        variables = [i for i in range(nvars) if any(t[2][i] for t in terms)]
+        probes = []  # (packed key of x^beta, L(c x^beta s), c), |beta| <= 1
+        for kb in [0] + [xkey[i] for i in variables]:
+            if kb in own:
+                j, c = own[kb]
+                probes.append((kb, output(j), c))
+            else:
+                p = Polynomial.monomial(nvars, _unpack(nvars, kb), unit)
+                probes.append((kb, _residual_terms(residual_map(make(p))), 1))
+        groups.append((terms, variables, probes))
+    extra = [_residual_terms(v) for v in extra]
+    common_rf = _common_multiplier(
+        [out for _, _, probes in groups for _, out, _ in probes] + extra, nvars)
+
+    columns: List[Dict[object, Fraction]] = [{} for _ in basis]
+    checks, summed = set(), set()  # summed: columns that may hold zeros
+    for terms, variables, probes in groups:
+        read_off = {}  # packed key of x^beta -> cleared L(x^beta s)
+        for kb, out, c in probes:
+            col = _expand(out, common_rf)
+            read_off[kb] = col if c == 1 else _settled(
+                {k: v / c for k, v in col.items()})
+        q = read_off[0]
+        pieces = []
+        top = max(terms, key=lambda t: t[1])
+        if sum(top[2]) > 1:
+            checks.add(top[0])
+            for i in variables:
+                p = dict(read_off[xkey[i]])
+                _shift_into(p, q, xkey[i], -1)  # P_i = L(x_i s) - x_i Q
+                pieces.append((i, {k: v for k, v in p.items() if v}))
+        for j, kb, exps, c in terms:
+            col = columns[j]
+            if kb in read_off and c == 1 and not col:  # the element is a probe
+                col.update(read_off[kb])
+                continue
+            summed.add(j)
+            if kb in read_off:
+                _shift_into(col, read_off[kb], 0, c)
+                continue
+            _shift_into(col, q, kb, c)
+            for i, p in pieces:
+                if exps[i]:
+                    _shift_into(col, p, kb - xkey[i], c * exps[i])
+    for j in summed:
+        columns[j] = _settled(columns[j])
+    for j in sorted(checks):
+        try:
+            direct = _expand(output(j), common_rf)
+        except RuntimeError:
+            direct = None
+        if direct != columns[j]:
+            raise ValueError("residual map is not a first-order differential "
+                             "operator (stencil check failed)")
+    return columns + [_expand(out, common_rf) for out in extra]
 
 
 def collect_linear_system(residual_map: Callable, space: SearchSpace) -> ExactMatrix:
     """Expand the residual of each basis element into an exact column.
 
-    ``space`` needs ordered ``basis`` elements supporting + and scale.  The
-    map must be linear in the ansatz coefficients; this is spot-checked on
-    the first basis pair before trusting it.
+    ``space`` needs ordered ``basis`` elements (``RationalFunc`` or blade
+    sums) supporting + and scale.  The map must be linear in the ansatz
+    coefficients and a first-order differential operator in them: columns
+    are built from its values on each seed and on the seed times each
+    variable (see ``_system_columns``).  Linearity is spot-checked on the
+    first basis pair, and first order on the highest-degree element of each
+    seed group, before trusting it.
     """
     return ExactMatrix.from_columns(_system_columns(residual_map, space, ()))
 
@@ -371,19 +528,21 @@ def collect_affine_system(residual_map: Callable, space: SearchSpace,
     return ExactMatrix.from_rows(last, entries), b
 
 
-def _linearity_spot_check(residual_map, space: SearchSpace,
-                          outputs: List[Dict[object, RationalFunc]]) -> None:
-    if not space.basis:
+def _linearity_spot_check(residual_map: Callable, basis: Sequence,
+                          output: Callable) -> None:
+    """Scaling on the first basis element and additivity on the first two;
+    ``output(j)`` is the map on basis element j."""
+    if not basis:
         return
-    b0 = space.basis[0]
+    b0 = basis[0]
     doubled = _residual_terms(residual_map(b0.scale(2)))
-    expect = {k: v.scale(2) for k, v in outputs[0].items()}
+    expect = {k: v.scale(2) for k, v in output(0).items()}
     if doubled != expect:
         raise ValueError("residual map is not linear (scaling check failed)")
-    if len(space.basis) > 1:
+    if len(basis) > 1:
         # residual(b0 + b1) - residual(b0) - residual(b1) must vanish
-        gap = _residual_terms(residual_map(b0 + space.basis[1]))
-        for out in outputs[:2]:
+        gap = _residual_terms(residual_map(b0 + basis[1]))
+        for out in (output(0), output(1)):
             for k, v in out.items():
                 prev = gap.get(k)
                 gap[k] = -v if prev is None else prev - v
@@ -392,8 +551,10 @@ def _linearity_spot_check(residual_map, space: SearchSpace,
 
 
 def kernel_basis(residual_map: Callable, space: SearchSpace) -> list:
-    """Members of ``space`` spanning the kernel of a linear residual map:
-    one per free column of the exact system, built with ``combine``."""
+    """Members of ``space`` spanning the kernel of a residual map that is
+    linear and first-order in the coefficient (see
+    ``collect_linear_system``): one per free column of the exact system,
+    built with ``combine``."""
     matrix = collect_linear_system(residual_map, space)
     return [space.combine(v) for v in matrix.nullspace()]
 

@@ -309,8 +309,11 @@ def test_report_takes_ranks_without_a_curl_free_basis(monkeypatch):
     report = truncated_exact_cohomology(vol, pi, 1, 2)
     assert (report.dim_exact_k, report.dim_kernel,
             report.dim_image_from_km1) == (26, 8, 8)
-    # each operator once per basis element of grades 1 and 0, plus the two
-    # linearity spot checks per assembly; the curl once more on pi itself
-    per_grade = (MultivectorBasis(chart, 1, 2).dimension + 2
-                 + MultivectorBasis(chart, 0, 2).dimension + 2)
+    # each operator once per seed blade (3 of grade 1, 1 of grade 0) and
+    # once per seed blade times each of x, y, z, once more per seed on its
+    # highest-degree element (the first-order check), plus the two linearity
+    # spot checks per assembly; the curl once more on pi itself
+    per_grade = (3 * (1 + 3 + 1) + 2) + (1 * (1 + 3 + 1) + 2)
+    assert per_grade == 24 < (MultivectorBasis(chart, 1, 2).dimension + 2
+                              + MultivectorBasis(chart, 0, 2).dimension + 2)
     assert calls == {"curl": per_grade + 1, "schouten": per_grade}

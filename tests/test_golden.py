@@ -1,13 +1,15 @@
 """Golden corpus: canonical output of each document is frozen byte for byte.
 
 Regenerating an .out file is a deliberate act; any drift in printing,
-parsing, or normalization shows up here first.
+parsing, or normalization shows up here first.  The ``*.solvers.out`` files
+freeze the solver commands on the three Lie-Poisson documents the same way.
 """
 
 from pathlib import Path
 
 import pytest
 
+from mvcurl import cli
 from mvcurl.dsl import document_from_json, document_to_json, parse, print_canonical
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -40,3 +42,28 @@ def test_json_round_trips(source: Path) -> None:
     doc = parse(source.read_text())
     payload = document_to_json(doc)
     assert document_from_json(payload) == doc
+
+
+# Each ``$ mvcurl <args>`` line in a solvers file is followed by the stdout
+# of ``mvcurl <args> --input <name>.mv``; CI replays the same lines with cmp.
+SOLVER_DOCUMENTS = ["so3", "sl2", "heisenberg"]
+SOLVER_COMMANDS = [
+    f"{command} g --max-degree {d}{json}"
+    for command in ("casimir", "lm-solve", "unimodular")
+    for d in range(1, 5) for json in ("", " --json")
+] + [
+    f"cohomology g --k {k} --max-degree {d}{json}"
+    for k in range(4) for d in range(1, 4) for json in ("", " --json")
+]
+
+
+@pytest.mark.parametrize("name", SOLVER_DOCUMENTS)
+def test_solver_outputs_match_frozen(name: str, capsys) -> None:
+    source = GOLDEN_DIR / f"{name}.mv"
+    out = []
+    for command in SOLVER_COMMANDS:
+        code = cli.main(command.split() + ["--input", str(source)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), command
+        out.append(f"$ mvcurl {command}\n{captured.out}")
+    assert "".join(out) == (GOLDEN_DIR / f"{name}.solvers.out").read_text()

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvcurl import cli, poisson
 from mvcurl.curl import (
     curl,
     curl_scaled,
@@ -79,6 +80,67 @@ def test_contact_dual_bivector_is_not_poisson():
     with pytest.raises(NonPoissonError,
                        match=r"^Jacobi identity fails on triple \(0, 1, 2\)$"):
         require_poisson(pi)
+
+
+def count_jacobi_proofs(monkeypatch):
+    calls = []
+
+    def counted(pi):
+        calls.append(pi)
+        return jacobi_residual(pi)
+
+    monkeypatch.setattr(poisson, "jacobi_residual", counted)
+    return calls
+
+
+def test_require_poisson_proves_each_value_once(monkeypatch):
+    _, chart, pi = so3_setup()
+    poisson.clear_poisson_memo()
+    calls = count_jacobi_proofs(monkeypatch)
+    require_poisson(pi)
+    x, y, z = (var(3, i) for i in range(3))
+    # an equal bivector built apart is proved already: equality is canonical
+    require_poisson(Multivector(chart, 2, {0b011: z, 0b101: -y, 0b110: x}))
+    assert calls == [pi]
+    # a failure is never remembered, so it fails again with the same triple
+    bad = Multivector(chart, 2, {0b011: chart.one_rf(), 0b101: -x})
+    for _ in range(2):
+        with pytest.raises(NonPoissonError, match=r"triple \(0, 1, 2\)"):
+            require_poisson(bad)
+    assert calls == [pi, bad, bad]
+    poisson.clear_poisson_memo()
+    require_poisson(pi)
+    assert calls == [pi, bad, bad, pi]
+    poisson.clear_poisson_memo()
+
+
+def test_poisson_memo_is_bounded():
+    poisson.clear_poisson_memo()
+    chart = Chart(["x", "y"])
+    for k in range(2 * poisson.POISSON_MEMO_SIZE + 3):
+        require_poisson(Multivector(chart, 2, {0b11: chart.constant(k + 1)}))
+        assert len(poisson._PROVEN) <= poisson.POISSON_MEMO_SIZE
+    poisson.clear_poisson_memo()
+    assert not poisson._PROVEN
+
+
+def test_a_command_proves_its_lie_binding_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "so3.mv"
+    path.write_text("chart x y z\nlie g = z e1^^e2 - y e1^^e3 + x e2^^e3\n")
+    calls = count_jacobi_proofs(monkeypatch)
+    for argv in (["casimir", "g", "--max-degree", "2"],
+                 ["unimodular", "g", "--max-degree", "1"],
+                 ["cohomology", "g", "--k", "1", "--max-degree", "1"]):
+        assert cli.main(argv + ["--input", str(path)]) == 0
+        # the parse proves it; the command's own check finds it proved
+        assert len(calls) == 1, argv
+        calls.clear()
+    capsys.readouterr()
+    # and nothing is carried into the next command
+    poisson.require_poisson(Multivector(Chart(["x", "y"]), 2, {}))
+    assert poisson._PROVEN
+    assert cli.main(["print", "--input", str(path)]) == 0
+    assert len(calls) == 2 and len(poisson._PROVEN) == 1
 
 
 def test_jacobi_residual_rejects_wrong_grade():

@@ -1,14 +1,19 @@
 """Exact linear algebra and ansatz-search tests with hand-computed oracles."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcurl import cli
+from mvcurl import cli, solver
+from mvcurl.cohomology import MultivectorBasis, _exact_and_kernel_dims, exact_basis
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
+from mvcurl.identities import (density_pool, denominator_pool, random_multiplier,
+                               random_multivector, random_polynomial)
+from mvcurl.poisson import unimodularity_check
 from mvcurl.ring import Polynomial, RationalFunc, grlex_key
 from mvcurl.solver import (
     MAX_ANSATZ_SIZE,
@@ -19,6 +24,7 @@ from mvcurl.solver import (
     collect_linear_system,
     function_span_contains,
     function_spans_equal,
+    kernel_basis,
     lm_solve,
     monomial_exponents,
     vector_span_contains,
@@ -338,6 +344,138 @@ def test_linearity_guard_rejects_nonlinear_map():
     chart, vol, field = line_setup()
     with pytest.raises(ValueError, match="not linear"):
         collect_linear_system(lambda m: m * m, AnsatzSpace(chart, 1))
+    with pytest.raises(ValueError, match="not linear"):
+        collect_linear_system(lambda m: m * m, AnsatzSpace(chart, 2))
+
+
+def test_first_order_guard_rejects_a_second_order_map():
+    chart, vol, field = line_setup()
+    second = lambda f: f.diff(0).diff(0)
+    # linear, so the spot check passes; x^2 is where the stencil misses it
+    assert collect_linear_system(second, AnsatzSpace(chart, 1)).rows == 0
+    with pytest.raises(ValueError, match="not a first-order"):
+        collect_linear_system(second, AnsatzSpace(chart, 2))
+    with pytest.raises(ValueError, match="not a first-order"):
+        kernel_basis(second, AnsatzSpace(Chart(["x", "y"]), 2))
+
+
+# -- stencil assembly against direct evaluation ------------------------------
+
+
+def direct_columns(residual_map, space, extra=()):
+    """Columns as assembled with the map run on every basis element, all
+    cleared by one common denominator."""
+    outputs = [solver._residual_terms(residual_map(b)) for b in space.basis]
+    return solver._expand_with_common_denominator(
+        outputs + [solver._residual_terms(v) for v in extra], space.chart.dim)
+
+
+@pytest.fixture
+def checked_assembly(monkeypatch):
+    """Every system assembled while the fixture is active is assembled the
+    direct way too: the columns must agree exactly, ints wherever a value is
+    an integer, with no more operator calls than one per element plus the
+    two linearity spot checks.  Returns the spaces assembled."""
+    stencil = solver._system_columns
+    spaces = []
+
+    def checked(residual_map, space, extra):
+        calls = 0
+
+        def counted(element):
+            nonlocal calls
+            calls += 1
+            return residual_map(element)
+
+        columns = stencil(counted, space, extra)
+        assert columns == direct_columns(residual_map, space, extra)
+        assert only_exact_ints(v for col in columns for v in col.values())
+        assert calls <= len(space.basis) + 2
+        spaces.append(space)
+        return columns
+
+    monkeypatch.setattr(solver, "_system_columns", checked)
+    return spaces
+
+
+CHARTS = [Chart(["x"]), Chart(["x", "y"]), Chart(["x", "y", "z"]),
+          Chart(["x", "y", "z", "w"])]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"dim{c.dim}")
+def test_stencil_columns_match_direct_on_every_named_map(chart, seed,
+                                                         checked_assembly):
+    rng = random.Random(f"stencil:{chart.dim}:{seed}")
+    n = chart.dim
+    densities = density_pool(chart)  # 1, 2, then polynomial densities
+    vol = VolumeForm(chart, densities[seed % len(densities)])
+    degree = 2 if n < 4 else 1 + seed % 2
+    # multipliers of a field or multivector with rational coefficients
+    a = random_multivector(rng, chart, rng.randint(1, n))
+    a = Multivector(chart, a.grade, {m: c * random_multiplier(rng, n)
+                                     for m, c in a.terms.items()})
+    lm_solve(vol, a, AnsatzSpace(chart, degree))
+    # a denominator whose leading coefficient is not 1: the monic
+    # denominator carries it into each element's numerator
+    q = rng.choice(denominator_pool(n)).scale(rng.choice([1, 3]))
+    lm_solve(vol, a, AnsatzSpace(chart, 1, q))
+    # a Poisson bivector h e1^e2 for Casimirs and unimodularity
+    h = RationalFunc(random_polynomial(rng, n, allow_zero=False))
+    pi = Multivector(chart, 2, {0b11: h}) if n > 1 else Multivector.zero(chart, 2)
+    casimir_solve(pi, AnsatzSpace(chart, degree))
+    unimodularity_check(vol, pi, degree)
+    # every grade for the curl-free spaces and the stacked cohomology system
+    bracket = random_multivector(rng, chart, 2) if n > 1 else pi
+    for grade in range(n + 1):
+        exact_basis(vol, grade, degree)
+        _exact_and_kernel_dims(vol, bracket, grade, degree)
+    kinds = {type(space) for space in checked_assembly}
+    assert kinds == {AnsatzSpace, MultivectorBasis}
+    assert any(space.dimension > n + 1 for space in checked_assembly)
+
+
+def test_stencil_on_duck_typed_bases():
+    chart = Chart(["x", "y"])
+    x, y, one = var(2, 0), var(2, 1), chart.one_rf()
+    vol = VolumeForm(chart, x * x + one)
+    field = Multivector(chart, 2, {0b11: x * y + one})
+    maps = [lambda m: curl(vol, field.scale(m)),
+            lambda f: schouten(field, Multivector.scalar(chart, f))]
+    q = RationalFunc(one.num, (x * x + one).num)
+    bases = [
+        # probes that are elements only up to a constant, 2 and 2/3
+        [one.scale(2), y.scale(2), x.scale(F(2, 3)), (x * y).scale(5), x * x * x],
+        # no probe among the elements: the map runs on 1, x and y as well;
+        # a zero element has an empty column
+        [x * x, chart.zero_rf(), (x * y * y).scale(-1), y * y * y],
+        # elements with two seeds each, 1 and 1/(x^2 + 1)
+        [one + q, x + (y * q).scale(3), x * x * q, y * y - x * y * q],
+    ]
+    for basis in bases:
+        space = solver.SearchSpace(chart, basis)
+        for residual in maps:
+            columns = solver._system_columns(residual, space, ())
+            assert columns == direct_columns(residual, space)
+            assert only_exact_ints(v for col in columns for v in col.values())
+
+
+def test_stencil_on_an_ansatz_that_reduces_to_two_seeds(checked_assembly):
+    chart, vol, field = line_setup()
+    # 1/x and x/x = 1: the seeds 1/x and 1
+    space = AnsatzSpace(chart, 1, denominator=Polynomial.variable(1, 0))
+    assert [b.to_string(("x",)) for b in space.basis] == ["(1)/(x)", "1"]
+    assert lm_solve(vol, field, space) == [var(1, 0).inverse()]
+    # and x^2/x = x, so the seed 1 has x^0 and x^1
+    space = AnsatzSpace(chart, 2, denominator=Polynomial.variable(1, 0))
+    assert [b.to_string(("x",)) for b in space.basis] == ["(1)/(x)", "1", "x"]
+    assert lm_solve(vol, field, space) == [var(1, 0).inverse()]
+    x_plus = Polynomial.variable(1, 0) + Polynomial.constant(1, 1)
+    sols = lm_solve(vol, field.scale(var(1, 0) + chart.one_rf()),
+                    AnsatzSpace(chart, 3, denominator=x_plus * x_plus))
+    assert all(curl(vol, field.scale(var(1, 0) + chart.one_rf()).scale(m)).is_zero()
+               for m in sols)
+    assert len(checked_assembly) == 3
 
 
 def test_affine_solve_recovers_witness():
@@ -427,6 +565,9 @@ def test_lm_solve_result_independent_of_basis_order():
     flipped = [flipped_space.combine(v)
                for v in collect_linear_system(residual, flipped_space).nullspace()]
     assert function_spans_equal(direct, flipped)
+    # the duck-typed space takes the stencil path too, column for column
+    assert (solver._system_columns(residual, flipped_space, ())
+            == direct_columns(residual, flipped_space))
 
 
 def so3_bivector():
