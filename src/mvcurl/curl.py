@@ -9,6 +9,13 @@ cross-check between two independent computations.
 Logarithms never appear symbolically: the bracket of a multivector with
 log(m) is realized as the difference of two curls, which keeps the
 coefficient field closed under every operation.
+
+A last multiplier is checked three ways, one per characterization in the
+paper.  The Witten route tests omega = flat(A) against d_m + (m-1)d, where
+d_m = dm^ + d is the Witten differential at t = 1.  That operator is
+dm^ + m d, so the route compares dm ^ omega with -m d(omega) and never
+normalises a sum: normal forms are unique, so a sum of two canonical forms
+is zero exactly when one is minus the other.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from mvcurl.exterior import (
     marsden_derivative,
     merge_sign,
     sharp,
-    witten_derivative,
 )
 from mvcurl.ring import RationalFunc
 
@@ -105,20 +111,27 @@ def last_multiplier_residual(volume: VolumeForm, m: RationalFunc,
     return curl(volume, a.scale(m))
 
 
+def _in_witten_kernel(m: RationalFunc, omega: DifferentialForm) -> bool:
+    """Whether omega lies in the kernel of d_m + (m-1)d = dm^ + m d, that is
+    whether dm ^ omega == -m d(omega); no sum is formed or normalised."""
+    dm = DifferentialForm.differential(omega.chart, m)
+    return dm.wedge(omega) == -exterior_derivative(omega).scale(m)
+
+
 def is_last_multiplier(volume: VolumeForm, m: RationalFunc, a: Multivector) -> bool:
     """Three independent routes; any disagreement is an internal error.
 
     (a) the curl residual of m*a vanishes;
-    (b) flat(a) lies in the kernel of the operator d_m + (m-1)d;
+    (b) flat(a) lies in the kernel of the operator d_m + (m-1)d, which is
+        dm^ + m d: dm ^ flat(a) equals -m d(flat(a)), compared as canonical
+        forms, with its own dm, d and wedge;
     (c) flat(a) is closed for the conjugated differential (1/m) d(m * .).
     """
     if m.is_zero():
         raise ZeroDivisionError("candidate multiplier must be non-zero")
     omega = flat(volume, a)
-    one = RationalFunc.constant(m.nvars, 1)
     via_curl = last_multiplier_residual(volume, m, a).is_zero()
-    via_witten = (witten_derivative(1, m, omega)
-                  + exterior_derivative(omega).scale(m - one)).is_zero()
+    via_witten = _in_witten_kernel(m, omega)
     via_marsden = marsden_derivative(m, omega).is_zero()
     if not via_curl == via_witten == via_marsden:
         raise RuntimeError(

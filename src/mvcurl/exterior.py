@@ -364,24 +364,37 @@ def interior_product_vector(omega: DifferentialForm, a: Multivector) -> Multivec
 
 
 def flat(volume: VolumeForm, a: Multivector) -> DifferentialForm:
-    """Contraction into the volume form, i_a V: grade k -> degree n - k."""
-    return _contract(a, volume.top_form())
+    """Contraction into the volume form, i_a V: grade k -> degree n - k.
+
+    Each blade goes to its complement with the sign of sorting the blade in
+    front of it, times the density; a unit density multiplies nothing.
+    """
+    if volume.chart != a.chart:
+        raise ValueError("chart mismatch")
+    chart = a.chart
+    full = chart.full_mask
+    f = None if volume.density.is_one() else volume.density
+    out: Dict[int, RationalFunc] = {}
+    for mask, coeff in a.terms.items():
+        rest = full & ~mask
+        c = coeff if f is None else coeff * f
+        out[rest] = -c if merge_sign(mask, rest) < 0 else c
+    return DifferentialForm(chart, chart.dim - a.grade, out)
 
 
 def sharp(volume: VolumeForm, omega: DifferentialForm) -> Multivector:
-    """Inverse of flat: solves i_A V = omega blade by blade."""
+    """Inverse of flat: solves i_A V = omega blade by blade; a unit density
+    divides nothing."""
     if volume.chart != omega.chart:
         raise ValueError("chart mismatch")
     chart = omega.chart
     full = chart.full_mask
-    f = volume.density
+    f = None if volume.density.is_one() else volume.density
     out: Dict[int, RationalFunc] = {}
     for mask, coeff in omega.terms.items():
         rest = full & ~mask
-        c = coeff / f
-        if merge_sign(rest, mask) < 0:
-            c = -c
-        out[rest] = c
+        c = coeff if f is None else coeff / f
+        out[rest] = -c if merge_sign(rest, mask) < 0 else c
     return Multivector(chart, chart.dim - omega.grade, out)
 
 

@@ -8,6 +8,7 @@ are no tolerances anywhere.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
@@ -55,15 +56,17 @@ def random_polynomial(rng: random.Random, nvars: int, max_degree: int = 2,
     return p
 
 
-def denominator_pool(nvars: int) -> List[Polynomial]:
-    """Nowhere-vanishing-friendly denominators that keep GCDs cheap."""
+@functools.cache
+def denominator_pool(nvars: int) -> Tuple[Polynomial, ...]:
+    """Nowhere-vanishing-friendly denominators that keep GCDs cheap; built
+    once per dimension and shared, since polynomials are never mutated."""
     x = Polynomial.variable(nvars, 0)
     one = Polynomial.constant(nvars, 1)
     pool = [x * x + one]
     if nvars >= 2:
         y = Polynomial.variable(nvars, 1)
         pool.append(x * x + y * y + one)
-    return pool
+    return tuple(pool)
 
 
 def random_multiplier(rng: random.Random, nvars: int) -> RationalFunc:
@@ -74,11 +77,15 @@ def random_multiplier(rng: random.Random, nvars: int) -> RationalFunc:
     return RationalFunc(p, rng.choice(denominator_pool(nvars)))
 
 
-def density_pool(chart: Chart) -> List[RationalFunc]:
-    n = chart.dim
-    out = [chart.one_rf(), chart.constant(2)]
-    out.extend(RationalFunc(q) for q in denominator_pool(n))
-    return out
+def density_pool(chart: Chart) -> Tuple[RationalFunc, ...]:
+    """Densities 1, 2, then each denominator of ``denominator_pool``."""
+    return _density_pool(chart.dim)
+
+
+@functools.cache
+def _density_pool(n: int) -> Tuple[RationalFunc, ...]:
+    return (RationalFunc.constant(n, 1), RationalFunc.constant(n, 2),
+            *(RationalFunc(q) for q in denominator_pool(n)))
 
 
 def random_volume(rng: random.Random, chart: Chart) -> VolumeForm:

@@ -4,8 +4,10 @@ Kernels of the multiplier, Casimir, and cohomology equations are linear in
 the unknown coefficients, so each problem reduces to an exact nullspace or
 an exact affine solve.  Residual outputs of the probed map are expanded over
 a (blade, monomial) row basis after clearing all denominators with one
-common denominator for the whole system; a per-column denominator would
-rescale columns and corrupt the recovered solution functions.
+common multiplier for the whole system; a per-column multiplier would
+rescale columns and corrupt the recovered solution functions.  The common
+multiplier is the lcm of the denominators with integer numerators, and a
+coefficient n/d is cleared as n times the exact quotient of it by d.
 
 Every map a solver takes is also a first-order differential operator in the
 coefficient: Liouville's transport equation curl(m A) = m curl A +- i_{dm} A
@@ -315,28 +317,38 @@ def _residual_terms(value) -> Dict[object, RationalFunc]:
 
 
 def _common_multiplier(outputs: Sequence[Dict[object, RationalFunc]],
-                       nvars: int) -> RationalFunc | None:
-    """The lcm of every denominator in the outputs, or None when it is 1."""
+                       nvars: int) -> Polynomial | None:
+    """The lcm of every denominator in the outputs with integer numerators,
+    that is the monic lcm times its integer denominator, or None when the lcm
+    is 1.  Scaling a whole system by one constant changes no kernel or
+    solution, and this scale leaves more values integral."""
     common = Polynomial.constant(nvars, 1)
     for out in outputs:
         for coeff in out.values():
             if not coeff.den.is_one():
                 common = poly_lcm(common, coeff.den)
-    return None if common.is_one() else RationalFunc(common)
+    return None if common.is_one() else Polynomial._make(nvars, common.nums)
 
 
 def _expand(out: Dict[object, RationalFunc],
-            common_rf: RationalFunc | None) -> Dict[object, Fraction]:
+            common: Polynomial | None) -> Dict[object, Fraction]:
     """One output times the common multiplier, as {(slot, packed key): value}
     with an int wherever a value is an integer and a ``Fraction`` only
-    where it is not."""
+    where it is not.  Each coefficient n/d is cleared as n * (common / d),
+    one exact division and no gcd."""
     col: Dict[object, Fraction] = {}
     for slot, coeff in out.items():
-        if common_rf is not None:
-            coeff = coeff * common_rf
+        num = coeff.num
+        if common is not None:
+            cofactor = common
             if not coeff.den.is_one():
-                raise RuntimeError("common denominator failed to clear residual")
-        nums, den = coeff.num.nums, coeff.num.den
+                try:
+                    cofactor = common.exact_div(coeff.den)
+                except ValueError:
+                    raise RuntimeError("common denominator failed to clear "
+                                       "residual") from None
+            num = num * cofactor
+        nums, den = num.nums, num.den
         if den == 1:
             for key, c in nums.items():
                 col[(slot, key)] = c
@@ -356,8 +368,8 @@ def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
                                     nvars: int) -> List[Dict[object, Fraction]]:
     """Clear all denominators with one shared multiplier; a per-output
     multiplier would rescale columns and corrupt recovered solutions."""
-    common_rf = _common_multiplier(outputs, nvars)
-    return [_expand(out, common_rf) for out in outputs]
+    common = _common_multiplier(outputs, nvars)
+    return [_expand(out, common) for out in outputs]
 
 
 def _seeded_terms(element) -> List[Tuple[object, Callable, Polynomial]]:
@@ -453,7 +465,7 @@ def _system_columns(residual_map: Callable, space: SearchSpace,
                 probes.append((kb, _residual_terms(residual_map(make(p))), 1))
         groups.append((terms, variables, probes))
     extra = [_residual_terms(v) for v in extra]
-    common_rf = _common_multiplier(
+    common = _common_multiplier(
         [out for _, _, probes in groups for _, out, _ in probes] + extra, nvars)
 
     columns: List[Dict[object, Fraction]] = [{} for _ in basis]
@@ -461,7 +473,7 @@ def _system_columns(residual_map: Callable, space: SearchSpace,
     for terms, variables, probes in groups:
         read_off = {}  # packed key of x^beta -> cleared L(x^beta s)
         for kb, out, c in probes:
-            col = _expand(out, common_rf)
+            col = _expand(out, common)
             read_off[kb] = col if c == 1 else _settled(
                 {k: v / c for k, v in col.items()})
         q = read_off[0]
@@ -490,13 +502,13 @@ def _system_columns(residual_map: Callable, space: SearchSpace,
         columns[j] = _settled(columns[j])
     for j in sorted(checks):
         try:
-            direct = _expand(output(j), common_rf)
+            direct = _expand(output(j), common)
         except RuntimeError:
             direct = None
         if direct != columns[j]:
             raise ValueError("residual map is not a first-order differential "
                              "operator (stencil check failed)")
-    return columns + [_expand(out, common_rf) for out in extra]
+    return columns + [_expand(out, common) for out in extra]
 
 
 def collect_linear_system(residual_map: Callable, space: SearchSpace) -> ExactMatrix:

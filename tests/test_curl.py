@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mvcurl import curl as curl_module
 from mvcurl.curl import (
     curl,
     curl_scaled,
@@ -17,9 +18,20 @@ from mvcurl.curl import (
     schouten,
     vector_apply,
 )
-from mvcurl.exterior import Chart, Multivector, VolumeForm
+from mvcurl.exterior import (
+    Chart,
+    DifferentialForm,
+    Multivector,
+    VolumeForm,
+    exterior_derivative,
+    flat,
+    sharp,
+    witten_derivative,
+)
 from mvcurl.identities import (
+    density_pool,
     random_chart,
+    random_form,
     random_multiplier,
     random_multivector,
     random_polynomial,
@@ -246,3 +258,78 @@ def test_bracket_closure_of_multiplier_kernel():
 def test_identity_suite_smoke():
     results = run_identity_suite(seed=1, cases=5)
     assert all(r.passed for r in results), [(r.name, r.failures) for r in results]
+
+
+# -- route (b): dm ^ omega == -m d(omega) against the summed Witten form ----
+
+
+def witten_sum_vanishes(m, omega):
+    """Route (b) as the paper writes it: (d_m + (m-1)d) omega == 0, with the
+    Witten differential at t = 1 and the sum normalised."""
+    one = RationalFunc.constant(m.nvars, 1)
+    return (witten_derivative(1, m, omega)
+            + exterior_derivative(omega).scale(m - one)).is_zero()
+
+
+CASES_PER_DIMENSION = 260
+
+
+def route_b_cases(dim):
+    """At least CASES_PER_DIMENSION seeded (volume, multiplier, multivector)
+    cases in one dimension: every grade and every pool density, random
+    multipliers, and multipliers that are last multipliers by construction."""
+    chart = Chart(("x", "y", "z", "w")[:dim])
+    rng = random.Random(f"route-b:{dim}")
+    pool = density_pool(chart)
+    per_pass = len(pool) * ((dim + 1) * 6 + 2)
+    passes = -(-CASES_PER_DIMENSION // per_pass)
+    for density in pool * passes:
+        vol = VolumeForm(chart, density)
+        for grade in range(dim + 1):
+            for _ in range(4):
+                a = random_multivector(rng, chart, grade, max_degree=1)
+                yield vol, random_multiplier(rng, dim), a
+            # m (sharp of a closed form) / m: curl(m A) = sharp(d closed) = 0
+            for _ in range(2):
+                m = random_multiplier(rng, dim)
+                if grade < dim:
+                    closed = exterior_derivative(random_form(
+                        rng, chart, dim - grade - 1, max_degree=2))
+                else:
+                    closed = DifferentialForm.scalar(
+                        chart, chart.constant(rng.choice((-2, 1, 3))))
+                yield vol, m, sharp(vol, closed).scale(m.inverse())
+        # 1/(c f) for the top-degree c e_top against density f
+        for _ in range(2):
+            c = RationalFunc(random_polynomial(rng, dim, allow_zero=False))
+            top = Multivector.blade(chart, range(dim), c)
+            yield vol, (c * density).inverse(), top
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_witten_route_agrees_with_the_summed_witten_form(dim):
+    verdicts = []
+    for vol, m, a in route_b_cases(dim):
+        omega = flat(vol, a)
+        verdict = curl_module._in_witten_kernel(m, omega)
+        assert verdict == witten_sum_vanishes(m, omega), (vol, m, a)
+        verdicts.append(verdict)
+    assert len(verdicts) >= CASES_PER_DIMENSION
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_route_b_case_count_and_verdicts():
+    cases = [case for dim in range(1, 5) for case in route_b_cases(dim)]
+    assert len(cases) >= 1000
+    verdicts = [is_last_multiplier(*case) for case in cases[::7]]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_disagreeing_witten_route_raises(monkeypatch):
+    h = X * X + Y * Y + CH.one_rf()
+    witten = curl_module._in_witten_kernel
+    monkeypatch.setattr(curl_module, "_in_witten_kernel",
+                        lambda m, omega: not witten(m, omega))
+    for m, a in ((h.inverse(), bivector(h)), (X, E1)):
+        with pytest.raises(RuntimeError, match="routes disagree"):
+            is_last_multiplier(VOL, m, a)

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from mvcurl import ring
 from mvcurl.exterior import (
     Chart,
     DifferentialForm,
     Multivector,
     VolumeForm,
+    _contract,
     exterior_derivative,
     flat,
     interior_product_form,
@@ -21,6 +23,7 @@ from mvcurl.exterior import (
     wedge,
 )
 from mvcurl.identities import (
+    density_pool,
     random_chart,
     random_form,
     random_multiplier,
@@ -135,6 +138,46 @@ def test_flat_sharp_roundtrip_random():
         assert sharp(vol, flat(vol, a)) == a
         w = random_form(rng, chart, rng.randint(0, chart.dim))
         assert flat(vol, sharp(vol, w)) == w
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_flat_and_sharp_against_contraction_and_division(dim):
+    # flat is i_a V; sharp is the unit-density sharp divided by the density
+    chart = Chart(("x", "y", "z", "w")[:dim])
+    unit = VolumeForm.unit(chart)
+    top_vector = Multivector.blade(chart, range(dim))
+    rng = random.Random(f"musical:{dim}")
+    for density in density_pool(chart):
+        vol = VolumeForm(chart, density)
+        for grade in range(dim + 1):
+            for _ in range(4):
+                a = random_multivector(rng, chart, grade, max_blades=3)
+                w = random_form(rng, chart, grade, max_blades=3)
+                assert flat(vol, a) == _contract(a, vol.top_form())
+                # the sign of sorting (complement, blade) against (blade,
+                # complement) is (-1)^(k(n-k))
+                swap = -1 if grade * (dim - grade) % 2 else 1
+                assert sharp(unit, w) == _contract(w, top_vector).scale(swap)
+                divided = {m: c / density for m, c in sharp(unit, w).terms.items()}
+                assert sharp(vol, w) == Multivector(chart, dim - grade, divided)
+                assert sharp(vol, flat(vol, a)) == a
+                assert flat(vol, sharp(vol, w)) == w
+
+
+def test_unit_density_multiplies_and_divides_nothing(monkeypatch):
+    rng = random.Random(9)
+    chart = Chart(("x", "y", "z"))
+    unit = VolumeForm.unit(chart)
+    cases = [(random_multivector(rng, chart, k), random_form(rng, chart, k))
+             for k in range(4)]
+    expected = [(flat(unit, a), sharp(unit, w)) for a, w in cases]
+
+    def refuse(*args):
+        raise AssertionError("unit density took a ring product")
+
+    monkeypatch.setattr(ring.RationalFunc, "__mul__", refuse)
+    monkeypatch.setattr(ring.RationalFunc, "__truediv__", refuse)
+    assert [(flat(unit, a), sharp(unit, w)) for a, w in cases] == expected
 
 
 def test_flat_linearity_over_functions():

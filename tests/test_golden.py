@@ -2,7 +2,9 @@
 
 Regenerating an .out file is a deliberate act; any drift in printing,
 parsing, or normalization shows up here first.  The ``*.solvers.out`` files
-freeze the solver commands on the three Lie-Poisson documents the same way.
+freeze the solver commands on the three Lie-Poisson documents the same way,
+and the ``*.lm.out`` files the last-multiplier commands on every document
+with an ``mv`` binding.
 """
 
 from pathlib import Path
@@ -67,3 +69,35 @@ def test_solver_outputs_match_frozen(name: str, capsys) -> None:
         assert (code, captured.err) == (0, ""), command
         out.append(f"$ mvcurl {command}\n{captured.out}")
     assert "".join(out) == (GOLDEN_DIR / f"{name}.solvers.out").read_text()
+
+
+def lm_commands(source: Path) -> list:
+    """``lm-check f A`` for each func f and mv A, then ``lm-solve A
+    --max-degree 2`` for each mv A, each as text and JSON."""
+    bindings = parse(source.read_text()).bindings
+    funcs = [b.name for b in bindings if b.kind == "func"]
+    fields = [b.name for b in bindings if b.kind == "mv"]
+    return [f"lm-check {f} {a}{json}" for f in funcs for a in fields
+            for json in ("", " --json")] + [
+        f"lm-solve {a} --max-degree 2{json}" for a in fields
+        for json in ("", " --json")]
+
+
+LM_SOURCES = [s for s in SOURCES if lm_commands(s)]
+
+
+def test_every_lm_golden_has_a_document() -> None:
+    frozen = sorted(GOLDEN_DIR.glob("*.lm.out"))
+    assert [p.name for p in frozen] == [f"{s.stem}.lm.out" for s in LM_SOURCES]
+    assert sum(len(lm_commands(s)) for s in LM_SOURCES) == 62
+
+
+@pytest.mark.parametrize("source", LM_SOURCES, ids=lambda p: p.stem)
+def test_lm_outputs_match_frozen(source: Path, capsys) -> None:
+    out = []
+    for command in lm_commands(source):
+        code = cli.main(command.split() + ["--input", str(source)])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == "", command
+        out.append(f"$ mvcurl {command}\n{captured.out}")
+    assert "".join(out) == source.with_suffix(".lm.out").read_text()

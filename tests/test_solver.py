@@ -308,6 +308,50 @@ def test_systems_from_integer_polynomials_hold_ints():
     assert F(1, 2) in values and only_exact_ints(values)
 
 
+def test_common_multiplier_has_integer_numerators():
+    # monic denominators carry rational coefficients: 3x + 1 is x + 1/3
+    x, one = var(1, 0), RationalFunc.constant(1, 1)
+    q = x.scale(3) + one
+    outputs = [{0: x / q}, {0: one / q}, {0: x}]
+    common = solver._common_multiplier(outputs, 1)
+    assert common == Polynomial(1, {(1,): 3, (0,): 1}) and common.den == 1
+    # x/(3x+1), 1/(3x+1) and x clear to x, 1 and 3x^2 + x, where the
+    # monic lcm x + 1/3 gave x/3, 1/3 and x^2 + x/3
+    columns = solver._expand_with_common_denominator(outputs, 1)
+    assert [sorted(col.values()) for col in columns] == [[1], [1], [1, 3]]
+    assert all(type(v) is int for col in columns for v in col.values())
+    assert solver._common_multiplier([{0: x}, {}], 1) is None
+
+
+def test_denominator_outside_the_common_multiplier_raises():
+    x, one = var(1, 0), RationalFunc.constant(1, 1)
+    common = Polynomial(1, {(1,): 3, (0,): 1})
+    with pytest.raises(RuntimeError, match="failed to clear residual"):
+        solver._expand({0: one / (x + one)}, common)
+    with pytest.raises(RuntimeError, match="failed to clear residual"):
+        solver._expand({0: one / (x.scale(3) + one) ** 2}, common)
+
+
+def test_rational_denominator_system_holds_ints():
+    # f = 1/q1 + 2/q2 with non-monic linear q1, q2, A = (1/f) e1^e2: the
+    # system over the ansatz with denominator q1 q2 was all Fractions
+    # (every value over 49) before clearing with integer numerators
+    chart = Chart(["x", "y"])
+    q1 = Polynomial(2, {(1, 0): 3, (0, 1): 2, (0, 0): 1})
+    q2 = Polynomial(2, {(1, 0): 1, (0, 1): -3, (0, 0): 2})
+    f = (RationalFunc(Polynomial.constant(2, 1), q1)
+         + RationalFunc(Polynomial.constant(2, 2), q2))
+    a = Multivector.blade(chart, (0, 1), f.inverse())
+    vol = VolumeForm.unit(chart)
+    space = AnsatzSpace(chart, 2, denominator=q1 * q2)
+    matrix = collect_linear_system(lambda m: curl(vol, a.scale(m)), space)
+    values = [v for row in matrix.entries for v in row.values()]
+    assert len(values) == 20 and all(type(v) is int for v in values)
+    assert matrix.rank() == 5
+    (m,) = lm_solve(vol, a, space)
+    assert curl(vol, a.scale(m)).is_zero()
+
+
 def test_solver_commands_never_build_dense_rows(tmp_path, capsys, monkeypatch):
     path = tmp_path / "so3.mv"
     path.write_text("chart x y z\nlie g = z e1^^e2 - y e1^^e3 + x e2^^e3\n")
