@@ -493,6 +493,30 @@ def test_ansatz_past_the_budget_is_refused_early(tmp_path, capsys, argv, doc,
                    f"more than {MAX_ANSATZ_SIZE}\n")
 
 
+SO3_ZERO = SO3 + "func zero = x - x\n"
+
+
+@pytest.mark.parametrize("argv, doc, code, err", [
+    (["cohomology", "g", "--k", "-1", "--max-degree", "1"], SO3, 2,
+     "error: grade -1 out of range for dimension 3\n"),
+    (["cohomology", "g", "--k", "4", "--max-degree", "1"], SO3, 2,
+     "error: grade 4 out of range for dimension 3\n"),
+    (["lm-solve", "g", "--max-degree", "1", "--denominator", "zero"], SO3_ZERO,
+     3, "error: ansatz denominator must be non-zero\n"),
+    # the size is checked before the denominator is looked at
+    (["lm-solve", "g", "--max-degree", "99999", "--denominator", "zero"],
+     SO3_ZERO, 2, f"error: ansatz too large: {comb(99999 + 3, 3)} basis "
+     f"elements, more than {MAX_ANSATZ_SIZE}\n"),
+])
+def test_ansatz_space_errors_are_exit_codes(tmp_path, capsys, argv, doc, code,
+                                            err):
+    path = tmp_path / "doc.mv"
+    path.write_text(doc)
+    result = run(capsys, *argv, "--input", str(path))
+    assert result == (code, "", err)
+    assert "Traceback" not in result[2]
+
+
 # ------------------------------------------------- inputs that once were slow
 
 def cliff(k):

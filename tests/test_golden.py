@@ -71,16 +71,27 @@ def test_solver_outputs_match_frozen(name: str, capsys) -> None:
     assert "".join(out) == (GOLDEN_DIR / f"{name}.solvers.out").read_text()
 
 
+# documents whose lm-solve of P also runs over an ansatz denominator: the
+# func binding named here, x, x^2 + y^2 + 1, x and y in turn
+LM_DENOMINATORS = {"hrecip_x": "h", "hrecip_poly": "h", "case2": "q",
+                   "case3": "q"}
+
+
 def lm_commands(source: Path) -> list:
     """``lm-check f A`` for each func f and mv A, then ``lm-solve A
-    --max-degree 2`` for each mv A, each as text and JSON."""
+    --max-degree 2`` for each mv A, then ``lm-solve P --max-degree 2
+    --denominator h`` where ``LM_DENOMINATORS`` names h, each as text and
+    JSON."""
     bindings = parse(source.read_text()).bindings
     funcs = [b.name for b in bindings if b.kind == "func"]
     fields = [b.name for b in bindings if b.kind == "mv"]
+    solves = [f"lm-solve {a} --max-degree 2" for a in fields]
+    if source.stem in LM_DENOMINATORS:
+        solves.append("lm-solve P --max-degree 2 --denominator "
+                      + LM_DENOMINATORS[source.stem])
     return [f"lm-check {f} {a}{json}" for f in funcs for a in fields
             for json in ("", " --json")] + [
-        f"lm-solve {a} --max-degree 2{json}" for a in fields
-        for json in ("", " --json")]
+        f"{solve}{json}" for solve in solves for json in ("", " --json")]
 
 
 LM_SOURCES = [s for s in SOURCES if lm_commands(s)]
@@ -89,7 +100,7 @@ LM_SOURCES = [s for s in SOURCES if lm_commands(s)]
 def test_every_lm_golden_has_a_document() -> None:
     frozen = sorted(GOLDEN_DIR.glob("*.lm.out"))
     assert [p.name for p in frozen] == [f"{s.stem}.lm.out" for s in LM_SOURCES]
-    assert sum(len(lm_commands(s)) for s in LM_SOURCES) == 62
+    assert sum(len(lm_commands(s)) for s in LM_SOURCES) == 70
 
 
 @pytest.mark.parametrize("source", LM_SOURCES, ids=lambda p: p.stem)
