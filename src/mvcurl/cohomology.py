@@ -19,16 +19,13 @@ check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
 from mvcurl.poisson import require_poisson
-from mvcurl.ring import Polynomial, RationalFunc
-from mvcurl.solver import (ExactMatrix, SearchSpace, collect_linear_system,
-                           kernel_basis, monomial_exponents)
+from mvcurl.solver import (ExactMatrix, MonomialSpace, collect_linear_system,
+                           kernel_basis)
 
 __all__ = [
     "NonExactError",
@@ -44,50 +41,10 @@ class NonExactError(ValueError):
     """Raised when the bivector fails to be curl-free for the chosen volume."""
 
 
-class MultivectorBasis(SearchSpace):
-    """Monomial-coefficient basis of grade-k multivectors up to a degree.
-
-    Elements are ordered blade-major (ascending index mask), monomials
-    ascending graded lexicographic within each blade.
-    """
-
-    __slots__ = ("grade", "_index")
-
-    def __init__(self, chart: Chart, grade: int, max_degree: int):
-        if not 0 <= grade <= chart.dim:
-            raise ValueError(f"grade {grade} out of range for dimension {chart.dim}")
-        self.grade = grade
-        n = chart.dim
-        exponents = monomial_exponents(n, max_degree, comb(n, grade))
-        basis: List[Multivector] = []
-        # (blade mask, packed monomial key) -> slot
-        index: Dict[Tuple[int, int], int] = {}
-        for mask in range(1 << n):
-            if mask.bit_count() != grade:
-                continue
-            for exps in exponents:
-                monomial = Polynomial.monomial(n, exps)
-                index[(mask, *monomial.nums)] = len(basis)
-                basis.append(Multivector(chart, grade,
-                                         {mask: RationalFunc(monomial)}))
-        super().__init__(chart, basis)
-        self._index = index
-
-    def coordinates(self, a: Multivector) -> List[Fraction]:
-        """Exact coefficient vector of a member; rejects anything outside."""
-        if a.grade != self.grade and not a.is_zero():
-            raise ValueError("grade does not match basis")
-        out = [Fraction(0)] * len(self.basis)
-        for mask, coeff in a.terms.items():
-            if not coeff.den.is_one():
-                raise ValueError("coefficients must be polynomial")
-            num = coeff.num
-            for key, c in num.nums.items():
-                slot = self._index.get((mask, key))
-                if slot is None:
-                    raise ValueError("multivector exceeds the degree bound")
-                out[slot] = Fraction(c, num.den)
-        return out
+def MultivectorBasis(chart: Chart, grade: int,
+                     max_degree: int) -> MonomialSpace:
+    """Grade-k multivectors x^beta e_I with total degree <= max_degree."""
+    return MonomialSpace(chart, grade, max_degree)
 
 
 def lichnerowicz_delta(pi: Multivector, a: Multivector) -> Multivector:

@@ -9,12 +9,14 @@ rescale columns and corrupt the recovered solution functions.  The common
 multiplier is the lcm of the denominators with integer numerators, and a
 coefficient n/d is cleared as n times the exact quotient of it by d.
 
-Every map a solver takes is also a first-order differential operator in the
-coefficient: Liouville's transport equation curl(m A) = m curl A +- i_{dm} A
-and the derivation [pi, .] are.  So the map runs on each seed (a blade over
-a coefficient denominator) and on the seed times each variable, and each
-basis element's column is assembled from those few values by shifting
-monomial keys, not by running the map on the element.
+Every solver searches one kind of space, a ``MonomialSpace``: monomials
+x^beta up to a total degree times one seed per blade, 1/den for functions
+and e_b/den for multivectors.  Every map a solver takes is also a
+first-order differential operator in the coefficient: Liouville's transport
+equation curl(m A) = m curl A +- i_{dm} A and the derivation [pi, .] are.
+So the map runs only on the space's elements of degree <= 1, each seed and
+the seed times each variable, and on one check element per blade; every
+other column is assembled from those values by shifting monomial keys.
 
 The values come straight from the ring's integer numerators, so a system
 is stored as sparse rows of ``int`` (a ``Fraction`` only where a value is
@@ -31,7 +33,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm, _BladeSum
-from mvcurl.ring import Polynomial, RationalFunc, _field, _unpack, poly_lcm
+from mvcurl.ring import Polynomial, RationalFunc, _pack, poly_lcm
 
 # Largest ansatz a solver accepts, in basis elements.  Assembly runs the
 # operator a few times per seed, but elimination is up to cubic in the count:
@@ -42,18 +44,41 @@ from mvcurl.ring import Polynomial, RationalFunc, _field, _unpack, poly_lcm
 MAX_ANSATZ_SIZE = 2000
 
 
-class SearchSpace:
-    """Ordered finite basis of functions or multivectors on a chart.
+class MonomialSpace:
+    """The ansatz of every solver: monomials times one seed per blade.
 
+    Element (blade b, exponent beta) is x^beta times the seed of b, which is
+    1/den for scalar functions (``grade`` None) and e_b/den for grade-k
+    multivectors, den the fixed ``denominator`` or 1.  Exponents run over
+    every total degree <= max_degree in ascending graded lexicographic
+    order, blade-major by ascending index mask, so results are reproducible.
     Solvers expand a linear map over ``basis`` and turn kernel vectors back
     into members with ``combine``.
     """
 
-    __slots__ = ("chart", "basis")
+    __slots__ = ("chart", "grade", "exponents", "blades", "basis", "_den",
+                 "_index")
 
-    def __init__(self, chart: Chart, basis: Sequence):
-        self.chart = chart
-        self.basis = list(basis)
+    def __init__(self, chart: Chart, grade: int | None, max_degree: int,
+                 denominator: Polynomial | None = None):
+        n = chart.dim
+        if grade is not None and not 0 <= grade <= n:
+            raise ValueError(f"grade {grade} out of range for dimension {n}")
+        self.exponents = monomial_exponents(
+            n, max_degree, 1 if grade is None else comb(n, grade))
+        if denominator is not None and denominator.is_zero():
+            raise ZeroDivisionError("ansatz denominator must be non-zero")
+        self.chart, self.grade = chart, grade
+        self.blades = [0] if grade is None else [
+            mask for mask in range(1 << n) if mask.bit_count() == grade]
+        self._den = None if denominator is None else RationalFunc(denominator)
+        self.basis, self._index = [], {}
+        for mask in self.blades:
+            for exps in self.exponents:
+                self._index[(mask, _pack(exps))] = len(self.basis)
+                c = RationalFunc(Polynomial.monomial(n, exps), denominator)
+                self.basis.append(c if grade is None
+                                  else Multivector(chart, grade, {mask: c}))
 
     @property
     def dimension(self) -> int:
@@ -69,30 +94,36 @@ class SearchSpace:
                 total = total + b.scale(c)
         return total
 
+    def coordinates(self, member) -> List[Fraction]:
+        """Exact coefficient vector of a member; rejects anything outside."""
+        if self.grade is None:
+            terms = {} if member.is_zero() else {0: member}
+        else:
+            if member.chart != self.chart:
+                raise ValueError("chart mismatch")
+            if member.grade != self.grade and not member.is_zero():
+                raise ValueError("grade does not match basis")
+            terms = member.terms
+        out = [Fraction(0)] * len(self.basis)
+        for mask, coeff in terms.items():
+            if self._den is not None:
+                coeff = coeff * self._den
+            if not coeff.den.is_one():
+                raise ValueError("coefficients must be polynomial")
+            num = coeff.num
+            for key, c in num.nums.items():
+                slot = self._index.get((mask, key))
+                if slot is None:
+                    raise ValueError("member exceeds the degree bound")
+                out[slot] = Fraction(c, num.den)
+        return out
 
-class AnsatzSpace(SearchSpace):
-    """Finite-dimensional search space of candidate functions.
 
-    The basis is either all monomials of total degree <= max_degree, or those
-    monomials over a fixed polynomial denominator; ordering is ascending
-    graded lexicographic so results are reproducible.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, chart: Chart, max_degree: int,
-                 denominator: Polynomial | None = None):
-        exponents = monomial_exponents(chart.dim, max_degree)
-        if denominator is not None and denominator.is_zero():
-            raise ZeroDivisionError("ansatz denominator must be non-zero")
-        den_rf = None
-        if denominator is not None:
-            den_rf = RationalFunc(Polynomial.constant(chart.dim, 1), denominator)
-        basis = []
-        for exps in exponents:
-            mono = RationalFunc(Polynomial.monomial(chart.dim, exps))
-            basis.append(mono if den_rf is None else mono * den_rf)
-        super().__init__(chart, basis)
+def AnsatzSpace(chart: Chart, max_degree: int,
+                denominator: Polynomial | None = None) -> MonomialSpace:
+    """Candidate functions: monomials of total degree <= max_degree, over
+    ``denominator`` when one is given."""
+    return MonomialSpace(chart, None, max_degree, denominator)
 
 
 def monomial_exponents(nvars: int, max_degree: int,
@@ -372,23 +403,6 @@ def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
     return [_expand(out, common) for out in outputs]
 
 
-def _seeded_terms(element) -> List[Tuple[object, Callable, Polynomial]]:
-    """The element as (seed key, make, num) per blade: it is the sum of
-    make(num) over its blades, where make(p) is p over the blade's
-    coefficient denominator, on that blade."""
-    if isinstance(element, RationalFunc):
-        den = element.den
-        return [] if element.is_zero() else [
-            (den, lambda p: RationalFunc(p, den), element.num)]
-    if isinstance(element, _BladeSum):
-        kind, chart, grade = type(element), element.chart, element.grade
-        return [((grade, mask, c.den),
-                 lambda p, mask=mask, den=c.den:
-                     kind(chart, grade, {mask: RationalFunc(p, den)}),
-                 c.num) for mask, c in element.terms.items()]
-    raise TypeError(f"unsupported basis element: {type(element).__name__}")
-
-
 def _shift_into(col: Dict[object, Fraction], piece: Dict[object, Fraction],
                 shift: int, factor) -> None:
     """col += factor * x^shift * piece, a packed key ``shift`` added to each
@@ -399,26 +413,21 @@ def _shift_into(col: Dict[object, Fraction], piece: Dict[object, Fraction],
         col[k] = get(k, 0) + factor * v
 
 
-def _system_columns(residual_map: Callable, space: SearchSpace,
+def _system_columns(residual_map: Callable, space: MonomialSpace,
                     extra: Sequence) -> List[Dict[object, Fraction]]:
     """Exact columns of the map on each basis element, then of each extra
     residual, all cleared by one common denominator.
 
-    Each basis element is a sum of terms c x^beta s over seeds s, a blade
-    with coefficient 1/den.  A first-order L has, per seed, Q = L(s) and
-    P_i = L(x_i s) - x_i Q with
+    Element (b, beta) of the space is x^beta s for the seed s of blade b.
+    A first-order L has, per seed, Q = L(s) and P_i = L(x_i s) - x_i Q with
 
         L(x^beta s) = x^beta Q + sum_i beta_i x^(beta - e_i) P_i,
 
-    so the map runs on each seed and on x_i s for each variable x_i in one
-    of its exponents, and every column is a sum of shifted copies of the
-    cleared Q and P_i.  Seeds and exponents come from the basis elements,
-    which must be ``RationalFunc`` or blade sums.  Where a probe is a basis
-    element up to a constant, that element is what the map runs on, so a
-    group of degree at most 1 reads its columns straight off the probes.
-    The linearity spot check runs first; then, in each seed group with an
-    exponent of degree 2 or more, the column of its highest-degree element
-    is compared with a direct evaluation.
+    so the map runs only on the space's own elements of degree <= 1, s and
+    each x_i s, whose columns it reads off, and every other column is a sum
+    of shifted copies of the cleared Q and P_i.  The linearity spot check
+    runs first; then, where a blade has elements of degree 2 or more, the
+    column of its last element is compared with a direct evaluation.
     """
     basis = space.basis
     outputs: Dict[int, Dict[object, RationalFunc]] = {}
@@ -430,102 +439,59 @@ def _system_columns(residual_map: Callable, space: SearchSpace,
         return outputs[j]
 
     _linearity_spot_check(residual_map, basis, output)
-    nvars = space.chart.dim
-    # seed key -> (make, unit, [(element, packed key, exponents, c)], own):
-    # the seed is make(unit), unit the first coefficient met in the group, so
-    # c is 1 on every element of an ansatz, also over a denominator (whose
-    # elements carry 1/lc, lc the leading coefficient of the monic den); own
-    # maps the packed key of x^beta to an element c x^beta s, |beta| <= 1
-    seeds: Dict[object, tuple] = {}
-    for j, element in enumerate(basis):
-        parts = _seeded_terms(element)
-        for key, make, num in parts:
-            if key not in seeds:
-                first = Fraction(next(iter(num.nums.values())), num.den)
-                seeds[key] = (make, first, [], {})
-            _, unit, terms, own = seeds[key]
-            for kb, c in num.nums.items():
-                exps = _unpack(nvars, kb)
-                n, d = c * unit.denominator, num.den * unit.numerator
-                c = 1 if n == d else Fraction(n, d)
-                terms.append((j, kb, exps, c))
-                if len(parts) == 1 and len(num.nums) == 1 and sum(exps) < 2:
-                    own.setdefault(kb, (j, c))
-    xkey = [_field(nvars, i)[1] for i in range(nvars)]  # packed key of x_i
-    groups = []
-    for make, unit, terms, own in seeds.values():
-        variables = [i for i in range(nvars) if any(t[2][i] for t in terms)]
-        probes = []  # (packed key of x^beta, L(c x^beta s), c), |beta| <= 1
-        for kb in [0] + [xkey[i] for i in variables]:
-            if kb in own:
-                j, c = own[kb]
-                probes.append((kb, output(j), c))
-            else:
-                p = Polynomial.monomial(nvars, _unpack(nvars, kb), unit)
-                probes.append((kb, _residual_terms(residual_map(make(p))), 1))
-        groups.append((terms, variables, probes))
+    nvars, exponents = space.chart.dim, space.exponents
+    size = len(exponents)
+    low = 1 + nvars if size > 1 else 1  # the elements of degree <= 1
+    keys = [_pack(exps) for exps in exponents]
+    firsts = range(0, len(basis), size)  # each blade's seed element
     extra = [_residual_terms(v) for v in extra]
     common = _common_multiplier(
-        [out for _, _, probes in groups for _, out, _ in probes] + extra, nvars)
+        [output(j + i) for j in firsts for i in range(low)] + extra, nvars)
 
-    columns: List[Dict[object, Fraction]] = [{} for _ in basis]
-    checks, summed = set(), set()  # summed: columns that may hold zeros
-    for terms, variables, probes in groups:
-        read_off = {}  # packed key of x^beta -> cleared L(x^beta s)
-        for kb, out, c in probes:
-            col = _expand(out, common)
-            read_off[kb] = col if c == 1 else _settled(
-                {k: v / c for k, v in col.items()})
-        q = read_off[0]
-        pieces = []
-        top = max(terms, key=lambda t: t[1])
-        if sum(top[2]) > 1:
-            checks.add(top[0])
-            for i in variables:
-                p = dict(read_off[xkey[i]])
-                _shift_into(p, q, xkey[i], -1)  # P_i = L(x_i s) - x_i Q
-                pieces.append((i, {k: v for k, v in p.items() if v}))
-        for j, kb, exps, c in terms:
-            col = columns[j]
-            if kb in read_off and c == 1 and not col:  # the element is a probe
-                col.update(read_off[kb])
-                continue
-            summed.add(j)
-            if kb in read_off:
-                _shift_into(col, read_off[kb], 0, c)
-                continue
-            _shift_into(col, q, kb, c)
-            for i, p in pieces:
-                if exps[i]:
-                    _shift_into(col, p, kb - xkey[i], c * exps[i])
-    for j in summed:
-        columns[j] = _settled(columns[j])
-    for j in sorted(checks):
+    columns: List[Dict[object, Fraction]] = []
+    for first in firsts:
+        read_off = [_expand(output(first + i), common) for i in range(low)]
+        columns.extend(read_off)
+        if size == low:
+            continue
+        q, pieces = read_off[0], []  # (v, key of x_v, P_v) per variable
+        for i in range(1, low):
+            p = dict(read_off[i])
+            _shift_into(p, q, keys[i], -1)  # P_v = L(x_v s) - x_v Q
+            pieces.append((exponents[i].index(1), keys[i],
+                           {k: v for k, v in p.items() if v}))
+        for exps, kb in zip(exponents[low:], keys[low:]):
+            col: Dict[object, Fraction] = {}
+            _shift_into(col, q, kb, 1)
+            for v, kv, p in pieces:
+                if exps[v]:
+                    _shift_into(col, p, kb - kv, exps[v])
+            columns.append(_settled(col))
+        last = first + size - 1
         try:
-            direct = _expand(output(j), common)
+            direct = _expand(output(last), common)
         except RuntimeError:
             direct = None
-        if direct != columns[j]:
+        if direct != columns[last]:
             raise ValueError("residual map is not a first-order differential "
                              "operator (stencil check failed)")
     return columns + [_expand(out, common) for out in extra]
 
 
-def collect_linear_system(residual_map: Callable, space: SearchSpace) -> ExactMatrix:
+def collect_linear_system(residual_map: Callable,
+                          space: MonomialSpace) -> ExactMatrix:
     """Expand the residual of each basis element into an exact column.
 
-    ``space`` needs ordered ``basis`` elements (``RationalFunc`` or blade
-    sums) supporting + and scale.  The map must be linear in the ansatz
-    coefficients and a first-order differential operator in them: columns
-    are built from its values on each seed and on the seed times each
-    variable (see ``_system_columns``).  Linearity is spot-checked on the
-    first basis pair, and first order on the highest-degree element of each
-    seed group, before trusting it.
+    The map must be linear in the ansatz coefficients and a first-order
+    differential operator in them: it runs on the space's elements of
+    degree <= 1 and on one check element per blade (see
+    ``_system_columns``), after a linearity spot check on the first basis
+    pair.
     """
     return ExactMatrix.from_columns(_system_columns(residual_map, space, ()))
 
 
-def collect_affine_system(residual_map: Callable, space: SearchSpace,
+def collect_affine_system(residual_map: Callable, space: MonomialSpace,
                           target) -> Tuple[ExactMatrix, List[Fraction]]:
     """Matrix of the map plus the target expanded over the same rows,
     for solving residual_map(x) = target inside the ansatz."""
@@ -544,8 +510,6 @@ def _linearity_spot_check(residual_map: Callable, basis: Sequence,
                           output: Callable) -> None:
     """Scaling on the first basis element and additivity on the first two;
     ``output(j)`` is the map on basis element j."""
-    if not basis:
-        return
     b0 = basis[0]
     doubled = _residual_terms(residual_map(b0.scale(2)))
     expect = {k: v.scale(2) for k, v in output(0).items()}
@@ -562,7 +526,7 @@ def _linearity_spot_check(residual_map: Callable, basis: Sequence,
             raise ValueError("residual map is not linear (additivity check failed)")
 
 
-def kernel_basis(residual_map: Callable, space: SearchSpace) -> list:
+def kernel_basis(residual_map: Callable, space: MonomialSpace) -> list:
     """Members of ``space`` spanning the kernel of a residual map that is
     linear and first-order in the coefficient (see
     ``collect_linear_system``): one per free column of the exact system,
@@ -606,7 +570,7 @@ def function_spans_equal(a: Sequence[RationalFunc],
 
 
 def lm_solve(volume: VolumeForm, a: Multivector,
-             space: AnsatzSpace) -> List[RationalFunc]:
+             space: MonomialSpace) -> List[RationalFunc]:
     """Basis of the last multipliers of ``a`` inside the ansatz space.
 
     Empty output means none in the ansatz, not that none exists.
@@ -614,7 +578,7 @@ def lm_solve(volume: VolumeForm, a: Multivector,
     return kernel_basis(lambda m: curl(volume, a.scale(m)), space)
 
 
-def casimir_solve(pi: Multivector, space: AnsatzSpace) -> List[RationalFunc]:
+def casimir_solve(pi: Multivector, space: MonomialSpace) -> List[RationalFunc]:
     """Basis of the functions bracket-commuting with ``pi`` in the ansatz."""
     return kernel_basis(
         lambda f: schouten(pi, Multivector.scalar(pi.chart, f)), space)

@@ -22,10 +22,12 @@ from mvcurl.poisson import NonPoissonError, StructureConstants, lie_poisson
 from mvcurl.ring import Polynomial, RationalFunc
 from mvcurl.solver import (
     ExactMatrix,
-    SearchSpace,
+    MonomialSpace,
     collect_linear_system,
     vector_span_contains,
 )
+
+from oracles import direct_columns
 
 F = Fraction
 
@@ -68,6 +70,17 @@ def test_coordinates_roundtrip_and_rejection():
         mb.coordinates(Multivector(
             chart, 1, {0b01: RationalFunc(Polynomial.constant(2, 1),
                                           Polynomial.variable(2, 0))}))
+
+
+def test_coordinates_refuse_another_chart():
+    # the same blade on (u, v) is not a member, as + already says
+    chart, _ = plane()
+    mb = MultivectorBasis(chart, 1, 1)
+    other = Multivector.basis_vector(Chart(["u", "v"]), 0)
+    with pytest.raises(ValueError, match="chart mismatch"):
+        mb.basis[0] + other
+    with pytest.raises(ValueError, match="chart mismatch"):
+        mb.coordinates(other)
 
 
 def test_exact_basis_dimensions():
@@ -193,20 +206,12 @@ def test_exact_kernel_embeds_in_full_kernel():
     # kernel vectors computed on the curl-free subcomplex must lie inside the
     # kernel computed on the full polynomial complex
     chart, vol, pi = so3_setup()
-    from mvcurl.solver import collect_linear_system
-
+    delta = lambda a: lichnerowicz_delta(pi, a)
     ambient = MultivectorBasis(chart, 1, 1)
-    full_delta = collect_linear_system(lambda a: lichnerowicz_delta(pi, a), ambient)
-    full_kernel = full_delta.nullspace()
-
-    class Span:
-        def __init__(self, chart, elements):
-            self.chart = chart
-            self.basis = elements
+    full_kernel = collect_linear_system(delta, ambient).nullspace()
 
     exact = exact_basis(vol, 1, 1)
-    span = Span(chart, exact)
-    sub_delta = collect_linear_system(lambda a: lichnerowicz_delta(pi, a), span)
+    sub_delta = ExactMatrix.from_columns(direct_columns(delta, exact, chart.dim))
     for v in sub_delta.nullspace():
         member = None
         for c, b in zip(v, exact):
@@ -246,10 +251,8 @@ def basis_route(pi, k, max_degree):
     """(dim exact, dim kernel, dim image) the long way: explicit curl-free
     bases from a nullspace, then the rank of [pi, .] on each of them."""
     def delta_rank(elements):
-        if not elements:
-            return 0
-        space = SearchSpace(LIE_CHART, elements)
-        return collect_linear_system(lambda a: schouten(pi, a), space).rank()
+        return ExactMatrix.from_columns(direct_columns(
+            lambda a: schouten(pi, a), elements, LIE_CHART.dim)).rank()
 
     domain = lie_exact_basis(k, max_degree)
     lower = max_degree - max(c.num.total_degree() for c in pi.terms.values()) + 1
@@ -302,7 +305,7 @@ def test_report_takes_ranks_without_a_curl_free_basis(monkeypatch):
     monkeypatch.setattr(cohomology, "exact_basis", forbidden)
     monkeypatch.setattr(cohomology, "kernel_basis", forbidden)
     monkeypatch.setattr(ExactMatrix, "nullspace", forbidden)
-    monkeypatch.setattr(SearchSpace, "combine", forbidden)
+    monkeypatch.setattr(MonomialSpace, "combine", forbidden)
     monkeypatch.setattr(cohomology, "curl", counted("curl", curl))
     monkeypatch.setattr(cohomology, "schouten", counted("schouten", schouten))
     chart, vol, pi = so3_setup()
@@ -310,8 +313,8 @@ def test_report_takes_ranks_without_a_curl_free_basis(monkeypatch):
     assert (report.dim_exact_k, report.dim_kernel,
             report.dim_image_from_km1) == (26, 8, 8)
     # each operator once per seed blade (3 of grade 1, 1 of grade 0) and
-    # once per seed blade times each of x, y, z, once more per seed on its
-    # highest-degree element (the first-order check), plus the two linearity
+    # once per seed blade times each of x, y, z, once more per blade on its
+    # last element (the first-order check), plus the two linearity
     # spot checks per assembly; the curl once more on pi itself
     per_grade = (3 * (1 + 3 + 1) + 2) + (1 * (1 + 3 + 1) + 2)
     assert per_grade == 24 < (MultivectorBasis(chart, 1, 2).dimension + 2
