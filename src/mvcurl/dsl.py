@@ -45,6 +45,7 @@ from mvcurl.exterior import (
     Multivector,
     VolumeForm,
     blade_indices,
+    blade_mask,
     wedge,
 )
 from mvcurl.poisson import NonPoissonError, require_poisson
@@ -64,10 +65,10 @@ __all__ = [
 Value = Union[RationalFunc, Multivector, DifferentialForm]
 
 _KEYWORDS = ("chart", "func", "mv", "form", "volume", "lie")
-# the parser evaluates as it reads, six stack frames per level of parentheses
-# (a run of unary minus signs takes none): at this bound a document takes
-# about 620 frames, ring work at the deepest level included, which leaves
-# callers over 350 of Python's default recursion limit of 1000
+# the parser evaluates as it reads, three stack frames per level of
+# parentheses (a run of unary minus signs takes none): at this bound a
+# document takes about 325 frames, ring work at the deepest level included,
+# which leaves callers over 650 of Python's default recursion limit of 1000
 MAX_NESTING = 100
 # expanding and printing a power costs about the square of its term count:
 # (x+y+1)^43 has 990 terms, (x+y+1)^80 has 3321
@@ -82,17 +83,15 @@ _NAME_RE = re.compile(_NAME)
 # lines end at \n, \r\n or \r only: str.splitlines would also end them at
 # \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029, which are characters here
 _LINE_END_RE = re.compile(r"\r\n|\r|\n")
-# blanks are spaces and tabs; any other character outside a comment that
-# starts no token is refused where it stands
+# one match per token: the blanks before it, then a number (with the
+# ``e3`` of a misspelt scientific-notation number, refused), a name, an
+# operator, or any other character, refused where it stands; blanks are
+# spaces and tabs
 _TOKEN_RE = re.compile(
-    r"(?P<BLANK>[ \t]+)"
-    r"|(?P<NUM>[0-9]+)"
-    rf"|(?P<IDENT>{_NAME})"
-    r"|(?P<OP>\^\^|[-+*/^()=])"
-    r"|(?P<BAD>.)")
-# ``1e3`` reads as ``1`` times the basis vector ``e3``; refused as a likely
-# misspelt scientific-notation number
-_EXPONENT_RE = re.compile(r"[eE]([0-9]+)")
+    r"([ \t]*)(?:([0-9]+)([eE][0-9]+)?"
+    rf"|({_NAME})"
+    r"|(\^\^|[-+*/^()=])"
+    r"|(.))")
 # longest exponent whose number an error message writes out in full
 _SPELLED_EXPONENT = 12
 
@@ -110,43 +109,50 @@ class DslError(Exception):
         super().__init__(message)
 
 
-class _Token(NamedTuple):
-    kind: str  # NUM, IDENT, OP, NEWLINE, EOF
-    text: str
-    line: int
-    col: int
+# A token is a tuple (kind, text, line, column).  The kind of an operator is
+# its own text; the other kinds are NUM, IDENT, NEWLINE and EOF.
+_Token = Tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """Every token of the text, in one regex pass per line; a character that
+    starts no token, an over-long literal or a number such as 1e3 raises."""
     tokens: List[_Token] = []
+    append = tokens.append
     lines = _LINE_END_RE.split(text)
     if not lines[-1]:
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            kind, word = m.lastgroup, m.group()
-            if kind == "BLANK":
-                continue
-            col = m.start() + 1
-            if kind == "BAD":
-                raise DslError(f"unexpected character {word!r}", lineno, col)
-            if kind == "NUM":
-                if len(word) > MAX_POWER_DIGITS:
+        # without trailing blanks the matches tile the line: each takes the
+        # blanks before a token and the token
+        col = 1
+        for blank, num, sci, name, op, bad in _TOKEN_RE.findall(
+                raw.split("#", 1)[0].rstrip(" \t")):
+            col += len(blank)
+            if name:
+                append(("IDENT", name, lineno, col))
+                col += len(name)
+            elif op:
+                append((op, op, lineno, col))
+                col += len(op)
+            elif num:
+                if len(num) > MAX_POWER_DIGITS:
                     raise DslError(f"number literal longer than "
                                    f"{MAX_POWER_DIGITS} digits", lineno, col)
-                sci = _EXPONENT_RE.match(line, m.end())
                 if sci:
-                    raise DslError(_scientific_message(word, sci), lineno, col)
-            tokens.append(_Token(kind, word, lineno, col))
-        if tokens and tokens[-1].line == lineno:
-            tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
-    tokens.append(_Token("EOF", "", len(lines) + 1, 1))
+                    raise DslError(_scientific_message(num, sci), lineno, col)
+                append(("NUM", num, lineno, col))
+                col += len(num)
+            else:
+                raise DslError(f"unexpected character {bad!r}", lineno, col)
+        if tokens and tokens[-1][2] == lineno:
+            append(("NEWLINE", "", lineno, len(raw) + 1))
+    append(("EOF", "", len(lines) + 1, 1))
     return tokens
 
 
-def _scientific_message(num: str, sci: "re.Match") -> str:
-    text, digits = sci.group(0), sci.group(1)
+def _scientific_message(num: str, text: str) -> str:
+    digits = text[1:]
     if len(digits) <= 2 and int(digits) <= _SPELLED_EXPONENT:
         number = num + "0" * int(digits)
     else:
@@ -156,6 +162,12 @@ def _scientific_message(num: str, sci: "re.Match") -> str:
 
 
 # -- parsing and evaluation -------------------------------------------------
+
+# each token kind that continues an expression, with its binary level,
+# loosest first, and the operator it applies: a number, a name or "(" right
+# after an operand is a juxtaposition, a product at the level of * and /
+_BINARY = {"+": (1, "+"), "-": (1, "-"), "^^": (2, "^^"), "*": (3, "*"),
+           "/": (3, "/"), "NUM": (3, "*"), "IDENT": (3, "*"), "(": (3, "*")}
 
 
 class _Parser:
@@ -172,176 +184,163 @@ class _Parser:
         self.names_read = 0
         self.chart: Optional[Chart] = None
         self.bindings: Dict[str, Binding] = {}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        self.symbols: Dict[str, Value] = {}  # the value of each name read
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind.lower()
-            got = tok.text if tok.text else tok.kind.lower()
-            raise DslError(f"expected {want}, found {got!r}", tok.line, tok.col)
-        return self.advance()
-
-    def skip_newlines(self) -> None:
-        while self.peek().kind == "NEWLINE":
-            self.advance()
+    def expect(self, kind: str) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            got = tok[1] or tok[0].lower()
+            raise DslError(f"expected {kind.lower()}, found {got!r}",
+                           tok[2], tok[3])
+        self.pos += 1
+        return tok
 
     def descend(self, tok: _Token) -> None:
         """Go one nesting level down at ``tok``."""
         if self.depth == MAX_NESTING:
             raise DslError(f"expression nested deeper than {MAX_NESTING} levels",
-                           tok.line, tok.col)
+                           tok[2], tok[3])
         self.depth += 1
 
     # -- statements ---------------------------------------------------------
 
     def document(self) -> Document:
-        self.skip_newlines()
+        while self.tokens[self.pos][0] == "NEWLINE":
+            self.pos += 1
         head = self.expect("IDENT")
-        if head.text != "chart":
+        if head[1] != "chart":
             raise DslError("document must start with a chart declaration",
-                           head.line, head.col)
+                           head[2], head[3])
         names = []
-        while self.peek().kind == "IDENT":
+        while self.tokens[self.pos][0] == "IDENT":
             names.append(self.advance())
         if not names:
             raise DslError("chart declaration needs coordinate names",
-                           head.line, head.col)
-        if self.peek().kind != "NEWLINE" and self.peek().kind != "EOF":
-            bad = self.peek()
-            raise DslError(f"invalid coordinate name {bad.text!r}",
-                           bad.line, bad.col)
-        self.chart = _chart([t.text for t in names],
-                            [(t.line, t.col) for t in names], (head.line, 1))
+                           head[2], head[3])
+        bad = self.tokens[self.pos]
+        if bad[0] != "NEWLINE" and bad[0] != "EOF":
+            raise DslError(f"invalid coordinate name {bad[1]!r}", bad[2], bad[3])
+        self.chart = _chart([t[1] for t in names],
+                            [(t[2], t[3]) for t in names], (head[2], 1))
         while True:
-            self.skip_newlines()
-            tok = self.peek()
-            if tok.kind == "EOF":
+            while self.tokens[self.pos][0] == "NEWLINE":
+                self.pos += 1
+            kind, word, line, col = self.advance()
+            if kind == "EOF":
                 break
-            if tok.kind != "IDENT" or tok.text not in _KEYWORDS:
+            if kind != "IDENT" or word not in _KEYWORDS:
                 raise DslError(
-                    f"expected a binding keyword, found {tok.text or tok.kind!r}",
-                    tok.line, tok.col)
-            if tok.text == "chart":
+                    f"expected a binding keyword, found {word or kind!r}",
+                    line, col)
+            if word == "chart":
                 raise DslError("only one chart declaration is allowed",
-                               tok.line, tok.col)
-            self.advance()
+                               line, col)
             name = self.expect("IDENT")
-            _bind(self.bindings, self.chart, tok.text, name.text, self.value,
-                  (tok.line, tok.col), (name.line, name.col))
+            _bind(self.bindings, self.chart, word, name[1], self.value,
+                  (line, col), (name[2], name[3]))
         return Document(self.chart, list(self.bindings.values()))
 
     def value(self) -> Value:
         """The ``= expr`` of a binding, which must end its line."""
-        self.expect("OP", "=")
-        value = self.additive()
-        nxt = self.peek()
-        if nxt.kind not in ("NEWLINE", "EOF"):
-            raise DslError(f"unexpected {nxt.text!r} after expression",
-                           nxt.line, nxt.col)
+        self.expect("=")
+        value = self.expr()
+        nxt = self.tokens[self.pos]
+        if nxt[0] != "NEWLINE" and nxt[0] != "EOF":
+            raise DslError(f"unexpected {nxt[1]!r} after expression",
+                           nxt[2], nxt[3])
         return value
 
     # -- expressions --------------------------------------------------------
 
-    def additive(self) -> Value:
-        value = self.wedge()
-        while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
-            op = self.advance()
-            value = self.binop(op, op.text, value, self.wedge())
-        return value
-
-    def wedge(self) -> Value:
-        value = self.term()
-        while self.peek().kind == "OP" and self.peek().text == "^^":
-            op = self.advance()
-            value = self.binop(op, "^^", value, self.term())
-        return value
-
-    def term(self) -> Value:
+    def expr(self) -> Value:
+        """Unary operands joined by binary operators, in one precedence
+        loop: ``pending`` holds each left operand whose operator waits on a
+        tighter one, and an operator applies every pending one of its level
+        or tighter first, so values and errors come in reading order."""
+        tokens = self.tokens
+        pending: List[tuple] = []
         value = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in ("*", "/"):
-                self.advance()
-                names_read = self.names_read
-                right = self.unary()
-                value = self.binop(tok, tok.text, value, right,
+            tok = tokens[self.pos]
+            level, op = _BINARY.get(tok[0], (0, None))
+            while pending and pending[-1][0] >= level:
+                _, at, applied, left, names_read = pending.pop()
+                value = self.binop(at, applied, left, value,
                                    self.names_read > names_read)
-            elif tok.kind in ("NUM", "IDENT") or (tok.kind == "OP"
-                                                  and tok.text == "("):
-                # juxtaposition, e.g. "(x^2+y) e1"
-                value = self.binop(tok, "*", value, self.unary())
-            else:
+            if not level:
                 return value
+            if op == tok[0]:
+                self.pos += 1  # an operator; a juxtaposed operand stays
+            pending.append((level, tok, op, value, self.names_read))
+            value = self.unary()
 
     def unary(self) -> Value:
+        """Minus signs, an atom and the powers on it."""
+        tokens = self.tokens
         signs = 0
-        while self.peek().kind == "OP" and self.peek().text == "-":
+        while tokens[self.pos][0] == "-":
             self.descend(self.advance())
             signs += 1
-        value = self.power()
-        self.depth -= signs
-        return value.scale(-1) if signs % 2 else value
-
-    def power(self) -> Value:
         value = self.atom()
-        while self.peek().kind == "OP" and self.peek().text == "^":
-            op = self.advance()
-            sign = 1
-            if self.peek().kind == "OP" and self.peek().text == "-":
-                self.advance()
-                sign = -1
-            exponent = sign * int(self.expect("NUM").text)
-            if not isinstance(value, RationalFunc):
-                raise DslError("powers apply to scalar expressions only",
-                               op.line, op.col)
-            if max(_power_terms(value.num, abs(exponent)),
-                   _power_terms(value.den, abs(exponent))) > MAX_POWER_TERMS:
-                raise DslError(f"power too large to expand: the result may have "
-                               f"more than {MAX_POWER_TERMS} terms",
-                               op.line, op.col)
-            # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of
-            # n, so the sum bounds either sign; each log10(H) is 0 or at least
-            # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
-            e = min(abs(exponent), 4 * MAX_POWER_DIGITS)
-            if e * (_coefficient_digits(value.num)
-                    + _coefficient_digits(value.den)) >= MAX_POWER_DIGITS:
-                raise DslError(f"power too large to expand: its coefficients "
-                               f"may have more than {MAX_POWER_DIGITS} digits",
-                               op.line, op.col)
-            if exponent and max(_degrees(value)) * abs(exponent) > MAX_DEGREE:
-                raise DslError(f"power too large to expand: its degree may "
-                               f"pass {MAX_DEGREE}", op.line, op.col)
-            value = value ** exponent
-        return value
+        while tokens[self.pos][0] == "^":
+            value = self.power(value, self.advance())
+        self.depth -= signs
+        return -value if signs % 2 else value
+
+    def power(self, value: Value, op: _Token) -> Value:
+        """``value`` to the ``[-]NUM`` after the ``^`` at ``op``."""
+        negative = self.tokens[self.pos][0] == "-"
+        self.pos += negative
+        e = int(self.expect("NUM")[1])
+        exponent = -e if negative else e
+        if not isinstance(value, RationalFunc):
+            raise DslError("powers apply to scalar expressions only",
+                           op[2], op[3])
+        if max(_power_terms(value.num, e),
+               _power_terms(value.den, e)) > MAX_POWER_TERMS:
+            raise DslError(f"power too large to expand: the result may have "
+                           f"more than {MAX_POWER_TERMS} terms", op[2], op[3])
+        # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of
+        # n, so the sum bounds either sign; each log10(H) is 0 or at least
+        # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
+        if min(e, 4 * MAX_POWER_DIGITS) * (
+                _coefficient_digits(value.num)
+                + _coefficient_digits(value.den)) >= MAX_POWER_DIGITS:
+            raise DslError(f"power too large to expand: its coefficients "
+                           f"may have more than {MAX_POWER_DIGITS} digits",
+                           op[2], op[3])
+        if e and max(_degrees(value)) * e > MAX_DEGREE:
+            raise DslError(f"power too large to expand: its degree may "
+                           f"pass {MAX_DEGREE}", op[2], op[3])
+        return value ** exponent
 
     def atom(self) -> Value:
-        tok = self.advance()
-        if tok.kind == "NUM":
-            return RationalFunc.constant(self.chart.dim, int(tok.text))
-        if tok.kind == "IDENT":
+        kind, word, line, col = tok = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "NUM":
+            return RationalFunc.constant(self.chart.dim, int(word))
+        if kind == "IDENT":
             self.names_read += 1
-            return self.lookup(tok)
-        if tok.kind == "OP" and tok.text == "(":
-            self.descend(tok)
-            value = self.additive()
-            self.depth -= 1
-            self.expect("OP", ")")
+            value = self.symbols.get(word)
+            if value is None:
+                value = self.symbols[word] = self.lookup(tok)
             return value
-        got = tok.text if tok.text else tok.kind.lower()
-        raise DslError(f"expected an expression, found {got!r}",
-                       tok.line, tok.col)
+        if kind == "(":
+            self.descend(tok)
+            value = self.expr()
+            self.depth -= 1
+            self.expect(")")
+            return value
+        raise DslError(f"expected an expression, found {word or kind.lower()!r}",
+                       line, col)
 
     def lookup(self, tok: _Token) -> Value:
-        name, chart = tok.text, self.chart
+        name, chart = tok[1], self.chart
         if name in chart.names:
             return RationalFunc(
                 Polynomial.variable(chart.dim, chart.names.index(name)))
@@ -350,76 +349,70 @@ class _Parser:
             index = int(m.group(1))
             if not 1 <= index <= chart.dim:
                 raise DslError(f"basis index {index} out of range for "
-                               f"dimension {chart.dim}", tok.line, tok.col)
+                               f"dimension {chart.dim}", tok[2], tok[3])
             if name[0] == "e":
                 return Multivector.basis_vector(chart, index - 1)
             return DifferentialForm.basis_form(chart, index - 1)
         binding = self.bindings.get(name)
         if binding is None:
-            raise DslError(f"unknown identifier {name!r}", tok.line, tok.col)
+            raise DslError(f"unknown identifier {name!r}", tok[2], tok[3])
         if binding.kind == "volume":
             raise DslError(f"volume {name!r} cannot be used in an expression",
-                           tok.line, tok.col)
+                           tok[2], tok[3])
         return binding.value
 
     def binop(self, tok: _Token, op: str, left: Value, right: Value,
               named_divisor: bool = False) -> Value:
-        if op not in ("+", "-"):
-            (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
-            if op == "/":
-                rn, rd = rd, rn
-            if max(ln + rn, ld + rd) > MAX_DEGREE:
-                raise DslError(f"product too large to expand: its degree may "
-                               f"pass {MAX_DEGREE}", tok.line, tok.col)
-        kinds = (_value_kind(left), _value_kind(right))
-        if op in ("+", "-"):
-            if kinds[0] != kinds[1]:
-                raise DslError(f"cannot add {kinds[0]} and {kinds[1]}",
-                               tok.line, tok.col)
+        kl, kr = _KIND[type(left)], _KIND[type(right)]
+        if op == "+" or op == "-":
+            if kl != kr:
+                raise DslError(f"cannot add {kl} and {kr}", tok[2], tok[3])
             try:
                 return left + right if op == "+" else left - right
             except ValueError as exc:
-                raise DslError(str(exc), tok.line, tok.col) from exc
+                raise DslError(str(exc), tok[2], tok[3]) from exc
+        (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
+        if op == "/":
+            rn, rd = rd, rn
+        if max(ln + rn, ld + rd) > MAX_DEGREE:
+            raise DslError(f"product too large to expand: its degree may "
+                           f"pass {MAX_DEGREE}", tok[2], tok[3])
         if op == "*":
-            if kinds == ("scalar", "scalar"):
+            if kl == kr == "scalar":
                 return left * right
-            if kinds[0] == "scalar":
+            if kl == "scalar":
                 return right.scale(left)
-            if kinds[1] == "scalar":
+            if kr == "scalar":
                 return left.scale(right)
             raise DslError("use ^^ to combine non-scalar factors",
-                           tok.line, tok.col)
+                           tok[2], tok[3])
         if op == "/":
-            if kinds[1] != "scalar":
+            if kr != "scalar":
                 raise DslError("division requires a scalar divisor",
-                               tok.line, tok.col)
+                               tok[2], tok[3])
             if right.is_zero():
                 if named_divisor:
                     raise ZeroDivisionError("division by a zero expression")
-                raise DslError("division by zero constant", tok.line, tok.col)
-            if kinds[0] == "scalar":
+                raise DslError("division by zero constant", tok[2], tok[3])
+            if kl == "scalar":
                 return left / right
             return left.scale(right.inverse())
         # wedge
-        if kinds[0] == "scalar":
-            return right * left if kinds[1] == "scalar" else right.scale(left)
-        if kinds[1] == "scalar":
+        if kl == "scalar":
+            return right * left if kr == "scalar" else right.scale(left)
+        if kr == "scalar":
             return left.scale(right)
-        if kinds[0] != kinds[1]:
+        if kl != kr:
             raise DslError("wedge of mixed kinds (multivector vs form)",
-                           tok.line, tok.col)
+                           tok[2], tok[3])
         return wedge(left, right)
 
 
 # -- evaluation -------------------------------------------------------------
 
 
-def _value_kind(v: Value) -> str:
-    if isinstance(v, RationalFunc):
-        return "scalar"
-    if isinstance(v, Multivector):
-        return "multivector"
-    return "form"
+_KIND = {RationalFunc: "scalar", Multivector: "multivector",
+         DifferentialForm: "form"}
 
 
 def _power_terms(p: Polynomial, exponent: int) -> int:
@@ -428,10 +421,11 @@ def _power_terms(p: Polynomial, exponent: int) -> int:
     at most C(v+e*deg, v) monomials of degree <= e*deg.  The bound grows with
     e and passes MAX_POWER_TERMS by e = MAX_POWER_TERMS once p has two terms,
     so capping e there keeps the binomials small without changing a verdict.
+    At e = 1 the first bound, t, is the smaller.
     """
     t = len(p.nums)
-    if t <= 1:
-        return 1
+    if t <= 1 or exponent <= 1:
+        return max(t, 1) if exponent == 1 else 1
     e = min(exponent, MAX_POWER_TERMS)
     v = len(_variables_used(p))
     return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
@@ -445,7 +439,9 @@ def _scalars(value: Value):
 def _degrees(value: Value) -> Tuple[int, int]:
     """Largest total degree of a numerator and of a denominator in the
     value; a product's numerators and denominators have at most the sums."""
-    scalars = _scalars(value)
+    if isinstance(value, RationalFunc):
+        return value.num.total_degree(), value.den.total_degree()
+    scalars = value.terms.values()
     return (max((rf.num.total_degree() for rf in scalars), default=0),
             max((rf.den.total_degree() for rf in scalars), default=0))
 
@@ -621,7 +617,8 @@ def print_canonical(obj, chart: Optional[Chart] = None) -> str:
     if isinstance(obj, Document):
         lines = ["chart " + " ".join(obj.chart.names)]
         for b in obj.bindings:
-            lines.append(f"{b.kind} {b.name} = {_binding_body(b, obj.chart)}")
+            lines.append(f"{b.kind} {b.name} = "
+                         f"{print_canonical(b.value, obj.chart)}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, (Multivector, DifferentialForm)):
         return obj.to_string()
@@ -632,14 +629,6 @@ def print_canonical(obj, chart: Optional[Chart] = None) -> str:
             raise ValueError("printing a bare scalar needs the chart")
         return obj.to_string(chart.names)
     raise TypeError(f"cannot print object of type {type(obj).__name__}")
-
-
-def _binding_body(b: Binding, chart: Chart) -> str:
-    if b.kind == "func":
-        return b.value.to_string(chart.names)
-    if b.kind == "volume":
-        return b.value.density.to_string(chart.names)
-    return b.value.to_string()
 
 
 # -- JSON -------------------------------------------------------------------
@@ -670,13 +659,8 @@ def _terms_to_json(obj) -> list:
 
 
 def _terms_from_json(nvars: int, data: list) -> Dict[int, RationalFunc]:
-    out = {}
-    for item in data:
-        mask = 0
-        for i in item["blade"]:
-            mask |= 1 << (i - 1)
-        out[mask] = _rf_from_json(nvars, item["coeff"])
-    return out
+    return {blade_mask(i - 1 for i in item["blade"]):
+            _rf_from_json(nvars, item["coeff"]) for item in data}
 
 
 def value_to_json(value, chart: Chart) -> dict:

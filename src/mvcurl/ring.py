@@ -179,8 +179,10 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
         """The constant ``value``; the int 1 gives the shared ``_one``."""
-        if type(value) is int and value == 1 and nvars >= 0:
-            return _one(nvars)
+        if type(value) is int and nvars >= 0:
+            if value == 1:
+                return _one(nvars)
+            return cls._make(nvars, {0: value} if value else {})
         return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
@@ -285,6 +287,11 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         left, right = self.nums, other.nums
+        # a constant factor only scales the other
+        if len(left) == 1 and 0 in left:
+            return other._times(left[0], self.den)
+        if len(right) == 1 and 0 in right:
+            return self._times(right[0], other.den)
         # the leading keys add up to the product's leading key; its degree
         # field sets its guard bit exactly when the degree passes MAX_DEGREE
         if left and right and (max(left) + max(right)) >> _FIELD * (self.nvars + 1) - 1:
@@ -301,6 +308,8 @@ class Polynomial:
 
     def _times(self, p: int, q: int) -> "Polynomial":
         """self * p / q for non-zero ints p and q."""
+        if p == q:
+            return self
         if q < 0:
             p, q = -p, -q
         nums = self.nums if p == 1 else {e: c * p for e, c in self.nums.items()}
@@ -317,16 +326,16 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         if exponent and self.total_degree() * exponent > MAX_DEGREE:
             raise _too_large(self.total_degree() * exponent)
-        result = Polynomial.constant(self.nvars, 1)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return _one(self.nvars) if result is None else result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -777,18 +786,20 @@ class RationalFunc:
         if lc != den.den:
             num = num._times(den.den, lc)
             den = den._times(den.den, lc)
-        out = object.__new__(cls)
-        out.num = num
-        out.den = den
-        return out
+        return cls._over(num, den)
 
     @classmethod
     def _poly(cls, num: Polynomial) -> "RationalFunc":
         """``num`` over the shared constant 1, for callers that know the
         denominator is 1 or the numerator is zero."""
+        return cls._over(num, _one(num.nvars))
+
+    @classmethod
+    def _over(cls, num: Polynomial, den: Polynomial) -> "RationalFunc":
+        """num/den for a pair already in canonical form."""
         out = object.__new__(cls)
         out.num = num
-        out.den = _one(num.nvars)
+        out.den = den
         return out
 
     @classmethod
@@ -834,6 +845,11 @@ class RationalFunc:
         b_one, d_one = b.is_one(), d.is_one()
         if b_one and d_one:
             return RationalFunc._poly(a + c)
+        # a polynomial p plus n/d is (n + p·d)/d: gcd(n + p·d, d) = gcd(n, d)
+        if b_one:
+            return RationalFunc._over(c + a * d, d)
+        if d_one:
+            return RationalFunc._over(a + c * b, b)
         if b == d:
             num = a + c
             if not num.nums:
@@ -842,9 +858,10 @@ class RationalFunc:
             if g.is_constant():
                 return RationalFunc._raw(num, b)
             return RationalFunc._raw(num.exact_div(g), b.exact_div(g))
-        # with coprime inputs, any common factor of the sum divides gcd(b, d)
-        g = None if b_one or d_one else poly_gcd(b, d)
-        if g is None or g.is_constant():
+        # with coprime inputs, any common factor of the sum divides gcd(b, d),
+        # which is 1 when b and d are distinct monic linear polynomials
+        if (b.total_degree() == 1 == d.total_degree()
+                or (g := poly_gcd(b, d)).is_constant()):
             return RationalFunc._raw(a * d + c * b, b * d)
         d_red = d.exact_div(g)
         num = a * d_red + c * b.exact_div(g)
@@ -860,10 +877,7 @@ class RationalFunc:
         return self + (-other)
 
     def __neg__(self) -> "RationalFunc":
-        out = object.__new__(RationalFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunc._over(-self.num, self.den)
 
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
         a, b = self.num, self.den
@@ -873,8 +887,12 @@ class RationalFunc:
         if not c.nums:
             return other
         b_one, d_one = b.is_one(), d.is_one()
-        if b_one and d_one:
-            return RationalFunc._poly(a * c)
+        # a product of polynomials, or a constant k times n/d, which is
+        # (k·n)/d, already coprime and monic
+        if b_one and (d_one or a.is_constant()):
+            return RationalFunc._over(a * c, d)
+        if d_one and c.is_constant():
+            return RationalFunc._over(a * c, b)
         # cross-cancel: inputs are coprime pairs, so the result is too
         if not (d_one or a.is_constant()):
             g1 = poly_gcd(a, d)
@@ -900,18 +918,12 @@ class RationalFunc:
         n, d = _exact(value)
         if not n:
             return RationalFunc.zero(self.nvars)
-        out = object.__new__(RationalFunc)
-        out.num = self.num._times(n, d)
-        out.den = self.den
-        return out
+        return RationalFunc._over(self.num._times(n, d), self.den)
 
     def __pow__(self, exponent: int) -> "RationalFunc":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = object.__new__(RationalFunc)
-        out.num = self.num ** exponent
-        out.den = self.den ** exponent
-        return out
+        return RationalFunc._over(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunc):

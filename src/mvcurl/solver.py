@@ -6,7 +6,8 @@ an exact affine solve.  Residual outputs of the probed map are expanded over
 a (blade, monomial) row basis after clearing all denominators with one
 common multiplier for the whole system; a per-column multiplier would
 rescale columns and corrupt the recovered solution functions.  The common
-multiplier is the lcm of the denominators with integer numerators, and a
+multiplier is the lcm of the denominators with integer numerators, times
+the least integer that leaves every cleared value integral, and a
 coefficient n/d is cleared as n times the exact quotient of it by d.
 
 Every solver searches one kind of space, a ``MonomialSpace``: monomials
@@ -19,10 +20,9 @@ the seed times each variable, and on one check element per blade; every
 other column is assembled from those values by shifting monomial keys.
 
 The values come straight from the ring's integer numerators, so a system
-is stored as sparse rows of ``int`` (a ``Fraction`` only where a value is
-not an integer) and eliminated fraction-free; no dense matrix is built on
-any solver path, and ``ExactMatrix.data`` is a dense view made only when
-something reads it.
+is stored as sparse rows of ``int`` and eliminated fraction-free; no dense
+matrix is built on any solver path, and ``ExactMatrix.data`` is a dense view
+made only when something reads it.
 """
 
 from __future__ import annotations
@@ -160,10 +160,9 @@ class ExactMatrix:
     """Matrix of exact rationals stored as sparse rows.
 
     ``entries`` holds one ``{column: value}`` dict per row with only the
-    non-zero values; assembly from the ring gives ``int`` wherever a value
-    is an integer and ``Fraction`` only where it is not.  ``data`` is a
-    dense ``Fraction`` view built on demand.  ``labels`` names the rows of a
-    matrix assembled by ``from_columns``, in row order, and is None
+    non-zero values; assembly from the ring gives ``int`` values.  ``data``
+    is a dense ``Fraction`` view built on demand.  ``labels`` names the rows
+    of a matrix assembled by ``from_columns``, in row order, and is None
     otherwise.
     """
 
@@ -349,25 +348,39 @@ def _residual_terms(value) -> Dict[object, RationalFunc]:
 
 def _common_multiplier(outputs: Sequence[Dict[object, RationalFunc]],
                        nvars: int) -> Polynomial | None:
-    """The lcm of every denominator in the outputs with integer numerators,
-    that is the monic lcm times its integer denominator, or None when the lcm
-    is 1.  Scaling a whole system by one constant changes no kernel or
-    solution, and this scale leaves more values integral."""
+    """The lcm C of every denominator in the outputs with integer numerators,
+    that is the monic lcm times its integer denominator, then times the
+    least integer L that makes every cleared value n * (C / d) integral; or
+    None when L * C is 1.  Scaling a whole system by one constant changes no
+    kernel or solution, and this scale leaves every value an int."""
     common = Polynomial.constant(nvars, 1)
     for out in outputs:
         for coeff in out.values():
             if not coeff.den.is_one():
                 common = poly_lcm(common, coeff.den)
-    return None if common.is_one() else Polynomial._make(nvars, common.nums)
+    common = Polynomial._make(nvars, common.nums)
+    # with n = N/a and C/d = F/b, N and F over the integers, n * (C/d) has
+    # the denominator ab / gcd(ab, content(N) content(F)) by Gauss's lemma
+    scale = 1
+    for out in outputs:
+        for coeff in out.values():
+            num, den = coeff.num, coeff.den
+            cofactor = common if den.is_one() else common.exact_div(den)
+            ab = num.den * cofactor.den
+            if ab != 1:
+                content = gcd(*num.nums.values()) * gcd(*cofactor.nums.values())
+                scale = lcm(scale, ab // gcd(ab, content))
+    common = common._times(scale, 1)
+    return None if common.is_one() else common
 
 
 def _expand(out: Dict[object, RationalFunc],
-            common: Polynomial | None) -> Dict[object, Fraction]:
-    """One output times the common multiplier, as {(slot, packed key): value}
-    with an int wherever a value is an integer and a ``Fraction`` only
-    where it is not.  Each coefficient n/d is cleared as n * (common / d),
-    one exact division and no gcd."""
-    col: Dict[object, Fraction] = {}
+            common: Polynomial | None) -> Dict[object, int]:
+    """One output times the common multiplier, as {(slot, packed key): int}.
+    Each coefficient n/d is cleared as n * (common / d), one exact division
+    and no gcd; a denominator that the multiplier does not divide, or a
+    value that it leaves fractional, raises ``RuntimeError``."""
+    col: Dict[object, int] = {}
     for slot, coeff in out.items():
         num = coeff.num
         if common is not None:
@@ -376,34 +389,24 @@ def _expand(out: Dict[object, RationalFunc],
                 try:
                     cofactor = common.exact_div(coeff.den)
                 except ValueError:
-                    raise RuntimeError("common denominator failed to clear "
-                                       "residual") from None
-            num = num * cofactor
-        nums, den = num.nums, num.den
-        if den == 1:
-            for key, c in nums.items():
-                col[(slot, key)] = c
-        else:
-            for key, c in nums.items():
-                col[(slot, key)] = Fraction(c, den) if c % den else c // den
+                    cofactor = None
+            num = None if cofactor is None else num * cofactor
+        if num is None or num.den != 1:
+            raise RuntimeError("common denominator failed to clear residual")
+        for key, c in num.nums.items():
+            col[(slot, key)] = c
     return col
 
 
-def _settled(col: Dict[object, Fraction]) -> Dict[object, Fraction]:
-    """The non-zero values of ``col``, an int wherever one is an integer."""
-    return {k: v.numerator if v.denominator == 1 else v
-            for k, v in col.items() if v}
-
-
 def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
-                                    nvars: int) -> List[Dict[object, Fraction]]:
+                                    nvars: int) -> List[Dict[object, int]]:
     """Clear all denominators with one shared multiplier; a per-output
     multiplier would rescale columns and corrupt recovered solutions."""
     common = _common_multiplier(outputs, nvars)
     return [_expand(out, common) for out in outputs]
 
 
-def _shift_into(col: Dict[object, Fraction], piece: Dict[object, Fraction],
+def _shift_into(col: Dict[object, int], piece: Dict[object, int],
                 shift: int, factor) -> None:
     """col += factor * x^shift * piece, a packed key ``shift`` added to each
     monomial key; may leave zeros in ``col``."""
@@ -414,7 +417,7 @@ def _shift_into(col: Dict[object, Fraction], piece: Dict[object, Fraction],
 
 
 def _system_columns(residual_map: Callable, space: MonomialSpace,
-                    extra: Sequence) -> List[Dict[object, Fraction]]:
+                    extra: Sequence) -> List[Dict[object, int]]:
     """Exact columns of the map on each basis element, then of each extra
     residual, all cleared by one common denominator.
 
@@ -448,7 +451,7 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
     common = _common_multiplier(
         [output(j + i) for j in firsts for i in range(low)] + extra, nvars)
 
-    columns: List[Dict[object, Fraction]] = []
+    columns: List[Dict[object, int]] = []
     for first in firsts:
         read_off = [_expand(output(first + i), common) for i in range(low)]
         columns.extend(read_off)
@@ -461,12 +464,12 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
             pieces.append((exponents[i].index(1), keys[i],
                            {k: v for k, v in p.items() if v}))
         for exps, kb in zip(exponents[low:], keys[low:]):
-            col: Dict[object, Fraction] = {}
+            col: Dict[object, int] = {}
             _shift_into(col, q, kb, 1)
             for v, kv, p in pieces:
                 if exps[v]:
                     _shift_into(col, p, kb - kv, exps[v])
-            columns.append(_settled(col))
+            columns.append({k: v for k, v in col.items() if v})
         last = first + size - 1
         try:
             direct = _expand(output(last), common)

@@ -237,6 +237,9 @@ def test_line_ends_and_the_end_of_input():
 @pytest.mark.parametrize("source, message, line, col", [
     ("chart x y\nfunc f = e1 + 1\nfunc g = x y)\n", "cannot add multivector "
      "and scalar", 2, 13),
+    # juxtaposition binds at the level of *: e1 2 is a product before * e2
+    ("chart x y\nmv P = e1 2 * e2\n", "use ^^ to combine non-scalar factors",
+     2, 13),
     ("chart x y\nfunc f = q + (\nfunc g = 1e3\n", "1e3 looks like "
      "scientific notation, which documents do not have: write 1*e3 for a "
      "product, or 1000", 3, 10),
@@ -259,7 +262,7 @@ def test_nesting_limit_leaves_room_for_callers():
     # evaluation runs inside the parser's frames: 99 parentheses around a
     # rational body whose own parentheses reach the limit, and whose division
     # needs a non-trivial gcd in 16 variables, still parse when the call to
-    # parse is 300 frames deep
+    # parse is 600 frames deep
     names = [f"x{i}" for i in range(1, 17)]
     s = "+".join(names)
     source = ("chart " + " ".join(names) + "\nfunc f = " + "(" * 99
@@ -268,7 +271,7 @@ def test_nesting_limit_leaves_room_for_callers():
     def below(frames):
         return below(frames - 1) if frames > 1 else parse(source)
 
-    doc = below(300 - _frames())
+    doc = below(600 - _frames())
     assert doc.scalar("f") == sum((RationalFunc.variable(16, i)
                                    for i in range(16)), RationalFunc.zero(16))
     with pytest.raises(DslError, match="nested deeper than 100 levels"):

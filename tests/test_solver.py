@@ -319,11 +319,15 @@ def test_systems_from_integer_polynomials_hold_ints():
                                       Multivector(line, 0, {0: var(1, 0)}))
     assert all(type(v) is int for row in matrix.entries for v in row.values())
     assert all(type(v) is int for v in b)
-    # a coefficient that is not an integer stays a Fraction
+    # a coefficient that is not an integer is scaled away: the system of
+    # the halved map holds ints and has the same rank and nullspace
+    whole = collect_linear_system(bracket, AnsatzSpace(chart, 1))
     halved = collect_linear_system(lambda f: bracket(f).scale(F(1, 2)),
                                    AnsatzSpace(chart, 1))
     values = [v for row in halved.entries for v in row.values()]
-    assert F(1, 2) in values and only_exact_ints(values)
+    assert values and all(type(v) is int for v in values)
+    assert halved.rank() == whole.rank()
+    assert halved.nullspace() == whole.nullspace()
 
 
 def test_common_multiplier_has_integer_numerators():
