@@ -20,17 +20,19 @@ is zero exactly when one is minus the other.
 
 from __future__ import annotations
 
-from typing import Dict
+from itertools import chain
 
 from mvcurl.exterior import (
     DifferentialForm,
     Multivector,
     VolumeForm,
+    _signed,
     blade_indices,
     exterior_derivative,
     flat,
     marsden_derivative,
     merge_sign,
+    pairing,
     sharp,
 )
 from mvcurl.ring import RationalFunc
@@ -52,16 +54,11 @@ def divergence(volume: VolumeForm, x: Multivector) -> RationalFunc:
 
 
 def vector_apply(x: Multivector, f: RationalFunc) -> RationalFunc:
-    """Directional derivative X(f) of a function along a vector field."""
+    """Directional derivative X(f) = <df, X>, the pairing of the
+    differential of f with the vector field."""
     if x.grade != 1 and not x.is_zero():
         raise ValueError(f"expected a vector field, got grade {x.grade}")
-    total = RationalFunc.zero(x.chart.dim)
-    for mask, coeff in x.terms.items():
-        i = mask.bit_length() - 1
-        fi = f.diff(i)
-        if not fi.is_zero():
-            total = total + coeff * fi
-    return total
+    return pairing(DifferentialForm.differential(x.chart, f), x)
 
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
@@ -73,36 +70,24 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     """
     if a.chart != b.chart:
         raise ValueError("chart mismatch")
-    chart = a.chart
     p, q = a.grade, b.grade
     sign1 = -1 if (p - 1) % 2 else 1
     sign2 = -(1 if ((p - 1) * (q - 1) + (q - 1)) % 2 == 0 else -1)
-    out: Dict[int, RationalFunc] = {}
 
-    def accumulate(base_sign: int, coeff: RationalFunc, contracted_mask: int,
-                   k: int, other_mask: int) -> None:
-        # coeff * (i_{dx_k} d_{contracted_mask | k}) ^ d_{other_mask}
-        if contracted_mask & other_mask:
-            return
-        sign = base_sign * merge_sign(1 << k, contracted_mask) \
-            * merge_sign(contracted_mask, other_mask)
-        if sign < 0:
-            coeff = -coeff
-        mask = contracted_mask | other_mask
-        prev = out.get(mask)
-        out[mask] = coeff if prev is None else prev + coeff
+    def half(base_sign: int, mi: int, ci: RationalFunc, mj: int, cj: RationalFunc):
+        # base_sign * ci (i_{d cj} d_{mi}) ^ d_{mj}, one pair per x_k of mi
+        for k in blade_indices(mi):
+            rest = mi & ~(1 << k)
+            if rest & mj:
+                continue
+            dk = cj.diff(k)
+            if not dk.is_zero():
+                sign = base_sign * merge_sign(1 << k, rest) * merge_sign(rest, mj)
+                yield rest | mj, _signed(sign, ci * dk)
 
-    for mi, ca in a.terms.items():
-        for mj, cb in b.terms.items():
-            for k in blade_indices(mi):
-                dk = cb.diff(k)
-                if not dk.is_zero():
-                    accumulate(sign1, ca * dk, mi & ~(1 << k), k, mj)
-            for k in blade_indices(mj):
-                dk = ca.diff(k)
-                if not dk.is_zero():
-                    accumulate(sign2, cb * dk, mj & ~(1 << k), k, mi)
-    return Multivector(chart, p + q - 1, out)
+    return Multivector._summed(a.chart, p + q - 1, (
+        term for mi, ca in a.terms.items() for mj, cb in b.terms.items()
+        for term in chain(half(sign1, mi, ca, mj, cb), half(sign2, mj, cb, mi, ca))))
 
 
 def last_multiplier_residual(volume: VolumeForm, m: RationalFunc,

@@ -286,14 +286,17 @@ class _Parser:
         while tokens[self.pos][0] == "-":
             self.descend(self.advance())
             signs += 1
+        names_read = self.names_read
         value = self.atom()
         while tokens[self.pos][0] == "^":
-            value = self.power(value, self.advance())
+            value = self.power(value, self.advance(),
+                               self.names_read > names_read)
         self.depth -= signs
         return -value if signs % 2 else value
 
-    def power(self, value: Value, op: _Token) -> Value:
-        """``value`` to the ``[-]NUM`` after the ``^`` at ``op``."""
+    def power(self, value: Value, op: _Token, named_base: bool) -> Value:
+        """``value`` to the ``[-]NUM`` after the ``^`` at ``op``; a zero base
+        to a negative power follows the rule of a zero divisor."""
         negative = self.tokens[self.pos][0] == "-"
         self.pos += negative
         e = int(self.expect("NUM")[1])
@@ -301,6 +304,10 @@ class _Parser:
         if not isinstance(value, RationalFunc):
             raise DslError("powers apply to scalar expressions only",
                            op[2], op[3])
+        if exponent < 0 and value.is_zero():
+            if named_base:
+                raise ZeroDivisionError("zero expression to a negative power")
+            raise DslError("zero to a negative power", op[2], op[3])
         if max(_power_terms(value.num, e),
                _power_terms(value.den, e)) > MAX_POWER_TERMS:
             raise DslError(f"power too large to expand: the result may have "

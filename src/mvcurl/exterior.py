@@ -9,11 +9,18 @@ ignores the nominal grade of zeros.
 Sign conventions are fixed by two rules and frozen by tests:
   - the duality pairing is 1 on identically sorted blades;
   - interior products are the adjoints of left wedge multiplication.
+
+The public constructors validate outside input (grades, masks, coefficient
+dimensions).  Every operation result instead goes through one trusted
+builder, ``_BladeSum._summed``, which sums ``(mask, coefficient)`` pairs by
+mask and drops zeros: an operation on valid operands only yields blades of
+its grade inside the chart.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Sequence, Tuple
 
 from mvcurl.ring import Polynomial, RationalFunc
@@ -101,6 +108,10 @@ def merge_sign(a: int, b: int) -> int:
     return -1 if s & 1 else 1
 
 
+def _signed(sign: int, coeff: RationalFunc) -> RationalFunc:
+    return -coeff if sign < 0 else coeff
+
+
 class _BladeSum:
     """Shared sparse blade-sum machinery for multivectors and forms."""
 
@@ -124,6 +135,25 @@ class _BladeSum:
         self.chart = chart
         self.grade = grade
         self.terms = clean
+
+    @classmethod
+    def _summed(cls, chart: Chart, grade: int,
+                pairs: Iterable[Tuple[int, RationalFunc]]):
+        """Trusted builder for operation results: sums the coefficients of
+        equal masks and drops zero sums, skipping ``__init__``'s checks."""
+        terms: Dict[int, RationalFunc] = {}
+        for mask, coeff in pairs:
+            prev = terms.get(mask)
+            coeff = coeff if prev is None else prev + coeff
+            if coeff.is_zero():
+                terms.pop(mask, None)
+            else:
+                terms[mask] = coeff
+        out = object.__new__(cls)
+        out.chart = chart
+        out.grade = grade
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -181,43 +211,30 @@ class _BladeSum:
             return self
         if self.grade != other.grade:
             raise ValueError(f"grade mismatch: {self.grade} vs {other.grade}")
-        out = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            prev = out.get(mask)
-            out[mask] = coeff if prev is None else prev + coeff
-        return type(self)(self.chart, self.grade, out)
+        return self._summed(self.chart, self.grade,
+                            chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.chart, self.grade,
-                          {m: -c for m, c in self.terms.items()})
+        return self._summed(self.chart, self.grade,
+                            ((m, -c) for m, c in self.terms.items()))
 
     def scale(self, value):
         """Multiply by a scalar (RationalFunc or exact rational)."""
         if not isinstance(value, RationalFunc):
             value = RationalFunc.constant(self.chart.dim, Fraction(value))
-        if value.is_zero():
-            return type(self)(self.chart, self.grade)
-        return type(self)(self.chart, self.grade,
-                          {m: c * value for m, c in self.terms.items()})
+        pairs = () if value.is_zero() else (
+            (m, c * value) for m, c in self.terms.items())
+        return self._summed(self.chart, self.grade, pairs)
 
     def wedge(self, other):
         self._check(other)
-        out: Dict[int, RationalFunc] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue
-                sign = merge_sign(ma, mb)
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                mask = ma | mb
-                prev = out.get(mask)
-                out[mask] = coeff if prev is None else prev + coeff
-        return type(self)(self.chart, self.grade + other.grade, out)
+        return self._summed(self.chart, self.grade + other.grade, (
+            (ma | mb, _signed(merge_sign(ma, mb), ca * cb))
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items() if not ma & mb))
 
     def __eq__(self, other) -> bool:
         if type(self) is not type(other):
@@ -276,7 +293,9 @@ class DifferentialForm(_BladeSum):
     @classmethod
     def differential(cls, chart: Chart, f: RationalFunc) -> "DifferentialForm":
         """The one-form df."""
-        return cls(chart, 1, {1 << i: f.diff(i) for i in range(chart.dim)})
+        if f.nvars != chart.dim:
+            raise ValueError("coefficient dimension does not match chart")
+        return cls._summed(chart, 1, ((1 << i, f.diff(i)) for i in range(chart.dim)))
 
 
 class VolumeForm:
@@ -339,18 +358,10 @@ def _contract(outer: _BladeSum, inner: _BladeSum) -> _BladeSum:
     ``inner``; the result has the kind of ``inner``."""
     if outer.chart != inner.chart:
         raise ValueError("chart mismatch")
-    out: Dict[int, RationalFunc] = {}
-    for mj, co in outer.terms.items():
-        for mi, ci in inner.terms.items():
-            if mj & ~mi:
-                continue
-            rest = mi & ~mj
-            coeff = co * ci
-            if merge_sign(mj, rest) < 0:
-                coeff = -coeff
-            prev = out.get(rest)
-            out[rest] = coeff if prev is None else prev + coeff
-    return type(inner)(inner.chart, inner.grade - outer.grade, out)
+    return inner._summed(inner.chart, inner.grade - outer.grade, (
+        (mi & ~mj, _signed(merge_sign(mj, mi & ~mj), co * ci))
+        for mj, co in outer.terms.items()
+        for mi, ci in inner.terms.items() if not mj & ~mi))
 
 
 def interior_product_form(a: Multivector, omega: DifferentialForm) -> DifferentialForm:
@@ -363,58 +374,44 @@ def interior_product_vector(omega: DifferentialForm, a: Multivector) -> Multivec
     return _contract(omega, a)
 
 
-def flat(volume: VolumeForm, a: Multivector) -> DifferentialForm:
-    """Contraction into the volume form, i_a V: grade k -> degree n - k.
-
-    Each blade goes to its complement with the sign of sorting the blade in
-    front of it, times the density; a unit density multiplies nothing.
-    """
-    if volume.chart != a.chart:
+def _complement(volume: VolumeForm, x: _BladeSum, kind, inverse: bool):
+    """Each blade of ``x`` to its complement blade of ``kind``.  Flat sorts
+    the blade in front of its complement and multiplies by the density; its
+    ``inverse`` sorts the blade behind and divides, through the inverse of
+    the density taken once.  A unit density multiplies nothing."""
+    if volume.chart != x.chart:
         raise ValueError("chart mismatch")
-    chart = a.chart
+    chart, f = x.chart, volume.density
+    f = None if f.is_one() else f.inverse() if inverse else f
     full = chart.full_mask
-    f = None if volume.density.is_one() else volume.density
-    out: Dict[int, RationalFunc] = {}
-    for mask, coeff in a.terms.items():
+    pairs = []
+    for mask, coeff in x.terms.items():
         rest = full & ~mask
         c = coeff if f is None else coeff * f
-        out[rest] = -c if merge_sign(mask, rest) < 0 else c
-    return DifferentialForm(chart, chart.dim - a.grade, out)
+        sign = merge_sign(rest, mask) if inverse else merge_sign(mask, rest)
+        pairs.append((rest, -c if sign < 0 else c))
+    return kind._summed(chart, chart.dim - x.grade, pairs)
+
+
+def flat(volume: VolumeForm, a: Multivector) -> DifferentialForm:
+    """Contraction into the volume form, i_a V: grade k -> degree n - k."""
+    return _complement(volume, a, DifferentialForm, False)
 
 
 def sharp(volume: VolumeForm, omega: DifferentialForm) -> Multivector:
-    """Inverse of flat: solves i_A V = omega blade by blade; a unit density
-    divides nothing."""
-    if volume.chart != omega.chart:
-        raise ValueError("chart mismatch")
-    chart = omega.chart
-    full = chart.full_mask
-    f = None if volume.density.is_one() else volume.density
-    out: Dict[int, RationalFunc] = {}
-    for mask, coeff in omega.terms.items():
-        rest = full & ~mask
-        c = coeff if f is None else coeff / f
-        out[rest] = -c if merge_sign(rest, mask) < 0 else c
-    return Multivector(chart, chart.dim - omega.grade, out)
+    """Inverse of flat: solves i_A V = omega blade by blade."""
+    return _complement(volume, omega, Multivector, True)
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
-    chart = omega.chart
-    out: Dict[int, RationalFunc] = {}
+    pairs = []
     for mask, coeff in omega.terms.items():
-        for i in range(chart.dim):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            ci = coeff.diff(i)
-            if ci.is_zero():
-                continue
-            if merge_sign(bit, mask) < 0:
-                ci = -ci
-            new = mask | bit
-            prev = out.get(new)
-            out[new] = ci if prev is None else prev + ci
-    return DifferentialForm(chart, omega.grade + 1, out)
+        for i in range(omega.chart.dim):
+            if not mask >> i & 1:
+                ci = coeff.diff(i)
+                if not ci.is_zero():
+                    pairs.append((mask | 1 << i, _signed(merge_sign(1 << i, mask), ci)))
+    return DifferentialForm._summed(omega.chart, omega.grade + 1, pairs)
 
 
 def witten_derivative(t, f: RationalFunc, omega: DifferentialForm) -> DifferentialForm:

@@ -220,12 +220,6 @@ class Polynomial:
     def is_one(self) -> bool:
         return self.den == 1 and len(self.nums) == 1 and self.nums.get(0) == 1
 
-    def constant_value(self) -> Fraction:
-        """Value of a constant polynomial (raises if non-constant)."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(sum(self.nums.values()), self.den)
-
     def total_degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
         if not self.nums:
@@ -826,16 +820,8 @@ class RationalFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("rational function is not constant")
-        return self.num.constant_value()
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -359,6 +359,31 @@ def test_computed_zero_division_is_exit_3(tmp_path, capsys):
     assert "zero" in err
 
 
+# a zero base to a negative power follows the rule of a zero divisor: a base
+# that read no name is a parse error at the ^, one that read a name is math
+
+
+def print_error(tmp_path, capsys, doc):
+    path = tmp_path / "power.mv"
+    path.write_text(doc)
+    return run(capsys, "print", "--input", str(path))
+
+
+def test_zero_to_a_negative_power_is_exit_2(tmp_path, capsys):
+    assert print_error(tmp_path, capsys, "chart x\nfunc f = 0^-2\n") == (
+        2, "", "error: line 2, column 11: zero to a negative power\n")
+
+
+def test_parenthesised_zero_to_a_negative_power_is_exit_2(tmp_path, capsys):
+    assert print_error(tmp_path, capsys, "chart x\nfunc f = (0)^-1\n") == (
+        2, "", "error: line 2, column 13: zero to a negative power\n")
+
+
+def test_zero_expression_to_a_negative_power_is_exit_3(tmp_path, capsys):
+    assert print_error(tmp_path, capsys, "chart x\nfunc f = (x-x)^-1\n") == (
+        3, "", "error: zero expression to a negative power\n")
+
+
 # ------------------------------------------------------------ deep documents
 
 def curl_of(tmp_path, capsys, body):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mvcurl import ring
+from mvcurl.curl import curl, schouten
 from mvcurl.exterior import (
     Chart,
     DifferentialForm,
@@ -273,3 +274,46 @@ def test_to_string():
     mixed = E1.scale(X) + E2.scale(CH.constant(-1))
     assert mixed.to_string() == "(x) e1 + (-1) e2"
     assert Multivector.scalar(CH, X).to_string() == "x"
+
+
+# -- operation results go through the trusted builder -------------------------
+
+
+def assert_valid_blade_sum(r):
+    """What the checking constructor would make of ``r``'s terms is ``r``
+    itself: no stored zero, and only blades of its grade inside the chart."""
+    rebuilt = type(r)(r.chart, r.grade, dict(r.terms))
+    assert rebuilt == r
+    assert hash(rebuilt) == hash(r)
+    for mask, coeff in r.terms.items():
+        assert not coeff.is_zero()
+        assert mask.bit_count() == r.grade
+        assert not mask >> r.chart.dim
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_operation_results_are_valid_blade_sums(dim):
+    chart = Chart(("x", "y", "z", "w")[:dim])
+    rng = random.Random(f"builder-{dim}")
+    for density in density_pool(chart):
+        vol = VolumeForm(chart, density)
+        for _ in range(3):
+            k, l = rng.randint(0, dim), rng.randint(0, dim)
+            a, b = (random_multivector(rng, chart, k, max_blades=4)
+                    for _ in range(2))
+            c = random_multivector(rng, chart, l, max_blades=4)
+            w, v = (random_form(rng, chart, k, max_blades=4) for _ in range(2))
+            u = random_form(rng, chart, l, max_blades=4)
+            m = random_multiplier(rng, dim)
+            contracted = _contract(a, w)
+            assert pairing(w, a) == contracted.scalar_value()
+            results = [
+                a + b, a + (b - a), w + v, a - b, a - a, w - v, -a, -w,
+                a.scale(m), w.scale(m), a.scale(0), w.scale(chart.zero_rf()),
+                a.wedge(c), wedge(w, u), interior_product_form(c, w),
+                interior_product_vector(u, a), contracted,
+                exterior_derivative(w), DifferentialForm.differential(chart, m),
+                flat(vol, a), sharp(vol, w), schouten(a, c), curl(vol, a),
+            ]
+            for r in results:
+                assert_valid_blade_sum(r)
