@@ -30,7 +30,6 @@ from mvcurl.exterior import (
     blade_indices,
     exterior_derivative,
     flat,
-    marsden_derivative,
     merge_sign,
     pairing,
     sharp,
@@ -55,10 +54,15 @@ def divergence(volume: VolumeForm, x: Multivector) -> RationalFunc:
 
 def vector_apply(x: Multivector, f: RationalFunc) -> RationalFunc:
     """Directional derivative X(f) = <df, X>, the pairing of the
-    differential of f with the vector field."""
+    differential of f with the vector field; f is differentiated only in
+    the coordinates where X has a component."""
     if x.grade != 1 and not x.is_zero():
         raise ValueError(f"expected a vector field, got grade {x.grade}")
-    return pairing(DifferentialForm.differential(x.chart, f), x)
+    if f.nvars != x.chart.dim:
+        raise ValueError("coefficient dimension does not match chart")
+    df = DifferentialForm._summed(x.chart, 1, (
+        (mask, f.diff(mask.bit_length() - 1)) for mask in x.terms))
+    return pairing(df, x)
 
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
@@ -110,14 +114,15 @@ def is_last_multiplier(volume: VolumeForm, m: RationalFunc, a: Multivector) -> b
     (b) flat(a) lies in the kernel of the operator d_m + (m-1)d, which is
         dm^ + m d: dm ^ flat(a) equals -m d(flat(a)), compared as canonical
         forms, with its own dm, d and wedge;
-    (c) flat(a) is closed for the conjugated differential (1/m) d(m * .).
+    (c) flat(a) is closed for the conjugated differential (1/m) d(m * .),
+        tested as d(m flat(a)) = 0, since m is not zero.
     """
     if m.is_zero():
         raise ZeroDivisionError("candidate multiplier must be non-zero")
     omega = flat(volume, a)
     via_curl = last_multiplier_residual(volume, m, a).is_zero()
     via_witten = _in_witten_kernel(m, omega)
-    via_marsden = marsden_derivative(m, omega).is_zero()
+    via_marsden = exterior_derivative(omega.scale(m)).is_zero()
     if not via_curl == via_witten == via_marsden:
         raise RuntimeError(
             f"multiplier routes disagree: curl={via_curl} "

@@ -19,7 +19,6 @@ its grade inside the chart.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -224,7 +223,7 @@ class _BladeSum:
     def scale(self, value):
         """Multiply by a scalar (RationalFunc or exact rational)."""
         if not isinstance(value, RationalFunc):
-            value = RationalFunc.constant(self.chart.dim, Fraction(value))
+            value = RationalFunc.constant(self.chart.dim, value)
         pairs = () if value.is_zero() else (
             (m, c * value) for m, c in self.terms.items())
         return self._summed(self.chart, self.grade, pairs)
@@ -417,8 +416,8 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
 def witten_derivative(t, f: RationalFunc, omega: DifferentialForm) -> DifferentialForm:
     """Deformed differential t*df ^ omega + d(omega)."""
     d_omega = exterior_derivative(omega)
-    t = Fraction(t)
-    if t == 0:
+    t = RationalFunc.constant(omega.chart.dim, t)
+    if t.is_zero():
         return d_omega
     df = DifferentialForm.differential(omega.chart, f)
     return df.scale(t).wedge(omega) + d_omega

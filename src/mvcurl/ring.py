@@ -33,7 +33,9 @@ keys into exponent tuples.
 ``poly_gcd`` runs the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC
 1989) first and accepts its candidate only when exact division proves it
 (see ``_heu_gcd``); when the heuristic gives up, a content recursion around
-a subresultant PRS finds the gcd.
+a subresultant PRS finds the gcd.  ``common_denominator`` writes a list of
+rational functions as integer-coefficient numerators over one shared
+denominator, which is how the solver clears a linear system.
 
 ``Polynomial(nvars, terms)`` checks exponents and converts coefficients
 (ints, ``Fraction`` or other exact rationals; floats are refused), for input
@@ -721,6 +723,33 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return Polynomial.zero(a.nvars)
     return _monic(a * b.exact_div(poly_gcd(a, b)))
+
+
+def common_denominator(nvars: int, coeffs: Sequence[RationalFunc]
+                       ) -> Tuple[Polynomial, list]:
+    """(D, numerators) with coeffs[i] == numerators[i] / D and every
+    numerator over the integers.
+
+    D is the lcm of the denominators with integer numerators (``3x + 1``,
+    not the monic ``x + 1/3``), times the least positive integer that
+    leaves every numerator integral.  The cofactor D/d of each distinct
+    denominator d takes one exact division, and no gcd beyond the lcm's.
+    """
+    cofactors = {c.den: None for c in coeffs if not c.den.is_one()}
+    common = _one(nvars)
+    for d in cofactors:
+        common = poly_lcm(common, d)
+    common = Polynomial._make(nvars, common.nums)  # over the integers
+    for d in cofactors:
+        cofactors[d] = common.exact_div(d)
+    numerators = [c.num * (common if c.den.is_one() else cofactors[c.den])
+                  for c in coeffs]
+    # in lowest terms, a numerator times L is integral when its den divides L
+    scale = lcm(*(p.den for p in numerators))
+    if scale == 1:
+        return common, numerators
+    return (common._times(scale, 1),
+            [p._times(scale, 1) for p in numerators])
 
 
 # (denominator, index) -> (h, e, d·h, content of d in x_index) for the

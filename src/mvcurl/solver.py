@@ -3,12 +3,8 @@
 Kernels of the multiplier, Casimir, and cohomology equations are linear in
 the unknown coefficients, so each problem reduces to an exact nullspace or
 an exact affine solve.  Residual outputs of the probed map are expanded over
-a (blade, monomial) row basis after clearing all denominators with one
-common multiplier for the whole system; a per-column multiplier would
-rescale columns and corrupt the recovered solution functions.  The common
-multiplier is the lcm of the denominators with integer numerators, times
-the least integer that leaves every cleared value integral, and a
-coefficient n/d is cleared as n times the exact quotient of it by d.
+a (blade, monomial) row basis once the ring's ``common_denominator`` has
+written all of them over one denominator with integer numerators.
 
 Every solver searches one kind of space, a ``MonomialSpace``: monomials
 x^beta up to a total degree times one seed per blade, 1/den for functions
@@ -16,8 +12,9 @@ and e_b/den for multivectors.  Every map a solver takes is also a
 first-order differential operator in the coefficient: Liouville's transport
 equation curl(m A) = m curl A +- i_{dm} A and the derivation [pi, .] are.
 So the map runs only on the space's elements of degree <= 1, each seed and
-the seed times each variable, and on one check element per blade; every
-other column is assembled from those values by shifting monomial keys.
+the seed times each variable, and on each blade's last element, which
+must agree with the first-order prediction; every other column is
+assembled from those values by shifting monomial keys.
 
 The values come straight from the ring's integer numerators, so a system
 is stored as sparse rows of ``int`` and eliminated fraction-free; no dense
@@ -33,7 +30,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm, _BladeSum
-from mvcurl.ring import Polynomial, RationalFunc, _pack, poly_lcm
+from mvcurl.ring import Polynomial, RationalFunc, _pack, common_denominator
 
 # Largest ansatz a solver accepts, in basis elements.  Assembly runs the
 # operator a few times per seed, but elimination is up to cubic in the count:
@@ -346,64 +343,16 @@ def _residual_terms(value) -> Dict[object, RationalFunc]:
     raise TypeError(f"unsupported residual type: {type(value).__name__}")
 
 
-def _common_multiplier(outputs: Sequence[Dict[object, RationalFunc]],
-                       nvars: int) -> Polynomial | None:
-    """The lcm C of every denominator in the outputs with integer numerators,
-    that is the monic lcm times its integer denominator, then times the
-    least integer L that makes every cleared value n * (C / d) integral; or
-    None when L * C is 1.  Scaling a whole system by one constant changes no
-    kernel or solution, and this scale leaves every value an int."""
-    common = Polynomial.constant(nvars, 1)
-    for out in outputs:
-        for coeff in out.values():
-            if not coeff.den.is_one():
-                common = poly_lcm(common, coeff.den)
-    common = Polynomial._make(nvars, common.nums)
-    # with n = N/a and C/d = F/b, N and F over the integers, n * (C/d) has
-    # the denominator ab / gcd(ab, content(N) content(F)) by Gauss's lemma
-    scale = 1
-    for out in outputs:
-        for coeff in out.values():
-            num, den = coeff.num, coeff.den
-            cofactor = common if den.is_one() else common.exact_div(den)
-            ab = num.den * cofactor.den
-            if ab != 1:
-                content = gcd(*num.nums.values()) * gcd(*cofactor.nums.values())
-                scale = lcm(scale, ab // gcd(ab, content))
-    common = common._times(scale, 1)
-    return None if common.is_one() else common
-
-
-def _expand(out: Dict[object, RationalFunc],
-            common: Polynomial | None) -> Dict[object, int]:
-    """One output times the common multiplier, as {(slot, packed key): int}.
-    Each coefficient n/d is cleared as n * (common / d), one exact division
-    and no gcd; a denominator that the multiplier does not divide, or a
-    value that it leaves fractional, raises ``RuntimeError``."""
-    col: Dict[object, int] = {}
-    for slot, coeff in out.items():
-        num = coeff.num
-        if common is not None:
-            cofactor = common
-            if not coeff.den.is_one():
-                try:
-                    cofactor = common.exact_div(coeff.den)
-                except ValueError:
-                    cofactor = None
-            num = None if cofactor is None else num * cofactor
-        if num is None or num.den != 1:
-            raise RuntimeError("common denominator failed to clear residual")
-        for key, c in num.nums.items():
-            col[(slot, key)] = c
-    return col
-
-
-def _expand_with_common_denominator(outputs: List[Dict[object, RationalFunc]],
-                                    nvars: int) -> List[Dict[object, int]]:
-    """Clear all denominators with one shared multiplier; a per-output
-    multiplier would rescale columns and corrupt recovered solutions."""
-    common = _common_multiplier(outputs, nvars)
-    return [_expand(out, common) for out in outputs]
+def _cleared(outputs: Sequence[Dict[object, RationalFunc]],
+             nvars: int) -> List[Dict[object, int]]:
+    """The outputs over one common denominator (``ring.common_denominator``)
+    as {(slot, packed key): int} columns; a per-output denominator would
+    rescale columns and corrupt recovered solutions."""
+    _, numerators = common_denominator(
+        nvars, [c for out in outputs for c in out.values()])
+    parts = iter(numerators)
+    return [{(slot, key): c for slot in out for key, c in next(parts).nums.items()}
+            for out in outputs]
 
 
 def _shift_into(col: Dict[object, int], piece: Dict[object, int],
@@ -429,8 +378,10 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
     so the map runs only on the space's own elements of degree <= 1, s and
     each x_i s, whose columns it reads off, and every other column is a sum
     of shifted copies of the cleared Q and P_i.  The linearity spot check
-    runs first; then, where a blade has elements of degree 2 or more, the
-    column of its last element is compared with a direct evaluation.
+    runs first.  Where a blade has elements of degree 2 or more, the map
+    also runs on its last element, x_0^D s, whose column must equal the
+    first-order prediction; this probe checks that element only, so a map
+    such as d^2/dx_1^2 passes it.
     """
     basis = space.basis
     outputs: Dict[int, Dict[object, RationalFunc]] = {}
@@ -445,15 +396,17 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
     nvars, exponents = space.chart.dim, space.exponents
     size = len(exponents)
     low = 1 + nvars if size > 1 else 1  # the elements of degree <= 1
+    # per blade: the elements of degree <= 1, then any check element
+    probes = range(low) if size == low else [*range(low), size - 1]
     keys = [_pack(exps) for exps in exponents]
-    firsts = range(0, len(basis), size)  # each blade's seed element
-    extra = [_residual_terms(v) for v in extra]
-    common = _common_multiplier(
-        [output(j + i) for j in firsts for i in range(low)] + extra, nvars)
+    cleared = _cleared(
+        [output(first + i) for first in range(0, len(basis), size)
+         for i in probes] + [_residual_terms(v) for v in extra], nvars)
+    split = len(cleared) - len(extra)
 
     columns: List[Dict[object, int]] = []
-    for first in firsts:
-        read_off = [_expand(output(first + i), common) for i in range(low)]
+    for at in range(0, split, len(probes)):
+        read_off = cleared[at:at + low]
         columns.extend(read_off)
         if size == low:
             continue
@@ -470,15 +423,11 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
                 if exps[v]:
                     _shift_into(col, p, kb - kv, exps[v])
             columns.append({k: v for k, v in col.items() if v})
-        last = first + size - 1
-        try:
-            direct = _expand(output(last), common)
-        except RuntimeError:
-            direct = None
-        if direct != columns[last]:
+        if cleared[at + low] != columns[-1]:
             raise ValueError("residual map is not a first-order differential "
-                             "operator (stencil check failed)")
-    return columns + [_expand(out, common) for out in extra]
+                             "operator: a blade's last element disagrees "
+                             "with the first-order prediction")
+    return columns + cleared[split:]
 
 
 def collect_linear_system(residual_map: Callable,
@@ -486,10 +435,10 @@ def collect_linear_system(residual_map: Callable,
     """Expand the residual of each basis element into an exact column.
 
     The map must be linear in the ansatz coefficients and a first-order
-    differential operator in them: it runs on the space's elements of
-    degree <= 1 and on one check element per blade (see
-    ``_system_columns``), after a linearity spot check on the first basis
-    pair.
+    differential operator in them: after a linearity spot check on the
+    first basis pair, it runs on the space's elements of degree <= 1 and on
+    each blade's last element, which must agree with the first-order
+    prediction (see ``_system_columns``).
     """
     return ExactMatrix.from_columns(_system_columns(residual_map, space, ()))
 
@@ -543,9 +492,10 @@ def kernel_basis(residual_map: Callable, space: MonomialSpace) -> list:
 
 def _span_contains(columns: List[Dict[object, Fraction]],
                    candidate: Dict[object, Fraction]) -> bool:
-    """Whether adding the candidate column leaves the rank unchanged."""
-    return (ExactMatrix.from_columns(columns).rank()
-            == ExactMatrix.from_columns(columns + [candidate]).rank())
+    """Whether the candidate column takes no pivot in the RREF of
+    [columns | candidate], so adding it leaves the rank unchanged."""
+    pivots = ExactMatrix.from_columns(columns + [candidate])._rref()[1]
+    return len(columns) not in pivots
 
 
 def vector_span_contains(vectors: Sequence[Sequence[Fraction]],
@@ -558,7 +508,7 @@ def vector_span_contains(vectors: Sequence[Sequence[Fraction]],
 def function_span_contains(functions: Sequence[RationalFunc],
                            candidate: RationalFunc) -> bool:
     """Exact membership of a rational function in a finite rational span."""
-    *columns, extra = _expand_with_common_denominator(
+    *columns, extra = _cleared(
         [_residual_terms(f) for f in (*functions, candidate)], candidate.nvars)
     return _span_contains(columns, extra)
 

@@ -333,3 +333,21 @@ def test_disagreeing_witten_route_raises(monkeypatch):
     for m, a in ((h.inverse(), bivector(h)), (X, E1)):
         with pytest.raises(RuntimeError, match="routes disagree"):
             is_last_multiplier(VOL, m, a)
+
+
+def test_vector_apply_differentiates_only_along_the_field(monkeypatch):
+    chart = Chart(("x", "y", "z", "w"))
+    x, y, w = (chart.coordinate(i) for i in (0, 1, 3))
+    calls = []
+    diff = RationalFunc.diff
+
+    def counted(f, index):
+        calls.append(index)
+        return diff(f, index)
+
+    monkeypatch.setattr(RationalFunc, "diff", counted)
+    e1 = Multivector.basis_vector(chart, 0)
+    assert vector_apply(e1, x * y + w) == y
+    assert calls == [0]
+    with pytest.raises(ValueError, match="coefficient dimension"):
+        vector_apply(e1, X)

@@ -1,6 +1,7 @@
 """Blade algebra: wedge, pairing, contractions, musical maps, differentials."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -245,6 +246,23 @@ def test_leibniz_rule_random():
 def test_witten_derivative():
     assert witten_derivative(0, X, D2.scale(Y)) == exterior_derivative(D2.scale(Y))
     assert witten_derivative(1, X, D2) == D1.wedge(D2)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5])
+def test_blade_sums_refuse_float_scalars(value):
+    for x in (E1, D1):
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            x.scale(value)
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        witten_derivative(value, X, D2)
+
+
+@pytest.mark.parametrize("value", ["1/10", Fraction(1, 10)])
+def test_blade_sums_take_exact_scalars(value):
+    tenth = RationalFunc.constant(2, Fraction(1, 10))
+    for x in (E1, D1):
+        assert x.scale(value).coefficient(0b01) == tenth
+    assert witten_derivative(value, X, D2) == D1.wedge(D2).scale(tenth)
 
 
 def test_marsden_derivative():

@@ -4,7 +4,7 @@ import operator
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -818,3 +818,71 @@ def test_traced_methods_keep_their_names():
     for name in ("__add__", "__mul__", "diff"):
         assert getattr(RationalFunc, name).__name__ == name
         assert name in vars(RationalFunc)
+
+
+def reference_common_denominator(nvars, coeffs):
+    """The lcm over the integers times the least integer that clears every
+    numerator, read off ``terms`` as Fractions."""
+    monic = RationalFunc.constant(nvars, 1).num
+    for c in coeffs:
+        monic = poly_lcm(monic, c.den)
+    common = monic.scale(lcm(*(v.denominator for v in monic.terms.values())))
+    products = [c.num * common.exact_div(c.den) for c in coeffs]
+    return common.scale(lcm(*(v.denominator for p in products
+                              for v in p.terms.values())))
+
+
+def seeded_coefficients(rng, nvars):
+    shared = seeded_quotient(rng, nvars).den
+    kinds = [lambda: seeded_quotient(rng, nvars),
+             lambda: RationalFunc(seeded_poly(rng, nvars, 3)),
+             lambda: RationalFunc(seeded_poly(rng, nvars, 2), shared),
+             lambda: RationalFunc.zero(nvars)]
+    return [rng.choice(kinds)() for _ in range(rng.randint(0, 6))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_common_denominator_clears_to_integer_numerators(monkeypatch, seed):
+    rng = random.Random(f"common-denominator:{seed}")
+    nvars = rng.randint(1, 3)
+    coeffs = seeded_coefficients(rng, nvars)
+    lcms = count_calls(monkeypatch, "poly_lcm")
+    common, numerators = ring.common_denominator(nvars, coeffs)
+    assert len(numerators) == len(coeffs)
+    for c, n in zip(coeffs, numerators):
+        assert n.den == 1 and RationalFunc(n, common) == c
+    assert common.den == 1
+    assert common == reference_common_denominator(nvars, coeffs)
+    # one lcm step, and so one cofactor, per distinct denominator
+    assert len(lcms) == len({c.den for c in coeffs if not c.den.is_one()})
+
+
+def test_common_denominator_of_nothing_and_of_polynomials():
+    assert ring.common_denominator(2, []) == (ONE, [])
+    # all polynomial: D is the least integer that clears the coefficients
+    coeffs = [RationalFunc(X.scale(Fraction(1, 2))),
+              RationalFunc.constant(2, Fraction(1, 3)), RationalFunc.zero(2)]
+    common, numerators = ring.common_denominator(2, coeffs)
+    assert common == Polynomial.constant(2, 6)
+    assert numerators == [X.scale(3), Polynomial.constant(2, 2), Polynomial.zero(2)]
+
+
+def test_common_denominator_has_integer_numerators():
+    # monic denominators carry rational coefficients: 3x + 1 is x + 1/3
+    x = RationalFunc.variable(1, 0)
+    one = RationalFunc.constant(1, 1)
+    q = x.scale(3) + one
+    common, numerators = ring.common_denominator(1, [x / q, one / q, x])
+    assert common == Polynomial(1, {(1,): 3, (0,): 1})
+    # x/(3x+1), 1/(3x+1) and x clear to x, 1 and 3x^2 + x, where the
+    # monic lcm x + 1/3 gave x/3, 1/3 and x^2 + x/3
+    assert numerators == [Polynomial(1, {(1,): 1}), Polynomial.constant(1, 1),
+                          Polynomial(1, {(2,): 3, (1,): 1})]
+    assert all(type(v) is int for n in numerators for v in n.nums.values())
+    # 3/(3x+1) is stored as 1/(x + 1/3), whose numerator is already an
+    # integer: D is still 3x + 1, not the monic x + 1/3
+    assert (one / q).scale(3).num == Polynomial.constant(1, 1)
+    assert ring.common_denominator(1, [(one / q).scale(3)]) == (
+        Polynomial(1, {(1,): 3, (0,): 1}), [Polynomial.constant(1, 3)])
+    assert ring.common_denominator(1, [x]) == (Polynomial.constant(1, 1),
+                                               [x.num])

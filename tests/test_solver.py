@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from mvcurl import cli, solver
 from mvcurl.cohomology import _exact_and_kernel_dims, exact_basis
@@ -330,28 +330,21 @@ def test_systems_from_integer_polynomials_hold_ints():
     assert halved.nullspace() == whole.nullspace()
 
 
-def test_common_multiplier_has_integer_numerators():
-    # monic denominators carry rational coefficients: 3x + 1 is x + 1/3
-    x, one = var(1, 0), RationalFunc.constant(1, 1)
-    q = x.scale(3) + one
-    outputs = [{0: x / q}, {0: one / q}, {0: x}]
-    common = solver._common_multiplier(outputs, 1)
-    assert common == Polynomial(1, {(1,): 3, (0,): 1}) and common.den == 1
-    # x/(3x+1), 1/(3x+1) and x clear to x, 1 and 3x^2 + x, where the
-    # monic lcm x + 1/3 gave x/3, 1/3 and x^2 + x/3
-    columns = solver._expand_with_common_denominator(outputs, 1)
-    assert [sorted(col.values()) for col in columns] == [[1], [1], [1, 3]]
-    assert all(type(v) is int for col in columns for v in col.values())
-    assert solver._common_multiplier([{0: x}, {}], 1) is None
-
-
-def test_denominator_outside_the_common_multiplier_raises():
-    x, one = var(1, 0), RationalFunc.constant(1, 1)
-    common = Polynomial(1, {(1,): 3, (0,): 1})
-    with pytest.raises(RuntimeError, match="failed to clear residual"):
-        solver._expand({0: one / (x + one)}, common)
-    with pytest.raises(RuntimeError, match="failed to clear residual"):
-        solver._expand({0: one / (x.scale(3) + one) ** 2}, common)
+def test_each_system_is_cleared_in_one_call(monkeypatch):
+    # the probes, the first-order check elements and the target share one
+    # common denominator
+    calls = []
+    clear = solver.common_denominator
+    monkeypatch.setattr(solver, "common_denominator",
+                        lambda nvars, coeffs: calls.append(nvars)
+                        or clear(nvars, coeffs))
+    chart, vol, field = line_setup()
+    space = AnsatzSpace(chart, 3, denominator=Polynomial.variable(1, 0))
+    residual = lambda m: curl(vol, field.scale(m))
+    collect_linear_system(residual, space)
+    assert calls == [1]
+    collect_affine_system(residual, space, Multivector.scalar(chart, var(1, 0)))
+    assert calls == [1, 1]
 
 
 def test_rational_denominator_system_holds_ints():
@@ -423,6 +416,29 @@ def test_first_order_guard_rejects_a_second_order_map():
         collect_linear_system(second, AnsatzSpace(chart, 2))
     with pytest.raises(ValueError, match="not a first-order"):
         kernel_basis(second, AnsatzSpace(Chart(["x", "y"]), 2))
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", F(1, 2)])
+def test_combine_takes_exact_coefficients_only(value):
+    chart = Chart(["x", "y"])
+    space = MonomialSpace(chart, 1, 0)
+    if isinstance(value, float):
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            space.combine([value, 0])
+    else:
+        assert space.combine([value, 0]) == Multivector.basis_vector(
+            chart, 0).scale(F(1, 2))
+
+
+def test_first_order_probe_checks_only_the_last_element():
+    # the probe is each blade's last element, x^2 here, so a second
+    # derivative in y passes it: the stencil predicts zero columns where
+    # the map run on every element gives rank 1 (on y^2)
+    space = AnsatzSpace(Chart(["x", "y"]), 2)
+    second = lambda f: f.diff(1).diff(1)
+    assert collect_linear_system(second, space).rank() == 0
+    direct = direct_columns(second, space.basis, 2)
+    assert ExactMatrix.from_columns(direct).rank() == 1
 
 
 # -- stencil assembly against direct evaluation ------------------------------
@@ -552,6 +568,23 @@ def test_vector_span_contains():
     assert not vector_span_contains([v1, v2], [F(0), F(0), F(1)])
     assert vector_span_contains([], [F(0), F(0)])
     assert not vector_span_contains([], [F(1), F(0)])
+
+
+@seed(548)
+@settings(max_examples=200, deadline=None)
+@given(matrices_and_vectors(), st.data())
+def test_span_membership_matches_two_ranks(pair, data):
+    m, x = pair
+    columns = [{i: row[j] for i, row in enumerate(m.data)}
+               for j in range(m.cols)]
+    reachable = m.multiply_vector(x)
+    other = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    for target in (reachable, other):
+        candidate = dict(enumerate(target))
+        two_ranks = (ExactMatrix.from_columns(columns).rank()
+                     == ExactMatrix.from_columns(columns + [candidate]).rank())
+        assert solver._span_contains(columns, candidate) == two_ranks
+    assert solver._span_contains(columns, dict(enumerate(reachable)))
 
 
 def test_function_span_contains():
