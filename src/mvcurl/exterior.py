@@ -300,7 +300,7 @@ class DifferentialForm(_BladeSum):
 class VolumeForm:
     """Top-degree form (density) * dx^1 ^ ... ^ dx^n with non-zero density."""
 
-    __slots__ = ("chart", "density", "_top")
+    __slots__ = ("chart", "density")
 
     def __init__(self, chart: Chart, density: RationalFunc):
         if density.nvars != chart.dim:
@@ -309,7 +309,6 @@ class VolumeForm:
             raise ValueError("volume density must be non-zero")
         self.chart = chart
         self.density = density
-        self._top = DifferentialForm(chart, chart.dim, {chart.full_mask: density})
 
     @classmethod
     def unit(cls, chart: Chart) -> "VolumeForm":
@@ -321,7 +320,8 @@ class VolumeForm:
         return VolumeForm(self.chart, self.density * m)
 
     def top_form(self) -> DifferentialForm:
-        return self._top
+        return DifferentialForm(self.chart, self.chart.dim,
+                                {self.chart.full_mask: self.density})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VolumeForm):

@@ -14,7 +14,9 @@ equation curl(m A) = m curl A +- i_{dm} A and the derivation [pi, .] are.
 So the map runs only on the space's elements of degree <= 1, each seed and
 the seed times each variable, and on each blade's last element, which
 must agree with the first-order prediction; every other column is
-assembled from those values by shifting monomial keys.
+assembled from those values by shifting monomial keys.  A space keeps no
+element: it builds only those probes, and ``combine`` builds a member of a
+kernel vector with one polynomial and one normal form per blade.
 
 The values come straight from the ring's integer numerators, so a system
 is stored as sparse rows of ``int`` and eliminated fraction-free; no dense
@@ -49,12 +51,11 @@ class MonomialSpace:
     multivectors, den the fixed ``denominator`` or 1.  Exponents run over
     every total degree <= max_degree in ascending graded lexicographic
     order, blade-major by ascending index mask, so results are reproducible.
-    Solvers expand a linear map over ``basis`` and turn kernel vectors back
-    into members with ``combine``.
+    A space holds no element: solvers build the few their stencil runs a map
+    on with ``element``, and turn kernel vectors into members with ``combine``.
     """
 
-    __slots__ = ("chart", "grade", "exponents", "blades", "basis", "_den",
-                 "_index")
+    __slots__ = ("chart", "grade", "exponents", "blades", "_den")
 
     def __init__(self, chart: Chart, grade: int | None, max_degree: int,
                  denominator: Polynomial | None = None):
@@ -65,54 +66,62 @@ class MonomialSpace:
             n, max_degree, 1 if grade is None else comb(n, grade))
         if denominator is not None and denominator.is_zero():
             raise ZeroDivisionError("ansatz denominator must be non-zero")
-        self.chart, self.grade = chart, grade
+        self.chart, self.grade, self._den = chart, grade, denominator
         self.blades = [0] if grade is None else [
             mask for mask in range(1 << n) if mask.bit_count() == grade]
-        self._den = None if denominator is None else RationalFunc(denominator)
-        self.basis, self._index = [], {}
-        for mask in self.blades:
-            for exps in self.exponents:
-                self._index[(mask, _pack(exps))] = len(self.basis)
-                c = RationalFunc(Polynomial.monomial(n, exps), denominator)
-                self.basis.append(c if grade is None
-                                  else Multivector(chart, grade, {mask: c}))
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.blades) * len(self.exponents)
+
+    @property
+    def basis(self) -> list:
+        """Every element in slot order, built afresh on every read."""
+        return [self.element(j) for j in range(self.dimension)]
+
+    def element(self, j: int):
+        """Element j: blade position j // size, exponent position j % size."""
+        b, i = divmod(j, len(self.exponents))
+        return self._member({self.blades[b]: {self.exponents[i]: 1}})
 
     def combine(self, coeffs: Sequence[Fraction]):
-        """Linear combination of basis elements with exact coefficients."""
-        if len(coeffs) != len(self.basis):
+        """Linear combination of the elements with exact coefficients."""
+        if len(coeffs) != self.dimension:
             raise ValueError("coefficient count does not match basis")
-        total = self.basis[0].scale(0)  # a zero of the basis kind and grade
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                total = total + b.scale(c)
-        return total
+        size = len(self.exponents)
+        return self._member({mask: dict(zip(self.exponents, coeffs[b * size:]))
+                             for b, mask in enumerate(self.blades)})
+
+    def _member(self, parts: Dict[int, Dict[Tuple[int, ...], object]]):
+        """sum_b (sum_beta c x^beta) * seed of b, from ``{b: {beta: c}}``:
+        one polynomial and one normal form per blade."""
+        terms = {mask: RationalFunc(Polynomial(self.chart.dim, c), self._den)
+                 for mask, c in parts.items()}
+        return terms[0] if self.grade is None else Multivector(
+            self.chart, self.grade, terms)
 
     def coordinates(self, member) -> List[Fraction]:
         """Exact coefficient vector of a member; rejects anything outside."""
         if self.grade is None:
-            terms = {} if member.is_zero() else {0: member}
-        else:
-            if member.chart != self.chart:
-                raise ValueError("chart mismatch")
-            if member.grade != self.grade and not member.is_zero():
-                raise ValueError("grade does not match basis")
-            terms = member.terms
-        out = [Fraction(0)] * len(self.basis)
-        for mask, coeff in terms.items():
+            if member.nvars != self.chart.dim:
+                raise ValueError("dimension mismatch between member and chart")
+            member = Multivector(self.chart, 0, {0: member})
+        elif member.chart != self.chart:
+            raise ValueError("chart mismatch")
+        elif member.grade != self.grade and not member.is_zero():
+            raise ValueError("grade does not match basis")
+        position = {_pack(exps): i for i, exps in enumerate(self.exponents)}
+        out = [Fraction(0)] * self.dimension
+        for mask, coeff in member.terms.items():
             if self._den is not None:
-                coeff = coeff * self._den
+                coeff = coeff * RationalFunc(self._den)
             if not coeff.den.is_one():
                 raise ValueError("coefficients must be polynomial")
-            num = coeff.num
+            num, at = coeff.num, self.blades.index(mask) * len(position)
             for key, c in num.nums.items():
-                slot = self._index.get((mask, key))
-                if slot is None:
+                if key not in position:
                     raise ValueError("member exceeds the degree bound")
-                out[slot] = Fraction(c, num.den)
+                out[at + position[key]] = Fraction(c, num.den)
         return out
 
 
@@ -367,8 +376,8 @@ def _shift_into(col: Dict[object, int], piece: Dict[object, int],
 
 def _system_columns(residual_map: Callable, space: MonomialSpace,
                     extra: Sequence) -> List[Dict[object, int]]:
-    """Exact columns of the map on each basis element, then of each extra
-    residual, all cleared by one common denominator.
+    """Exact columns of the map on each element of the space, then of each
+    extra residual, all cleared by one common denominator.
 
     Element (b, beta) of the space is x^beta s for the seed s of blade b.
     A first-order L has, per seed, Q = L(s) and P_i = L(x_i s) - x_i Q with
@@ -377,31 +386,24 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
 
     so the map runs only on the space's own elements of degree <= 1, s and
     each x_i s, whose columns it reads off, and every other column is a sum
-    of shifted copies of the cleared Q and P_i.  The linearity spot check
-    runs first.  Where a blade has elements of degree 2 or more, the map
-    also runs on its last element, x_0^D s, whose column must equal the
-    first-order prediction; this probe checks that element only, so a map
-    such as d^2/dx_1^2 passes it.
+    of shifted copies of the cleared Q and P_i.  Where a blade has elements
+    of degree 2 or more, the map also runs on its last element, x_0^D s,
+    whose column must equal the first-order prediction; this probe checks
+    that element only, so a map such as d^2/dx_1^2 passes it.  The
+    linearity spot check runs before any column is cleared.
     """
-    basis = space.basis
-    outputs: Dict[int, Dict[object, RationalFunc]] = {}
-
-    def output(j: int) -> Dict[object, RationalFunc]:
-        """The map on basis element j, run once."""
-        if j not in outputs:
-            outputs[j] = _residual_terms(residual_map(basis[j]))
-        return outputs[j]
-
-    _linearity_spot_check(residual_map, basis, output)
     nvars, exponents = space.chart.dim, space.exponents
     size = len(exponents)
     low = 1 + nvars if size > 1 else 1  # the elements of degree <= 1
     # per blade: the elements of degree <= 1, then any check element
     probes = range(low) if size == low else [*range(low), size - 1]
+    outputs = {j: _residual_terms(residual_map(space.element(j)))
+               for first in range(0, space.dimension, size)
+               for j in (first + i for i in probes)}
+    _linearity_spot_check(residual_map, space, outputs)
     keys = [_pack(exps) for exps in exponents]
     cleared = _cleared(
-        [output(first + i) for first in range(0, len(basis), size)
-         for i in probes] + [_residual_terms(v) for v in extra], nvars)
+        [*outputs.values()] + [_residual_terms(v) for v in extra], nvars)
     split = len(cleared) - len(extra)
 
     columns: List[Dict[object, int]] = []
@@ -432,13 +434,13 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
 
 def collect_linear_system(residual_map: Callable,
                           space: MonomialSpace) -> ExactMatrix:
-    """Expand the residual of each basis element into an exact column.
+    """Expand the residual of each element of the space into an exact column.
 
     The map must be linear in the ansatz coefficients and a first-order
-    differential operator in them: after a linearity spot check on the
-    first basis pair, it runs on the space's elements of degree <= 1 and on
-    each blade's last element, which must agree with the first-order
-    prediction (see ``_system_columns``).
+    differential operator in them: it runs on the space's elements of
+    degree <= 1 and on each blade's last element, which must agree with the
+    first-order prediction, and on a linearity spot check on the first two
+    elements (see ``_system_columns``).
     """
     return ExactMatrix.from_columns(_system_columns(residual_map, space, ()))
 
@@ -458,19 +460,19 @@ def collect_affine_system(residual_map: Callable, space: MonomialSpace,
     return ExactMatrix.from_rows(last, entries), b
 
 
-def _linearity_spot_check(residual_map: Callable, basis: Sequence,
-                          output: Callable) -> None:
-    """Scaling on the first basis element and additivity on the first two;
-    ``output(j)`` is the map on basis element j."""
-    b0 = basis[0]
+def _linearity_spot_check(residual_map: Callable, space: MonomialSpace,
+                          outputs: Dict[int, Dict]) -> None:
+    """Scaling on the space's first element and additivity on the first
+    two; ``outputs[j]`` is the map on element j, for j = 0 and 1."""
+    b0 = space.element(0)
     doubled = _residual_terms(residual_map(b0.scale(2)))
-    expect = {k: v.scale(2) for k, v in output(0).items()}
+    expect = {k: v.scale(2) for k, v in outputs[0].items()}
     if doubled != expect:
         raise ValueError("residual map is not linear (scaling check failed)")
-    if len(basis) > 1:
+    if space.dimension > 1:
         # residual(b0 + b1) - residual(b0) - residual(b1) must vanish
-        gap = _residual_terms(residual_map(b0 + basis[1]))
-        for out in (output(0), output(1)):
+        gap = _residual_terms(residual_map(b0 + space.element(1)))
+        for out in (outputs[0], outputs[1]):
             for k, v in out.items():
                 prev = gap.get(k)
                 gap[k] = -v if prev is None else prev - v

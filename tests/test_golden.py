@@ -56,6 +56,13 @@ SOLVER_COMMANDS = [
 ] + [
     f"cohomology g --k {k} --max-degree {d}{json}"
     for k in range(4) for d in range(1, 4) for json in ("", " --json")
+] + [
+    # the largest ansatz each solver accepts: 1,771 functions, 1,680
+    # grade-1 or grade-2 multivectors (MAX_ANSATZ_SIZE is 2,000)
+    f"{command} g --max-degree 20"
+    for command in ("casimir", "lm-solve", "unimodular")
+] + [
+    f"cohomology g --k {k} --max-degree {d}" for k, d in ((0, 20), (1, 13), (2, 13))
 ]
 
 

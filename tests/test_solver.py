@@ -31,7 +31,7 @@ from mvcurl.solver import (
     vector_span_contains,
 )
 
-from oracles import direct_columns
+from oracles import combined_by_elements, direct_columns, monomial_element
 
 F = Fraction
 
@@ -104,6 +104,71 @@ def test_ansatz_coordinates_over_a_denominator():
         space.coordinates(var(2, 0) * var(2, 0) / RationalFunc(q))
     with pytest.raises(ValueError, match="polynomial"):
         space.coordinates(var(2, 0).inverse())
+
+
+def test_function_space_coordinates_refuse_another_dimension():
+    # a constant in three variables packs to the key of the constant here,
+    # and x in one variable to a key past the degree bound
+    space = AnsatzSpace(Chart(["x", "y"]), 1)
+    for member in (RationalFunc.constant(3, 5), var(1, 0),
+                   RationalFunc.zero(3)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            space.coordinates(member)
+    assert space.coordinates(RationalFunc.constant(2, 5)) == [5, 0, 0]
+
+
+@st.composite
+def spaces_and_vectors(draw):
+    """A function space with or without a denominator, or a grade-0..n
+    multivector space, and a coefficient vector for it."""
+    n = draw(st.integers(1, 3))
+    chart = Chart(["x", "y", "z"][:n])
+    grade = draw(st.one_of(st.none(), st.integers(0, n)))
+    x, one = Polynomial.variable(n, 0), Polynomial.constant(n, 1)
+    den = None if grade is not None else draw(st.sampled_from(
+        [None, x, (x * x).scale(3) + one, x * x + x]))
+    space = MonomialSpace(chart, grade, draw(st.integers(0, 2)), den)
+    coeffs = draw(st.lists(entries, min_size=space.dimension,
+                           max_size=space.dimension))
+    return space, den, coeffs
+
+
+@seed(23)
+@settings(max_examples=150, deadline=None)
+@given(spaces_and_vectors())
+def test_combine_is_the_sum_of_scaled_elements(drawn):
+    space, den, coeffs = drawn
+    member = space.combine(coeffs)
+    assert member == combined_by_elements(space, coeffs)
+    assert space.coordinates(member) == coeffs
+    basis = space.basis
+    assert len(basis) == space.dimension
+    for j, element in enumerate(basis):
+        assert space.element(j) == element == monomial_element(space, j, den)
+
+
+def test_assembly_builds_only_the_probed_elements(monkeypatch):
+    # no space keeps an element; one assembly builds each blade's elements
+    # of degree <= 1 and its check element, plus two for the spot check
+    assert MonomialSpace.__slots__ == ("chart", "grade", "exponents",
+                                       "blades", "_den")
+    built = []
+    element = MonomialSpace.element
+
+    def counted(space, j):
+        built.append(j)
+        return element(space, j)
+
+    monkeypatch.setattr(MonomialSpace, "element", counted)
+    chart, pi = so3_bivector()
+    vol = VolumeForm(chart, chart.one_rf())
+    casimirs = casimir_solve(pi, AnsatzSpace(chart, 6))
+    assert len(casimirs) == 4  # 1, |x|^2, |x|^4, |x|^6
+    assert len(built) <= 1 * (3 + 2) + 2
+    built.clear()
+    # a grade-1 cohomology space: 3 blades of 84 monomials
+    _exact_and_kernel_dims(vol, pi, 1, 6)
+    assert len(built) <= 3 * (3 + 2) + 2 < MonomialSpace(chart, 1, 6).dimension
 
 
 # -- exact matrices ---------------------------------------------------------
@@ -418,13 +483,16 @@ def test_first_order_guard_rejects_a_second_order_map():
         kernel_basis(second, AnsatzSpace(Chart(["x", "y"]), 2))
 
 
-@pytest.mark.parametrize("value", [0.5, "1/2", F(1, 2)])
+@pytest.mark.parametrize("value", [0.5, "1/2", F(1, 2), 0.0])
 def test_combine_takes_exact_coefficients_only(value):
     chart = Chart(["x", "y"])
     space = MonomialSpace(chart, 1, 0)
     if isinstance(value, float):
+        # a float zero is refused too, on function and multivector spaces
         with pytest.raises(TypeError, match="inexact coefficient"):
             space.combine([value, 0])
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            AnsatzSpace(chart, 1).combine([value, 1, 0])
     else:
         assert space.combine([value, 0]) == Multivector.basis_vector(
             chart, 0).scale(F(1, 2))
