@@ -60,12 +60,13 @@ def clear_poisson_memo() -> None:
     _PROVEN.clear()
 
 
-def require_poisson(pi: Multivector) -> None:
-    """Prove the Jacobi identity [pi, pi] = 0, or name the first index triple
-    (i, j, k), 0-based and in lexicographic order, on which it fails.  A
-    bivector equal to one already proved is not proved again."""
+def require_poisson(pi: Multivector) -> Multivector:
+    """Prove the Jacobi identity [pi, pi] = 0 and return pi, or name the
+    first index triple (i, j, k), 0-based and in lexicographic order, on
+    which it fails.  A bivector equal to one already proved is not proved
+    again."""
     if pi in _PROVEN:
-        return
+        return pi
     residual = jacobi_residual(pi)
     if not residual.is_zero():
         triple = min(blade_indices(mask) for mask in residual.terms)
@@ -73,6 +74,7 @@ def require_poisson(pi: Multivector) -> None:
     if len(_PROVEN) >= POISSON_MEMO_SIZE:
         _PROVEN.clear()
     _PROVEN.add(pi)
+    return pi
 
 
 def hamiltonian_field(pi: Multivector, f: RationalFunc) -> Multivector:

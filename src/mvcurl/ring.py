@@ -32,10 +32,11 @@ keys into exponent tuples.
 
 ``poly_gcd`` runs the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC
 1989) first and accepts its candidate only when exact division proves it
-(see ``_heu_gcd``); when the heuristic gives up, a content recursion around
-a subresultant PRS finds the gcd.  ``common_denominator`` writes a list of
-rational functions as integer-coefficient numerators over one shared
-denominator, which is how the solver clears a linear system.
+(see ``_heu_gcd``); when the heuristic gives up, images mod a prime may
+prove the pair coprime (``_coprime_mod_p``), and otherwise a content
+recursion around a subresultant PRS finds the gcd.  ``common_denominator``
+writes a list of rational functions as integer-coefficient numerators over
+one shared denominator, which is how the solver clears a linear system.
 
 ``Polynomial(nvars, terms)`` checks exponents and converts coefficients
 (ints, ``Fraction`` or other exact rationals; floats are refused), for input
@@ -657,9 +658,81 @@ def _interpolate(gamma: Dict[int, int], xi: int, unit: int,
     return out
 
 
+# the prime of the coprimality proof in ``_coprime_mod_p``
+_PROOF_PRIME = (1 << 61) - 1
+
+
+@functools.cache
+def _odd_primes(count: int) -> Tuple[int, ...]:
+    """The first ``count`` odd primes: 3, 5, 7, 11, ..."""
+    primes = []
+    k = 3
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 2
+    return tuple(primes)
+
+
+def _image_mod_p(p: Polynomial, v: int) -> list:
+    """Coefficients, lowest degree first, of the integer numerators of p as
+    a polynomial in x_v mod ``_PROOF_PRIME``, with every other x_i set to
+    the i-th odd prime; one entry per degree in x_v, so the last is zero
+    exactly when x_v loses its degree at that point."""
+    n = p.nvars
+    points = _odd_primes(n)
+    powers = []  # powers[i][e] = (x_i)^e mod the prime, e up to deg_i(p)
+    for i in range(n):
+        x, row = 1 if i == v else points[i], [1]
+        for _ in range(_degree_in(p, i)):
+            row.append(row[-1] * x % _PROOF_PRIME)
+        powers.append(row)
+    out = [0] * len(powers[v])
+    for key, c in p.nums.items():
+        exps = _unpack(n, key)
+        for row, e in zip(powers, exps):
+            c = c * row[e] % _PROOF_PRIME
+        out[exps[v]] = (out[exps[v]] + c) % _PROOF_PRIME
+    return out
+
+
+def _degree_of_gcd_mod_p(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over the integers mod ``_PROOF_PRIME``, for
+    coefficient lists (lowest degree first) whose last entries are non-zero."""
+    while g:
+        inv, f = pow(g[-1], -1, _PROOF_PRIME), f[:]
+        while len(f) >= len(g):
+            q, shift = f[-1] * inv % _PROOF_PRIME, len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % _PROOF_PRIME
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_mod_p(a: Polynomial, b: Polynomial, common: Iterable[int]) -> bool:
+    """True when images mod a prime prove gcd(a, b) = 1; False means only
+    "not proven".
+
+    For each variable x_v in ``common``, the variables both inputs use, take
+    the univariate images in x_v of the integer numerators (``_image_mod_p``).
+    A gcd G of positive degree in x_v maps to a common factor of both images;
+    if x_v keeps its degree in both, the image of G keeps its degree too, so
+    coprime images prove that G has degree 0 in x_v.  Degree 0 in every
+    shared variable makes G a constant.  The work is sized by the degree in
+    each variable: one power table per variable and a quadratic Euclid.
+    """
+    for v in common:
+        ia, ib = _image_mod_p(a, v), _image_mod_p(b, v)
+        if not (ia[-1] and ib[-1]) or _degree_of_gcd_mod_p(ia, ib) > 0:
+            return False
+    return True
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[x1..xn]: GCDHEU, else content recursion around a
-    subresultant PRS.
+    """Monic gcd in Q[x1..xn]: GCDHEU, else a coprimality proof mod p, else
+    content recursion around a subresultant PRS.
 
     GCDHEU (Char, Geddes and Gonnet, JSC 1989) works on A and B, the
     primitive integer parts of a and b.  For a variable v that A or B uses,
@@ -675,8 +748,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     needs is the true gcd of the images.
 
     After ``_HEU_TRIES`` points, or when an image would grow past
-    ``_HEU_MAX_BITS``, the heuristic gives up and the PRS runs: the
-    heuristic costs time, never correctness.
+    ``_HEU_MAX_BITS``, the heuristic gives up; ``_coprime_mod_p`` then tries
+    to prove the pair coprime, and the PRS runs only when it cannot.  Both
+    steps cost time, never correctness.
     """
     if a.nvars != b.nvars:
         raise ValueError("dimension mismatch in gcd")
@@ -699,6 +773,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         if len(g) == 1 and 0 in g:
             return _one(a.nvars)
         return _monic(Polynomial._make(a.nvars, g))
+    if _coprime_mod_p(a, b, sorted(common)):
+        return _one(a.nvars)
     v = min(common, key=lambda i: (min(_degree_in(a, i), _degree_in(b, i)),
                                    _degree_in(a, i) + _degree_in(b, i), i))
     ua = _split_by_variable(a, v)

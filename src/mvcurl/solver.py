@@ -102,6 +102,10 @@ class MonomialSpace:
 
     def coordinates(self, member) -> List[Fraction]:
         """Exact coefficient vector of a member; rejects anything outside."""
+        kind = RationalFunc if self.grade is None else Multivector
+        if not isinstance(member, kind):
+            raise ValueError(f"member is a {type(member).__name__}, "
+                             f"not a {kind.__name__}")
         if self.grade is None:
             if member.nvars != self.chart.dim:
                 raise ValueError("dimension mismatch between member and chart")
@@ -389,7 +393,9 @@ def _system_columns(residual_map: Callable, space: MonomialSpace,
     of shifted copies of the cleared Q and P_i.  Where a blade has elements
     of degree 2 or more, the map also runs on its last element, x_0^D s,
     whose column must equal the first-order prediction; this probe checks
-    that element only, so a map such as d^2/dx_1^2 passes it.  The
+    that element only, so a map such as d^2/dx_1^2 passes it.
+    ``kernel_basis`` certifies each vector it returns, but neither that
+    check nor this probe can catch a missing kernel vector.  The
     linearity spot check runs before any column is cleared.
     """
     nvars, exponents = space.chart.dim, space.exponents
@@ -484,9 +490,20 @@ def kernel_basis(residual_map: Callable, space: MonomialSpace) -> list:
     """Members of ``space`` spanning the kernel of a residual map that is
     linear and first-order in the coefficient (see
     ``collect_linear_system``): one per free column of the exact system,
-    built with ``combine``."""
+    built with ``combine``.
+
+    The map runs once more on each member, and a non-zero result raises
+    ``RuntimeError``: a map that is not first-order can pass the stencil's
+    probe and yield a vector outside its kernel.  This certifies each
+    member returned; it cannot find a kernel vector the system missed.
+    """
     matrix = collect_linear_system(residual_map, space)
-    return [space.combine(v) for v in matrix.nullspace()]
+    members = [space.combine(v) for v in matrix.nullspace()]
+    for member in members:
+        if _residual_terms(residual_map(member)):  # holds no zero term
+            raise RuntimeError("a kernel vector does not solve the residual "
+                               "map: the map is not first-order")
+    return members
 
 
 # -- exact span membership --------------------------------------------------

@@ -683,7 +683,7 @@ def test_recursion_limit_is_not_an_internal_disagreement(planar, capsys,
     def too_deep(args, doc):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setitem(cli._HANDLERS, "print", too_deep)
+    monkeypatch.setattr(cli._COMMANDS["print"], "run", too_deep)
     code, _, err = run(capsys, "print", "--input", planar)
     assert code == 2
     assert "internal disagreement" not in err
@@ -693,7 +693,7 @@ def test_out_of_memory_is_a_usage_error(planar, capsys, monkeypatch):
     def too_large(args, doc):
         raise MemoryError()
 
-    monkeypatch.setitem(cli._HANDLERS, "print", too_large)
+    monkeypatch.setattr(cli._COMMANDS["print"], "run", too_large)
     assert run(capsys, "print", "--input", planar) == (
         2, "", "error: input too large to evaluate in memory\n")
 

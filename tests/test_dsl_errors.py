@@ -31,6 +31,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 FROZEN = GOLDEN_DIR / "dsl_errors.out"
 PROMPT = "$ mvcurl print < "
 MUTATIONS_PER_DOCUMENT = 10
+# golden documents added after the corpus was frozen: mutating them would
+# shift every later seeded mutation, so the corpus leaves them out
+NOT_MUTATED = {"gcd_cliff_3var", "gcd_cliff_4var"}
 # what a mutation swaps in for one character
 SWAPS = ("(", ")", "^", "^^", "-", "0", "7", "\u00a0", "\u2028", "!", ".")
 _NAMED = {"\n": "\\n", "\r": "\\r", "\t": "\\t", "\\": "\\\\"}
@@ -77,7 +80,8 @@ def documents():
     docs += ["chart x y\n" + "\n".join(lines) + "\n" for lines in _edges("x", "y")]
     rng = random.Random("dsl-errors")
     for source in sorted(GOLDEN_DIR.glob("*.mv")):
-        docs += _mutations(rng, source.read_text())
+        if source.stem not in NOT_MUTATED:
+            docs += _mutations(rng, source.read_text())
     return docs
 
 
@@ -108,6 +112,12 @@ def test_error_corpus_matches_frozen():
             if line.startswith(PROMPT)]
     assert len(docs) > 400
     assert "".join(map(run, docs)) == frozen
+
+
+def test_frozen_corpus_is_what_regeneration_writes():
+    frozen = FROZEN.read_text().splitlines()
+    assert documents() == [decode(line[len(PROMPT):]) for line in frozen
+                           if line.startswith(PROMPT)]
 
 
 if __name__ == "__main__":

@@ -7,6 +7,10 @@ and the ``*.lm.out`` files the last-multiplier commands on every document
 with an ``mv`` binding.
 """
 
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,3 +123,20 @@ def test_lm_outputs_match_frozen(source: Path, capsys) -> None:
         assert code in (0, 1) and captured.err == "", command
         out.append(f"$ mvcurl {command}\n{captured.out}")
     assert "".join(out) == source.with_suffix(".lm.out").read_text()
+
+
+# coprime pairs on which GCDHEU gives up: before the proof mod p, the PRS
+# ran for over a minute on each
+@pytest.mark.parametrize("name", ["gcd_cliff_3var", "gcd_cliff_4var"])
+def test_gcd_cliff_documents_print_within_the_wall_bound(name: str) -> None:
+    source = GOLDEN_DIR / f"{name}.mv"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mvcurl.cli", "print", "--input", str(source)],
+        capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL,
+        timeout=5)
+    assert time.perf_counter() - start < 5.0
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == source.with_suffix(".out").read_text()

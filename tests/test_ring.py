@@ -418,6 +418,35 @@ def test_fallback_pairs_take_the_prs(monkeypatch, a, b, expected):
     assert calls
 
 
+def cliff_pair(n, power):
+    """(x - 2y + z + w + 1)^power and (x + y - z - w + 2)^power in n = 3 or 4
+    variables (w only when n = 4): coprime, yet GCDHEU gives up on them."""
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    one = Polynomial.constant(n, 1)
+    rest = sum(x[3:], Polynomial.zero(n))
+    a = x[0] - x[1].scale(2) + x[2] + rest + one
+    b = x[0] + x[1] - x[2] - rest + one.scale(2)
+    return a ** power, b ** power
+
+
+@pytest.mark.parametrize("n, power", [(3, 14), (4, 9)])
+def test_cliff_pairs_are_proven_coprime_mod_p(monkeypatch, n, power):
+    a, b = cliff_pair(n, power)
+    assert ring._heu_gcd(a.nums, b.nums, n, list(range(n))) is None
+    calls = count_prs(monkeypatch)
+    start = time.perf_counter()
+    assert poly_gcd(a, b) is ring._one(n)
+    assert time.perf_counter() - start < 5.0
+    assert calls == []
+
+
+def test_proof_mod_p_never_proves_a_pair_with_a_common_factor():
+    common = X * X + Y + ONE
+    assert not ring._coprime_mod_p(common * (X + Y), common * (X - Y + ONE),
+                                   [0, 1])
+    assert ring._coprime_mod_p(X * X + Y * Y + ONE, X + Y, [0, 1])
+
+
 def heuristic_points(a):
     """The points GCDHEU tries for a primitive integer polynomial a paired
     with one of larger norm: 2|a| + 29, then 73794 xi isqrt(isqrt(xi)) /
@@ -464,11 +493,26 @@ def test_pairs_that_defeat_the_heuristic_reach_the_prs(monkeypatch, g, t, c1):
     assert [xi for xi in tried if xi in points] == points
 
 
-def test_a_huge_pair_takes_the_size_guard_to_the_prs(monkeypatch):
+def test_a_huge_coprime_pair_is_proven_mod_p(monkeypatch):
     # a 4300-digit constant term and degree 32000: an image would need
-    # about 14,000 bits times the degree, past the size guard
+    # about 14,000 bits times the degree, past GCDHEU's size guard; the
+    # images mod p are coprime and keep their degree, which proves the gcd
     big = 10 ** 4299 + 7
     a = X ** 32000 + C(big)
+    b = X ** 32000 + C(big + 1)
+    images = count_calls(monkeypatch, "_image")
+    calls = count_prs(monkeypatch)
+    start = time.perf_counter()
+    assert poly_gcd(a, b) is ring._one(2)
+    assert time.perf_counter() - start < 5.0
+    assert images == [] and calls == []
+
+
+def test_a_huge_pair_takes_the_size_guard_to_the_prs(monkeypatch):
+    # as above, but the leading coefficient p vanishes mod p: x loses its
+    # degree in the image, the proof is not made, and the PRS answers
+    big = 10 ** 4299 + 7
+    a = C(P61) * X ** 32000 + C(big)
     b = X ** 32000 + C(big + 1)
     images = count_calls(monkeypatch, "_image")
     calls = count_prs(monkeypatch)

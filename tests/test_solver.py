@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings, strategies as st
 from mvcurl import cli, solver
 from mvcurl.cohomology import _exact_and_kernel_dims, exact_basis
 from mvcurl.curl import curl, schouten
-from mvcurl.exterior import Chart, Multivector, VolumeForm
+from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm
 from mvcurl.identities import (density_pool, denominator_pool, random_multiplier,
                                random_multivector, random_polynomial)
 from mvcurl.poisson import unimodularity_check
@@ -115,6 +115,23 @@ def test_function_space_coordinates_refuse_another_dimension():
         with pytest.raises(ValueError, match="dimension mismatch"):
             space.coordinates(member)
     assert space.coordinates(RationalFunc.constant(2, 5)) == [5, 0, 0]
+
+
+def test_multivector_space_coordinates_refuse_a_form():
+    # dx would read as e1 were its kind not checked
+    chart = Chart(["x", "y"])
+    with pytest.raises(ValueError, match="member is a DifferentialForm, "
+                                         "not a Multivector"):
+        MonomialSpace(chart, 1, 1).coordinates(
+            DifferentialForm.basis_form(chart, 0))
+
+
+def test_function_space_coordinates_refuse_a_multivector():
+    chart = Chart(["x", "y"])
+    with pytest.raises(ValueError, match="member is a Multivector, "
+                                         "not a RationalFunc"):
+        AnsatzSpace(chart, 1).coordinates(
+            Multivector.scalar(chart, RationalFunc.constant(2, 1)))
 
 
 @st.composite
@@ -507,6 +524,14 @@ def test_first_order_probe_checks_only_the_last_element():
     assert collect_linear_system(second, space).rank() == 0
     direct = direct_columns(second, space.basis, 2)
     assert ExactMatrix.from_columns(direct).rank() == 1
+
+
+def test_kernel_basis_certifies_each_vector():
+    # the probe passes d^2/dy^2 and its system has rank 0, so all six
+    # monomials come back as kernel vectors; y^2, sent to 2, is refused
+    space = AnsatzSpace(Chart(["x", "y"]), 2)
+    with pytest.raises(RuntimeError, match="kernel vector"):
+        kernel_basis(lambda f: f.diff(1).diff(1), space)
 
 
 # -- stencil assembly against direct evaluation ------------------------------

@@ -113,6 +113,29 @@ def test_gcd_fallback_pairs_match_sympy(a, b):
                              from_sympy(sympy.expand(sympy.sympify(b))))
 
 
+# the pairs of the two gcd cliff documents: GCDHEU gives up on each, and the
+# proof mod p settles them at x_i = the i-th odd prime, modulo 2^61 - 1
+@pytest.mark.parametrize("names, a, b", [
+    ("x y z", "(x-2*y+z+1)**14", "(x+y-z+2)**14"),
+    ("x y z w", "(x-2*y+z+w+1)**9", "(x+y-z-w+2)**9"),
+], ids=["3-variable", "4-variable"])
+def test_gcd_of_the_cliff_pairs_matches_sympy(names, a, b):
+    symbols = sympy.symbols(names)
+    polys = [sympy.Poly(sympy.sympify(e), *symbols) for e in (a, b)]
+    assert sympy.gcd(*polys).as_expr() == 1
+    n = len(symbols)
+    ours = [Polynomial(n, {exps: int(c) for exps, c in p.terms()})
+            for p in polys]
+    assert poly_gcd(*ours) == Polynomial.constant(n, 1)
+    # every image keeps its degree and the images are coprime mod p
+    primes = [3, 5, 7, 11]
+    for v, s in enumerate(symbols):
+        point = {t: primes[i] for i, t in enumerate(symbols) if i != v}
+        images = [sympy.Poly(p.eval(point), s, modulus=P61) for p in polys]
+        assert [im.degree() for im in images] == [p.degree(s) for p in polys]
+        assert sympy.gcd(*images).degree() == 0
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_heuristic_gcd_matches_sympy(case):
     # the seeded pairs of test_gcd_matches_sympy, through GCDHEU alone: it
