@@ -3,6 +3,18 @@
 Exit codes: 0 success or predicate-true, 1 predicate-false or empty
 solution set, 2 parse/validation error, 3 mathematical error such as a zero
 denominator or a non-Poisson input where one is required.
+
+A call builds and imports only what its command runs.  When the first
+argument names a command, the parser holds that one subcommand; the full
+parser, with all of them, is built only for ``--help``, for no command and
+for an unknown one.  Importing this module loads the ring, the exterior
+calculus, the curl, the Poisson layer and the DSL, but not ``fractions``:
+the printers render coefficients from ints.  ``solver``, ``cohomology`` and
+``identities`` are registered in ``sys.modules`` without being run, and
+run at their first use, so the solver commands (``lm-solve``, ``casimir``,
+``unimodular``, ``cohomology``) still load ``solver`` and ``fractions`` on
+their first call, as does a ``lie`` binding or a fraction written in a JSON
+document.
 """
 
 from __future__ import annotations
@@ -11,9 +23,10 @@ import argparse
 import functools
 import json
 import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 from typing import Callable, Dict
 
-from mvcurl.cohomology import NonExactError, truncated_exact_cohomology
+import mvcurl
 from mvcurl.curl import curl, divergence, is_last_multiplier, schouten
 from mvcurl.dsl import (
     MAX_POWER_DIGITS,
@@ -25,8 +38,8 @@ from mvcurl.dsl import (
     print_canonical,
     value_to_json,
 )
-from mvcurl.identities import DEFAULT_SEED, run_identity_suite
 from mvcurl.poisson import (
+    NonExactError,
     NonPoissonError,
     clear_poisson_memo,
     hamiltonian_field,
@@ -36,9 +49,29 @@ from mvcurl.poisson import (
     unimodularity_check,
 )
 from mvcurl.ring import clear_quotient_memo
-from mvcurl.solver import AnsatzSpace, casimir_solve, lm_solve
 
 __all__ = ["main"]
+
+
+def _lazy_module(name: str):
+    """``mvcurl.<name>``, put in ``sys.modules`` unrun: its code runs at the
+    first attribute access, so a call that never uses it never pays for it,
+    while a tracer or profiler that looks it up in ``sys.modules`` finds it."""
+    full = f"mvcurl.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = find_spec(full)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(mvcurl, name, module)
+    return module
+
+
+_solver = _lazy_module("solver")
+_cohomology = _lazy_module("cohomology")
+_identities = _lazy_module("identities")
 
 
 def _load_document(args) -> Document:
@@ -100,9 +133,10 @@ def _cmd_lm_solve(args, doc: Document) -> int:
             raise DslError(f"denominator {args.denominator!r} must be a "
                            "polynomial")
         denominator = rf.num
-    space = AnsatzSpace(doc.chart, args.max_degree, denominator=denominator)
-    solutions = lm_solve(doc.volume(args.volume), doc.multivector(args.name),
-                         space)
+    space = _solver.AnsatzSpace(doc.chart, args.max_degree,
+                                denominator=denominator)
+    solutions = _solver.lm_solve(doc.volume(args.volume),
+                                 doc.multivector(args.name), space)
     return _print_functions(args, doc, solutions, "no multipliers in ansatz")
 
 
@@ -118,8 +152,9 @@ def _cmd_jacobi(args, doc: Document) -> int:
 
 
 def _cmd_casimir(args, doc: Document) -> int:
-    solutions = casimir_solve(require_poisson(doc.multivector(args.name)),
-                              AnsatzSpace(doc.chart, args.max_degree))
+    solutions = _solver.casimir_solve(
+        require_poisson(doc.multivector(args.name)),
+        _solver.AnsatzSpace(doc.chart, args.max_degree))
     return _print_functions(args, doc, solutions, "no casimirs in ansatz")
 
 
@@ -139,9 +174,9 @@ def _cmd_unimodular(args, doc: Document) -> int:
 
 
 def _cmd_cohomology(args, doc: Document) -> int:
-    report = truncated_exact_cohomology(doc.volume(args.volume),
-                                        doc.multivector(args.name),
-                                        args.k, args.max_degree)
+    report = _cohomology.truncated_exact_cohomology(
+        doc.volume(args.volume), doc.multivector(args.name), args.k,
+        args.max_degree)
     if args.json:
         print(json.dumps(report._asdict()))
     else:
@@ -156,9 +191,11 @@ def _cmd_cohomology(args, doc: Document) -> int:
 
 
 def _cmd_identities(args, _doc) -> int:
-    results = run_identity_suite(args.seed, args.cases)
+    # --seed defaults to None, so that building the parser runs no identities
+    seed = _identities.DEFAULT_SEED if args.seed is None else args.seed
+    results = _identities.run_identity_suite(seed, args.cases)
     if args.json:
-        print(json.dumps({"seed": args.seed, "cases": args.cases,
+        print(json.dumps({"seed": seed, "cases": args.cases,
                           "results": [{"name": r.name, "cases": r.cases,
                                        "failures": r.failures,
                                        "passed": r.passed} for r in results]}))
@@ -230,7 +267,7 @@ _COMMANDS: Dict[str, _Command] = {
     "cohomology": _Command("truncated curl-free complex report", {
         **_NAME, "--k": _INT, "--max-degree": _INT}, _cmd_cohomology),
     "identities": _Command("randomized algebraic identity suite", {
-        "--seed": {"type": int, "default": DEFAULT_SEED},
+        "--seed": {"type": int},
         "--cases": {"type": int, "default": 50}},
         _cmd_identities, reads_document=False),
     "print": _Command("canonical form of the input document", {}, _cmd_print),
@@ -238,12 +275,15 @@ _COMMANDS: Dict[str, _Command] = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built from ``_COMMANDS`` on the first call and
-    shared after it.
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for ``command``, built from ``_COMMANDS`` on the
+    first call for that command and shared after it.
 
-    Parsing reads but never changes it: each ``parse_args`` call returns a
-    fresh namespace, and help and usage text read ``COLUMNS`` when printed.
+    For a command, it holds only that subcommand, but lists every command in
+    its usage line, so its help, usage and errors read as the full parser's.
+    For None it is the full parser.  Parsing reads but never changes a
+    parser: each ``parse_args`` call returns a fresh namespace, and help and
+    usage text read ``COLUMNS`` when printed.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE",
@@ -257,10 +297,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvcurl",
         description="Exact curl calculus for multivector fields.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=command.help)
-        for argument, keywords in command.arguments.items():
+    # the full parser keeps argparse's own metavar: one would rename
+    # "argument command" in its invalid-choice and missing-command errors
+    listed = ({} if command is None
+              else {"metavar": "{%s}" % ",".join(_COMMANDS)})
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name in _COMMANDS if command is None else (command,):
+        entry = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=entry.help)
+        for argument, keywords in entry.arguments.items():
             p.add_argument(argument, **keywords)
     return parser
 
@@ -268,14 +313,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    Repeated calls in one process share one argument parser, built on the
-    first call; every call starts with an empty quotient-rule memo and no
-    bivector taken as proved Poisson.
+    Repeated calls of one command in one process share its argument parser,
+    built on the first of them; every call starts with an empty
+    quotient-rule memo and no bivector taken as proved Poisson.
     """
     clear_quotient_memo()
     clear_poisson_memo()
+    if argv is None:
+        argv = sys.argv[1:]
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(named).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

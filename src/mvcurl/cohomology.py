@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import Chart, Multivector, VolumeForm
-from mvcurl.poisson import require_poisson
+from mvcurl.poisson import NonExactError, require_poisson
 from mvcurl.solver import (ExactMatrix, MonomialSpace, collect_linear_system,
                            kernel_basis)
 
@@ -35,10 +35,6 @@ __all__ = [
     "truncated_exact_cohomology",
     "TruncatedComplexReport",
 ]
-
-
-class NonExactError(ValueError):
-    """Raised when the bivector fails to be curl-free for the chosen volume."""
 
 
 def MultivectorBasis(chart: Chart, grade: int,

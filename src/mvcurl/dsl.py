@@ -642,8 +642,9 @@ def print_canonical(obj, chart: Optional[Chart] = None) -> str:
 
 
 def _poly_to_json(p: Polynomial) -> list:
-    return [{"exps": list(exps), "coeff": str(coeff)}
-            for exps, coeff in p.sorted_terms()]
+    return [{"exps": list(exps),
+             "coeff": f"{num}" if den == 1 else f"{num}/{den}"}
+            for exps, num, den in p.sorted_terms()]
 
 
 def _poly_from_json(nvars: int, data: list) -> Polynomial:

@@ -8,8 +8,7 @@ failure of Hamiltonian flows to preserve that volume.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import (
@@ -21,10 +20,13 @@ from mvcurl.exterior import (
     interior_product_vector,
 )
 from mvcurl.ring import Polynomial, RationalFunc, _exact
-from mvcurl.solver import AnsatzSpace, collect_affine_system
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "NonPoissonError",
+    "NonExactError",
     "StructureConstants",
     "jacobi_residual",
     "require_poisson",
@@ -40,6 +42,10 @@ __all__ = [
 
 class NonPoissonError(ValueError):
     """Raised when an operation requires a bivector with zero Jacobi residual."""
+
+
+class NonExactError(ValueError):
+    """Raised when the bivector fails to be curl-free for the chosen volume."""
 
 
 def jacobi_residual(pi: Multivector) -> Multivector:
@@ -141,6 +147,7 @@ class StructureConstants:
     def __init__(self, dim: int, entries: Dict[Tuple[int, int, int], object]):
         if dim < 1:
             raise ValueError("dimension must be positive")
+        from fractions import Fraction
         store: Dict[Tuple[int, int, int], Fraction] = {}
         for (i, j, k), value in entries.items():
             v = Fraction(*_exact(value))
@@ -160,6 +167,7 @@ class StructureConstants:
         require_poisson(lie_poisson(self))
 
     def get(self, i: int, j: int, k: int) -> Fraction:
+        from fractions import Fraction
         if i == j:
             return Fraction(0)
         if i < j:
@@ -203,6 +211,7 @@ def unimodularity_check(volume: VolumeForm, pi: Multivector,
     """Search the polynomial ansatz for a Hamiltonian potential of the
     modular field.  Returns a witness or None; None only means no witness
     in the ansatz, never a proof of non-unimodularity."""
+    from mvcurl.solver import AnsatzSpace, collect_affine_system
     require_poisson(pi)
     target = curl(volume, pi)
     space = AnsatzSpace(volume.chart, max_degree)

@@ -6,7 +6,11 @@ non-zero ``int`` numerators, ``den`` is a positive ``int``, and the pair is
 kept in lowest terms, ``gcd(den, *nums.values()) == 1``.  That form is
 canonical, so equality and hashing are structural, and the arithmetic runs
 on ints only; ``terms`` is a read-only ``{exponent tuple: Fraction}`` view of
-the same coefficients, built on demand for readers outside the ring.
+the same coefficients, built on demand for readers outside the ring, and
+``sorted_terms`` lists them in term order as (exponents, numerator,
+denominator) ints in lowest terms, which is all the printers read.
+``fractions`` is imported only where a ``Fraction`` is built, so parsing and
+printing load it only for input that needs one.
 Rational functions are kept in canonical form: numerator and denominator
 coprime, denominator monic with respect to the graded lexicographic term
 order.  Two equal fractions therefore always have identical
@@ -50,10 +54,12 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exponent = Tuple[int, ...]
 
@@ -116,6 +122,7 @@ def _exact(value) -> Tuple[int, int]:
     if isinstance(value, (float, complex)):
         raise TypeError(f"inexact coefficient {value!r}: "
                         "use an int, a Fraction or a string such as '1/10'")
+    from fractions import Fraction
     c = Fraction(value)
     return c.numerator, c.denominator
 
@@ -207,6 +214,7 @@ class Polynomial:
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Read-only ``{exponent tuple: Fraction}`` view of the coefficients."""
+        from fractions import Fraction
         n, den = self.nvars, self.den
         return MappingProxyType({_unpack(n, k): Fraction(c, den)
                                  for k, c in self.nums.items()})
@@ -237,13 +245,19 @@ class Polynomial:
         return _unpack(self.nvars, max(self.nums))
 
     def leading_coefficient(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.nums[max(self.nums)], self.den)
 
     def sorted_terms(self) -> list:
-        """Terms in descending graded lexicographic order (leading first)."""
+        """Terms in descending graded lexicographic order (leading first), as
+        (exponent tuple, numerator, denominator) with the coefficient
+        numerator/denominator in lowest terms and the denominator positive."""
         n, den = self.nvars, self.den
-        return [(_unpack(n, k), Fraction(c, den))
-                for k, c in sorted(self.nums.items(), reverse=True)]
+        out = []
+        for k, c in sorted(self.nums.items(), reverse=True):
+            g = gcd(c, den)
+            out.append((_unpack(n, k), c // g, den // g))
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -360,6 +374,7 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point; float coordinates are refused."""
+        from fractions import Fraction
         values = [Fraction(*_exact(v)) for v in point]
         if len(values) != self.nvars:
             raise ValueError("point dimension does not match variable count")
@@ -425,21 +440,21 @@ class Polynomial:
         if len(names) != self.nvars:
             raise ValueError("name list does not match variable count")
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for exps, num, den in self.sorted_terms():
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
-            mag = abs(coeff)
+            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
+                body = "*".join([mag] + factors)
+            pieces.append(("-" if num < 0 else "+", body))
         sign, body = pieces[0]
         out = ("-" if sign == "-" else "") + body
         for sign, body in pieces[1:]:

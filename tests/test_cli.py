@@ -241,13 +241,13 @@ def test_unimodular_no_witness(tmp_path, capsys):
 
 
 def test_identities_report_failures(capsys, monkeypatch):
-    import mvcurl.cli as cli_mod
     from mvcurl.identities import IdentityResult
 
     def fake_run(seed, cases):
         return [IdentityResult(name="demo", cases=cases, failures=1)]
 
-    monkeypatch.setattr(cli_mod, "run_identity_suite", fake_run)
+    # the handler looks the suite up in its module at each call
+    monkeypatch.setattr("mvcurl.identities.run_identity_suite", fake_run)
     code, out, _ = run(capsys, "identities", "--seed", "1", "--cases", "4")
     assert code == 1
     assert out == "demo: FAIL (1/4)\n"
@@ -640,7 +640,8 @@ def test_second_command_in_process_prints_what_a_fresh_process_does(
         assert run(capsys, *argv) == (code, fresh.stdout, fresh.stderr), argv
 
 
-def test_parser_is_built_once_per_process(planar, capsys, monkeypatch):
+def test_each_command_parser_is_built_at_most_once_per_process(
+        planar, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -652,15 +653,21 @@ def test_parser_is_built_once_per_process(planar, capsys, monkeypatch):
     cli._build_parser.cache_clear()
     first = run(capsys, "print", "--input", planar)
     assert "mvcurl" in built
+    # a command's parser holds its own subparser and no other command's
+    assert [p for p in built if p and p.startswith("mvcurl ")] == ["mvcurl print"]
+    calls = (["curl", "P", "--input", planar], ["curl"], ["--help"],
+             ["lm-solve", "P", "--max-degree", "1", "--denominator", "h",
+              "--input", planar],
+             ["lm-solve", "P", "--max-degree", "1", "--input", planar],
+             ["identities", "--cases", "-1"])
+    for argv in calls:
+        run(capsys, *argv)
     parsers = len(built)
-    for argv in (["curl", "P", "--input", planar], ["curl"], ["--help"],
-                 ["lm-solve", "P", "--max-degree", "1", "--denominator", "h",
-                  "--input", planar],
-                 ["lm-solve", "P", "--max-degree", "1", "--input", planar],
-                 ["identities", "--cases", "-1"]):
+    for argv in calls:
         run(capsys, *argv)
     assert len(built) == parsers
     assert run(capsys, "print", "--input", planar) == first
+    assert len(built) == parsers
 
 
 def test_nesting_at_the_limit_is_evaluated(tmp_path, capsys):

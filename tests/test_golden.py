@@ -7,6 +7,7 @@ and the ``*.lm.out`` files the last-multiplier commands on every document
 with an ``mv`` binding.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -105,13 +106,26 @@ def lm_commands(source: Path) -> list:
         f"{solve}{json}" for solve in solves for json in ("", " --json")]
 
 
-LM_SOURCES = [s for s in SOURCES if lm_commands(s)]
+# taken from the frozen file names, so that collecting this module parses
+# no document: a parse that hangs fails its own test instead
+LM_SOURCES = [GOLDEN_DIR / p.name.replace(".lm.out", ".mv")
+              for p in sorted(GOLDEN_DIR.glob("*.lm.out"))]
 
 
 def test_every_lm_golden_has_a_document() -> None:
-    frozen = sorted(GOLDEN_DIR.glob("*.lm.out"))
-    assert [p.name for p in frozen] == [f"{s.stem}.lm.out" for s in LM_SOURCES]
+    assert LM_SOURCES == [s for s in SOURCES if lm_commands(s)]
     assert sum(len(lm_commands(s)) for s in LM_SOURCES) == 70
+
+
+def test_collecting_this_module_parses_no_document(monkeypatch) -> None:
+    def refuse(text):
+        raise AssertionError("a golden document was parsed at import")
+
+    monkeypatch.setattr("mvcurl.dsl.parse", refuse)
+    spec = importlib.util.spec_from_file_location("golden_again", __file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.LM_SOURCES == LM_SOURCES
 
 
 @pytest.mark.parametrize("source", LM_SOURCES, ids=lambda p: p.stem)
