@@ -13,14 +13,16 @@ coefficient field closed under every operation.
 A last multiplier is checked three ways, one per characterization in the
 paper.  The Witten route tests omega = flat(A) against d_m + (m-1)d, where
 d_m = dm^ + d is the Witten differential at t = 1.  That operator is
-dm^ + m d, so the route compares dm ^ omega with -m d(omega) and never
-normalises a sum: normal forms are unique, so a sum of two canonical forms
-is zero exactly when one is minus the other.
+dm^ + m d, and the route never brings a coefficient of it to normal form:
+it clears m and omega to integer numerators, cancels what they share, and
+tests each blade of q^2 D^2 (dm ^ omega + m d(omega)) for zero, first by
+its value at one integer point and only then by expanding it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count
+from typing import Dict, Sequence
 
 from mvcurl.exterior import (
     DifferentialForm,
@@ -34,7 +36,13 @@ from mvcurl.exterior import (
     pairing,
     sharp,
 )
-from mvcurl.ring import RationalFunc
+from mvcurl.ring import (
+    Polynomial,
+    RationalFunc,
+    _unpack,
+    common_denominator,
+    poly_gcd,
+)
 
 
 def curl(volume: VolumeForm, a: Multivector) -> Multivector:
@@ -100,11 +108,118 @@ def last_multiplier_residual(volume: VolumeForm, m: RationalFunc,
     return curl(volume, a.scale(m))
 
 
+# route (b) refutes at (3^t, 5^t, ...) in n coordinates: the t-th powers,
+# t = 1, 2, ..., of the first n of these primes (MAX_DIM is 16)
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def _integral(p: Polynomial) -> Polynomial:
+    """p times the positive integer that clears its denominator."""
+    return p if p.den == 1 else Polynomial._make(p.nvars, p.nums)
+
+
+def _value_and_gradient(p: Polynomial, point: Sequence[int]) -> tuple:
+    """(p(a), [d_i p(a) for each i]) for integer numerators p at an integer
+    point a with non-zero coordinates: a term c x^e adds e_i c a^e / a_i to
+    d_i p(a), an exact quotient whenever e_i > 0."""
+    n = p.nvars
+    value, grad = 0, [0] * n
+    for key, c in p.nums.items():
+        exps = _unpack(n, key)
+        for a, e in zip(point, exps):
+            if e:
+                c *= a ** e
+        value += c
+        for i, e in enumerate(exps):
+            if e:
+                grad[i] += e * c // point[i]
+    return value, grad
+
+
+def _blade_sums(blades: Dict[int, list], zero, p: tuple, q: tuple, d: tuple,
+                numerators: list):
+    """For each blade K of ``blades``, the signed sum over its pairs (i, J)
+    of Phi(p, q, W_J, D) on dx_i ^ dx_J (see ``_in_witten_kernel``), from
+    (f, [d_0 f, ..., d_(n-1) f]) for p, q, D and each W_J: the same code
+    runs on values at a point and on the polynomials themselves."""
+    (p, dp), (q, dq), (d, dd) = p, q, d
+    pq = p * q
+    slopes = [q * a - p * b for a, b in zip(dp, dq)]  # q^2 d_i m
+    for terms in blades.values():
+        inner = outer = zero
+        for sign, i, j in terms:
+            w, dw = numerators[j]
+            part_in, part_out = w * slopes[i] + pq * dw[i], w * dd[i]
+            if sign < 0:
+                inner, outer = inner - part_in, outer - part_out
+            else:
+                inner, outer = inner + part_in, outer + part_out
+        yield d * inner - pq * outer
+
+
 def _in_witten_kernel(m: RationalFunc, omega: DifferentialForm) -> bool:
-    """Whether omega lies in the kernel of d_m + (m-1)d = dm^ + m d, that is
-    whether dm ^ omega == -m d(omega); no sum is formed or normalised."""
-    dm = DifferentialForm.differential(omega.chart, m)
-    return dm.wedge(omega) == -exterior_derivative(omega).scale(m)
+    """Whether omega lies in the kernel of d_m + (m-1)d = dm^ + m d, tested
+    on integer numerators with no normal form taken.
+
+    Write m = p/q and omega = (1/D) sum_J W_J dx_J (``common_denominator``).
+    On the blade dx_i ^ dx_J, q^2 D^2 times the coefficient of
+    dm ^ omega + m d(omega) is
+
+        Phi(p, q, W, D) = W_J D (q d_i p - p d_i q) + p q (D d_i W_J - W_J d_i D),
+
+    and a blade K sums Phi, signed, over the pairs (i, J) with x_i ^ J = K.
+    Phi is linear in each of p, q, the family W and D, so constant factors
+    only scale it; and for any polynomial g the terms in dg cancel in
+
+        Phi(g p, q, W, g D) = g^2 Phi(p, q, W, D),
+        Phi(p, g q, g W, D) = g^2 Phi(p, q, W, D).
+
+    So dividing out g1 = gcd(p, D) and g2 = gcd(q, W_J for every J) leaves
+    the verdict unchanged and the polynomials small.  Each blade sum is then
+    evaluated at one integer point where q and D do not vanish: a polynomial
+    that is non-zero at one point is non-zero, so a non-zero value refutes,
+    and only when every value is zero is each sum expanded.  The point is
+    (3^t, 5^t, 7^t, ...) for the least t = 1, 2, ... that misses the zeros of
+    q D; along it q D is a sum of exponentials b^t with distinct bases b, one
+    per monomial, which vanishes at fewer t than it has terms.
+    """
+    n = omega.chart.dim
+    d, numerators = common_denominator(n, list(omega.terms.values()))
+    p, q = _integral(m.num), _integral(m.den)
+    g1 = poly_gcd(p, d)
+    if not g1.is_constant():
+        p, d = _integral(p.exact_div(g1)), _integral(d.exact_div(g1))
+    g2 = q
+    for w in numerators:
+        if g2.is_constant():
+            break
+        g2 = poly_gcd(g2, w)
+    if not g2.is_constant():
+        q = _integral(q.exact_div(g2))
+        numerators = [_integral(w.exact_div(g2)) for w in numerators]
+    # blade K -> its (sign, i, j) with x_i ^ J = K and W_J = numerators[j],
+    # the sign from sorting x_i into J
+    blades: Dict[int, list] = {}
+    for j, mask in enumerate(omega.terms):
+        for i in range(n):
+            if not mask >> i & 1:
+                blades.setdefault(mask | 1 << i, []).append(
+                    (merge_sign(1 << i, mask), i, j))
+    for t in count(1):
+        point = [prime ** t for prime in _PRIMES[:n]]
+        at_q, at_d = (_value_and_gradient(f, point) for f in (q, d))
+        if at_q[0] and at_d[0]:
+            break
+    if any(_blade_sums(blades, 0, _value_and_gradient(p, point), at_q, at_d,
+                       [_value_and_gradient(w, point) for w in numerators])):
+        return False
+
+    def expanded(f: Polynomial) -> tuple:
+        return f, [f.diff(i) for i in range(n)]
+
+    return not any(phi.nums for phi in _blade_sums(
+        blades, Polynomial.zero(n), expanded(p), expanded(q), expanded(d),
+        [expanded(w) for w in numerators]))
 
 
 def is_last_multiplier(volume: VolumeForm, m: RationalFunc, a: Multivector) -> bool:
@@ -112,8 +227,9 @@ def is_last_multiplier(volume: VolumeForm, m: RationalFunc, a: Multivector) -> b
 
     (a) the curl residual of m*a vanishes;
     (b) flat(a) lies in the kernel of the operator d_m + (m-1)d, which is
-        dm^ + m d: dm ^ flat(a) equals -m d(flat(a)), compared as canonical
-        forms, with its own dm, d and wedge;
+        dm^ + m d: every blade of dm ^ flat(a) + m d(flat(a)), cleared to
+        integer numerators with shared factors cancelled, is zero, with its
+        own dm, d and wedge and no normal form (``_in_witten_kernel``);
     (c) flat(a) is closed for the conjugated differential (1/m) d(m * .),
         tested as d(m flat(a)) = 0, since m is not zero.
     """

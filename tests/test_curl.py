@@ -1,10 +1,12 @@
 """Curl operator, Schouten bracket, and last-multiplier predicates."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from mvcurl import curl as curl_module
+from mvcurl import exterior, ring
 from mvcurl.curl import (
     curl,
     curl_scaled,
@@ -18,27 +20,26 @@ from mvcurl.curl import (
     schouten,
     vector_apply,
 )
+from mvcurl.dsl import parse
 from mvcurl.exterior import (
     Chart,
     DifferentialForm,
     Multivector,
     VolumeForm,
+    _BladeSum,
     exterior_derivative,
     flat,
-    sharp,
-    witten_derivative,
 )
 from mvcurl.identities import (
-    density_pool,
     random_chart,
-    random_form,
     random_multiplier,
     random_multivector,
     random_polynomial,
     random_volume,
     run_identity_suite,
 )
-from mvcurl.ring import RationalFunc
+from mvcurl.ring import Polynomial, RationalFunc
+from witten_cases import CASES_PER_DIMENSION, route_b_cases, witten_sum_vanishes
 
 CH = Chart(("x", "y"))
 X = CH.coordinate(0)
@@ -260,50 +261,7 @@ def test_identity_suite_smoke():
     assert all(r.passed for r in results), [(r.name, r.failures) for r in results]
 
 
-# -- route (b): dm ^ omega == -m d(omega) against the summed Witten form ----
-
-
-def witten_sum_vanishes(m, omega):
-    """Route (b) as the paper writes it: (d_m + (m-1)d) omega == 0, with the
-    Witten differential at t = 1 and the sum normalised."""
-    one = RationalFunc.constant(m.nvars, 1)
-    return (witten_derivative(1, m, omega)
-            + exterior_derivative(omega).scale(m - one)).is_zero()
-
-
-CASES_PER_DIMENSION = 260
-
-
-def route_b_cases(dim):
-    """At least CASES_PER_DIMENSION seeded (volume, multiplier, multivector)
-    cases in one dimension: every grade and every pool density, random
-    multipliers, and multipliers that are last multipliers by construction."""
-    chart = Chart(("x", "y", "z", "w")[:dim])
-    rng = random.Random(f"route-b:{dim}")
-    pool = density_pool(chart)
-    per_pass = len(pool) * ((dim + 1) * 6 + 2)
-    passes = -(-CASES_PER_DIMENSION // per_pass)
-    for density in pool * passes:
-        vol = VolumeForm(chart, density)
-        for grade in range(dim + 1):
-            for _ in range(4):
-                a = random_multivector(rng, chart, grade, max_degree=1)
-                yield vol, random_multiplier(rng, dim), a
-            # m (sharp of a closed form) / m: curl(m A) = sharp(d closed) = 0
-            for _ in range(2):
-                m = random_multiplier(rng, dim)
-                if grade < dim:
-                    closed = exterior_derivative(random_form(
-                        rng, chart, dim - grade - 1, max_degree=2))
-                else:
-                    closed = DifferentialForm.scalar(
-                        chart, chart.constant(rng.choice((-2, 1, 3))))
-                yield vol, m, sharp(vol, closed).scale(m.inverse())
-        # 1/(c f) for the top-degree c e_top against density f
-        for _ in range(2):
-            c = RationalFunc(random_polynomial(rng, dim, allow_zero=False))
-            top = Multivector.blade(chart, range(dim), c)
-            yield vol, (c * density).inverse(), top
+# -- route (b): cleared numerators against the summed Witten form ----------
 
 
 @pytest.mark.parametrize("dim", range(1, 5))
@@ -333,6 +291,180 @@ def test_disagreeing_witten_route_raises(monkeypatch):
     for m, a in ((h.inverse(), bivector(h)), (X, E1)):
         with pytest.raises(RuntimeError, match="routes disagree"):
             is_last_multiplier(VOL, m, a)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def bindings(text):
+    """The chart of a document and its bindings' values by name."""
+    doc = parse(text)
+    return doc.chart, {b.name: b.value for b in doc.bindings}
+
+
+def witten_verdict(m, omega):
+    """Route (b) on (m, omega), checked against the summed Witten form."""
+    verdict = curl_module._in_witten_kernel(m, omega)
+    assert verdict == witten_sum_vanishes(m, omega), (m, omega)
+    return verdict
+
+
+# (coefficient f, multiplier m, verdict) on R^3 with A = f e1^^e2, where
+# flat(A) = f d3: m is a last multiplier exactly when m f depends on z alone.
+# The ids say whether p (m = p/q) shares a factor with the denominator of f,
+# q with its numerator, both or neither
+SHARED_FACTORS = {
+    "both": ("(x+y+z+1)^2/(x-y+z+2)^3", "(x-y+z+2)^3/(x+y+z+1)^2", True),
+    "both-times-z": ("(x+y+z+1)^2/(x-y+z+2)^3",
+                     "(z+5)*(x-y+z+2)^3/(x+y+z+1)^2", True),
+    "both-false": ("(x+y+z+1)^2/(x-y+z+2)^3", "(x-y+z+2)^3/(x+y+z+1)", False),
+    "p-only": ("1/(x-y+z+2)^3", "(z+5)*(x-y+z+2)^3", True),
+    "p-only-false": ("(x^2+1)/(x-y+z+2)^3", "(x-y+z+2)^2/(y+3)", False),
+    "q-only": ("(x+y+z+1)^2", "(z+5)/(x+y+z+1)^2", True),
+    "q-only-false": ("(x+y+z+1)^2/(y^2+2)", "(x+y)/(x+y+z+1)^2", False),
+    "neither": ("1", "(z^2+1)/(z+3)", True),
+    "neither-false": ("(x+y+z+1)^2/(x-y+z+2)^3", "(z+5)/(x^2+y+1)", False),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_FACTORS)
+def test_witten_route_with_factors_shared_by_m_and_omega(case):
+    f, m, expected = SHARED_FACTORS[case]
+    chart, v = bindings(f"chart x y z\nfunc f = {f}\nfunc m = {m}\n"
+                        "mv A = f e1^^e2\n")
+    assert witten_verdict(v["m"], flat(VolumeForm.unit(chart), v["A"])) is expected
+
+
+def test_witten_route_with_blade_numerators_sharing_a_factor_with_q():
+    # g divides q and every blade numerator of w2 and w3; m w3 = d(x y z^2)
+    chart, v = bindings(
+        "chart x y z\n"
+        "func g = (x+2*y+1)*(z+3)\n"
+        "func m = 1/g\n"
+        "func m2 = (x+1)/g\n"
+        "func m3 = 1/(x+2*y+1)\n"
+        "form w2 = (x+2*y+1)*x/(x-z+2) d1 + (x+2*y+1)*y/(x-z+2) d2\n"
+        "form w3 = g*y*z^2 d1 + g*x*z^2 d2 + g*2*x*y*z d3\n")
+    assert witten_verdict(v["m"], v["w3"])
+    assert not witten_verdict(v["m2"], v["w3"])
+    assert not witten_verdict(v["m3"], v["w2"])
+    assert not witten_verdict(v["m"], v["w2"])
+
+
+def test_witten_route_on_zero_and_top_degree_forms_and_constant_multipliers():
+    chart, v = bindings("chart x y z\nfunc m = (x^2+y)/(z-1)\n"
+                        "form top = (x*y)/(y+z) d1^^d2^^d3\n"
+                        "form closed = y d1 + x d2\nform open = y d1\n")
+    m, three = v["m"], chart.constant(3)
+    for degree in range(4):
+        assert witten_verdict(m, DifferentialForm.zero(chart, degree))
+    assert witten_verdict(m, v["top"])
+    assert witten_verdict(three, v["closed"])
+    assert not witten_verdict(three, v["open"])
+
+
+def test_witten_route_with_rational_coefficients_in_m():
+    chart, v = bindings(
+        "chart x y\nfunc m = (x + 1/3)/(y - 2/5)\n"
+        "form eta = (y - 2/5)*2*x*y/(x + 1/3) d1"
+        " + (y - 2/5)*x^2/(x + 1/3) d2\n"
+        "form other = (y - 2/5) d1 + 1/7*x d2\n")
+    assert witten_verdict(v["m"], v["eta"])  # m eta = d(x^2 y)
+    assert not witten_verdict(v["m"], v["other"])
+
+
+def test_witten_route_when_the_first_point_is_a_zero_of_the_denominator():
+    chart, v = bindings((GOLDEN / "lm_heavy_2d.mv").read_text())
+    omega = flat(VolumeForm.unit(chart), v["A"])
+    # x - y + 2 divides the denominator of omega and vanishes at (3, 5)
+    assert omega.terms[0].den.evaluate((3, 5)) == 0
+    assert [witten_verdict(v[m], omega) for m in ("f", "m", "mb")] == [
+        False, True, False]
+
+
+def test_witten_route_expands_when_the_point_cannot_refute(monkeypatch):
+    # d(m w) = 2 (x - 3) d1^^d2 for m = x - 3 and w = (x - 3) d2, which is
+    # zero at (3, 5), the refutation point on the plane
+    chart, v = bindings("chart x y\nfunc m = x - 3\nfunc m4 = x - 4\n"
+                        "form w = (x - 3) d2\n")
+    assert not witten_sum_vanishes(v["m"], v["w"])
+    assert not witten_sum_vanishes(v["m4"], v["w"])
+    diffs = []
+    diff = Polynomial.diff
+
+    def counted(p, index):
+        diffs.append(index)
+        return diff(p, index)
+
+    monkeypatch.setattr(Polynomial, "diff", counted)
+    assert not curl_module._in_witten_kernel(v["m4"], v["w"])
+    assert diffs == []  # refuted at the point: nothing expanded
+    assert not curl_module._in_witten_kernel(v["m"], v["w"])
+    assert diffs
+
+
+def test_witten_route_runs_no_exterior_calculus_and_no_normal_form(monkeypatch):
+    cases = [(m, flat(vol, a)) for dim in (2, 3)
+             for vol, m, a in list(route_b_cases(dim))[::4]]
+    assert any(not c.den.is_one() for _, w in cases for c in w.terms.values())
+    expected = [witten_sum_vanishes(m, w) for m, w in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("route (b) called a refused function")
+
+    for owner, name in ((RationalFunc, "diff"), (RationalFunc, "__add__"),
+                        (RationalFunc, "__mul__"), (_BladeSum, "wedge"),
+                        (DifferentialForm, "differential"),
+                        (exterior, "exterior_derivative"),
+                        (curl_module, "exterior_derivative"),
+                        (curl_module, "curl")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [curl_module._in_witten_kernel(m, w) for m, w in cases] == expected
+
+
+def test_witten_route_gcd_count(monkeypatch):
+    gcd = ring.poly_gcd
+    calls = depth = 0
+
+    def counted(a, b):
+        # outermost calls only, as the tracer counts them
+        nonlocal calls, depth
+        calls += depth == 0
+        depth += 1
+        try:
+            return gcd(a, b)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(ring, "poly_gcd", counted)
+    monkeypatch.setattr(curl_module, "poly_gcd", counted)
+    for dim in range(1, 5):
+        for vol, m, a in route_b_cases(dim):
+            omega = flat(vol, a)
+            dens = {c.den for c in omega.terms.values() if not c.den.is_one()}
+            calls = 0
+            curl_module._in_witten_kernel(m, omega)
+            assert calls <= len(dens) + len(omega.terms) + 1, (m, omega)
+
+
+def test_witten_route_multiplies_only_constants_when_m_cancels_omega(monkeypatch):
+    # m = 1/f and omega = f d3 with f = (x+y+z+1)^6/(x-y+z+2)^6: with g1 and
+    # g2 divided out, p, q, D and W are constants; without, the largest
+    # product would be about 364 x 455 term pairs
+    chart, v = bindings((GOLDEN / "lm_heavy_3d.mv").read_text())
+    omega = flat(VolumeForm.unit(chart), v["A"])
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        products.append((len(a.nums) * len(b.nums),
+                         a.is_constant() or b.is_constant()))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert curl_module._in_witten_kernel(v["m"], omega)
+    assert max(pairs for pairs, _ in products) <= 10_000
+    assert all(constant for _, constant in products)
 
 
 def test_vector_apply_differentiates_only_along_the_field(monkeypatch):

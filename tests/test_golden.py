@@ -114,7 +114,7 @@ LM_SOURCES = [GOLDEN_DIR / p.name.replace(".lm.out", ".mv")
 
 def test_every_lm_golden_has_a_document() -> None:
     assert LM_SOURCES == [s for s in SOURCES if lm_commands(s)]
-    assert sum(len(lm_commands(s)) for s in LM_SOURCES) == 70
+    assert sum(len(lm_commands(s)) for s in LM_SOURCES) == 86
 
 
 def test_collecting_this_module_parses_no_document(monkeypatch) -> None:

@@ -1,7 +1,7 @@
 """sympy as an independent oracle for the hard kernels: multiplication, exact
 division, the gcd, the rational normal form and the quotient rule of the
-ring, and the rank, reduced row echelon form and nullspace of the exact
-solver.
+ring, the rank, reduced row echelon form and nullspace of the exact solver,
+and the Witten route of the last-multiplier check.
 
 sympy is used by these tests only; the package itself stays stdlib-only, and
 the module is skipped where sympy is not installed.
@@ -14,6 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcurl import ring
+from mvcurl.curl import _in_witten_kernel
+from mvcurl.exterior import Chart, DifferentialForm, exterior_derivative
+from mvcurl.identities import random_form, random_multiplier
 from mvcurl.ring import Polynomial, RationalFunc, poly_gcd
 from mvcurl.solver import ExactMatrix
 
@@ -289,3 +292,70 @@ def test_sparse_columns_with_explicit_zeros_match_sympy(system):
         for i, c in enumerate(a_pivots):
             expect[c] = from_sympy_rational(a_rref[i, cols])
         assert y == expect
+
+
+# -- the Witten route of lm-check ---------------------------------------------
+
+
+def witten_case(case):
+    """A seeded (m, omega) on R^2 or R^3.  Every fourth case is random; in
+    the rest m = m0 h/g and omega carries g/h, so that g divides q and every
+    blade numerator of omega, and h divides p and the denominator of omega.
+    Half of all cases are true by construction, omega = (closed form)/m, as
+    ``route_b_cases`` builds them."""
+    dim = 2 + case % 2
+    chart = Chart(("x", "y", "z")[:dim])
+    rng = random.Random(f"witten-oracle:{case}")
+    degree = rng.randint(0, dim - 1)
+    m = random_multiplier(rng, dim)
+    if case % 4 == 0:
+        return m, random_form(rng, chart, degree, max_degree=2)
+    g, h = (chart.coordinate(0) + chart.coordinate(rng.randrange(1, dim)).scale(
+        rng.choice((-2, -1, 1, 2))) + chart.constant(rng.randint(1, 3))
+        for _ in range(2))
+    m = m * h / g
+    if case % 4 == 1:
+        return m, random_form(rng, chart, degree, max_degree=2).scale(g / h)
+    if degree:
+        closed = exterior_derivative(random_form(rng, chart, degree - 1,
+                                                 max_degree=2))
+    else:
+        closed = DifferentialForm.scalar(chart, chart.constant(rng.choice((-2, 3))))
+    return m, closed.scale(m.inverse())
+
+
+def sympy_witten_vanishes(m, omega):
+    """Every blade of dm ^ omega + m d(omega) is zero, computed in sympy's
+    field of fractions, where every sum and product is cancelled; the same
+    sums as sympy expressions, brought together and expanded, take about
+    six times as long."""
+    dim = omega.chart.dim
+    field, *xs = sympy.polys.fields.field(SYMBOLS[:dim], sympy.QQ)
+
+    def element(f):
+        return field.from_expr(to_sympy(f.num) / to_sympy(f.den))
+
+    ms = element(m)
+    blades = {}
+    for mask, coeff in omega.terms.items():
+        w = element(coeff)
+        below = 0  # the indices of the blade J that are below i
+        for i in range(dim):
+            if mask >> i & 1:
+                below += 1
+                continue
+            # dx_i ^ dx_J is (-1)^below times the sorted blade of J + {i}
+            term = ms.diff(xs[i]) * w + ms * w.diff(xs[i])
+            key = mask | 1 << i
+            blades[key] = blades.get(key, 0) + (-1) ** below * term
+    return all(e == 0 for e in blades.values())
+
+
+def test_witten_route_matches_sympy():
+    verdicts = []
+    for case in range(40):
+        m, omega = witten_case(case)
+        verdict = _in_witten_kernel(m, omega)
+        assert verdict == sympy_witten_vanishes(m, omega), case
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
