@@ -262,13 +262,5 @@ def is_exact(volume: VolumeForm, a: Multivector) -> bool:
     return curl(volume, a).is_zero()
 
 
-def inverse_multiplier_check(volume: VolumeForm, h: RationalFunc,
-                             x: Multivector) -> bool:
-    """True when X(h) = div(X) * h, i.e. 1/h is a last multiplier of X."""
-    if h.is_zero():
-        raise ZeroDivisionError("inverse multiplier candidate must be non-zero")
-    return vector_apply(x, h) == divergence(volume, x) * h
-
-
 def first_integral_check(x: Multivector, f: RationalFunc) -> bool:
     return vector_apply(x, f).is_zero()

@@ -36,7 +36,6 @@ __all__ = [
     "lm_system_residuals",
     "lie_poisson",
     "unimodularity_check",
-    "two_dim_multiplier",
 ]
 
 
@@ -226,8 +225,3 @@ def unimodularity_check(volume: VolumeForm, pi: Multivector,
         raise RuntimeError("affine solve produced an invalid witness")
     return rho
 
-
-def two_dim_multiplier(h: RationalFunc) -> RationalFunc:
-    """Reciprocal multiplier for a planar bivector h e1^e2: rescaling by it
-    leaves the constant bivector, which has zero curl."""
-    return h.inverse()

@@ -36,9 +36,10 @@ keys into exponent tuples.
 
 ``poly_gcd`` runs the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC
 1989) first and accepts its candidate only when exact division proves it
-(see ``_heu_gcd``); when the heuristic gives up, images mod a prime may
-prove the pair coprime (``_coprime_mod_p``), and otherwise a content
-recursion around a subresultant PRS finds the gcd.  ``common_denominator``
+(see ``_heu_gcd``).  When the heuristic gives up, a pair in one variable
+takes the primitive PRS on its dense coefficient lists, and any other pair
+is evaluated and interpolated one variable at a time (Brown, JACM 1971),
+with exact division proving the result.  ``common_denominator``
 writes a list of rational functions as integer-coefficient numerators over
 one shared denominator, which is how the solver clears a linear system.
 
@@ -497,15 +498,15 @@ def _split_by_variable(p: Polynomial, v: int) -> Dict[int, Polynomial]:
     return {d: Polynomial._make(p.nvars, t, p.den) for d, t in buckets.items()}
 
 
-def _join_by_variable(coeffs: Dict[int, Polynomial], v: int, nvars: int) -> Polynomial:
-    unit = _field(nvars, v)[1]
-    den = lcm(*(poly.den for poly in coeffs.values()))
-    nums: Dict[int, int] = {}
-    for d, poly in coeffs.items():
-        f = den // poly.den
-        for key, c in poly.nums.items():
-            nums[key + d * unit] = c * f
-    return Polynomial._make(nvars, nums, den)
+def _groups(p: Polynomial, v: int) -> Dict[int, Polynomial]:
+    """View p as a polynomial in the coordinates other than x_v with
+    coefficients in Q[x_v]: {key of a monomial free of x_v: its coefficient}."""
+    shift, unit = _field(p.nvars, v)
+    buckets: Dict[int, Dict[int, int]] = {}
+    for key, c in p.nums.items():
+        d = (key >> shift & _FIELD_MASK) * unit
+        buckets.setdefault(key - d, {})[d] = c
+    return {m: Polynomial._make(p.nvars, t, p.den) for m, t in buckets.items()}
 
 
 def _content(polys: Iterable[Polynomial]) -> Polynomial:
@@ -516,58 +517,6 @@ def _content(polys: Iterable[Polynomial]) -> Polynomial:
             break
         acc = poly_gcd(acc, p)
     return _monic(acc)
-
-
-def _uni_prem(a: Dict[int, Polynomial], b: Dict[int, Polynomial]) -> Dict[int, Polynomial]:
-    """Classical pseudo-remainder: lc(b)^(da-db+1) * a reduced by b."""
-    db = max(b)
-    lead_b = b[db]
-    budget = max(a) - db + 1
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lead_r = r[dr]
-        nxt: Dict[int, Polynomial] = {}
-        for d, c in r.items():
-            if d != dr:
-                nxt[d] = c * lead_b
-        for d, c in b.items():
-            if d == db:
-                continue
-            nd = d + dr - db
-            t = lead_r * c
-            prev = nxt.get(nd)
-            nxt[nd] = (prev - t) if prev is not None else -t
-        r = {d: c for d, c in nxt.items() if not c.is_zero()}
-        budget -= 1
-    if r and budget > 0:
-        # pad skipped reduction steps so the subresultant divisions stay exact
-        mult = lead_b ** budget
-        r = {d: c * mult for d, c in r.items()}
-    return r
-
-
-def _subresultant_prs(pa: Dict[int, Polynomial], pb: Dict[int, Polynomial],
-                      nvars: int) -> Dict[int, Polynomial]:
-    """Last non-zero subresultant remainder of two primitive polynomials."""
-    g = Polynomial.constant(nvars, 1)
-    h = Polynomial.constant(nvars, 1)
-    while True:
-        delta = max(pa) - max(pb)
-        rem = _uni_prem(pa, pb)
-        if not rem:
-            return pb
-        divisor = g * h ** delta
-        if divisor.is_one():
-            nxt = rem
-        else:
-            nxt = {d: p.exact_div(divisor) for d, p in rem.items()}
-        pa, pb = pb, nxt
-        g = pa[max(pa)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g ** delta).exact_div(h ** (delta - 1))
 
 
 def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -673,81 +622,113 @@ def _interpolate(gamma: Dict[int, int], xi: int, unit: int,
     return out
 
 
-# the prime of the coprimality proof in ``_coprime_mod_p``
-_PROOF_PRIME = (1 << 61) - 1
-
-
-@functools.cache
-def _odd_primes(count: int) -> Tuple[int, ...]:
-    """The first ``count`` odd primes: 3, 5, 7, 11, ..."""
-    primes = []
-    k = 3
-    while len(primes) < count:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 2
-    return tuple(primes)
-
-
-def _image_mod_p(p: Polynomial, v: int) -> list:
-    """Coefficients, lowest degree first, of the integer numerators of p as
-    a polynomial in x_v mod ``_PROOF_PRIME``, with every other x_i set to
-    the i-th odd prime; one entry per degree in x_v, so the last is zero
-    exactly when x_v loses its degree at that point."""
-    n = p.nvars
-    points = _odd_primes(n)
-    powers = []  # powers[i][e] = (x_i)^e mod the prime, e up to deg_i(p)
-    for i in range(n):
-        x, row = 1 if i == v else points[i], [1]
-        for _ in range(_degree_in(p, i)):
-            row.append(row[-1] * x % _PROOF_PRIME)
-        powers.append(row)
-    out = [0] * len(powers[v])
-    for key, c in p.nums.items():
-        exps = _unpack(n, key)
-        for row, e in zip(powers, exps):
-            c = c * row[e] % _PROOF_PRIME
-        out[exps[v]] = (out[exps[v]] + c) % _PROOF_PRIME
-    return out
-
-
-def _degree_of_gcd_mod_p(f: list, g: list) -> int:
-    """Degree of gcd(f, g) over the integers mod ``_PROOF_PRIME``, for
-    coefficient lists (lowest degree first) whose last entries are non-zero."""
-    while g:
-        inv, f = pow(g[-1], -1, _PROOF_PRIME), f[:]
-        while len(f) >= len(g):
-            q, shift = f[-1] * inv % _PROOF_PRIME, len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - q * c) % _PROOF_PRIME
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return len(f) - 1
-
-
-def _coprime_mod_p(a: Polynomial, b: Polynomial, common: Iterable[int]) -> bool:
-    """True when images mod a prime prove gcd(a, b) = 1; False means only
-    "not proven".
-
-    For each variable x_v in ``common``, the variables both inputs use, take
-    the univariate images in x_v of the integer numerators (``_image_mod_p``).
-    A gcd G of positive degree in x_v maps to a common factor of both images;
-    if x_v keeps its degree in both, the image of G keeps its degree too, so
-    coprime images prove that G has degree 0 in x_v.  Degree 0 in every
-    shared variable makes G a constant.  The work is sized by the degree in
-    each variable: one power table per variable and a quadratic Euclid.
-    """
-    for v in common:
-        ia, ib = _image_mod_p(a, v), _image_mod_p(b, v)
-        if not (ia[-1] and ib[-1]) or _degree_of_gcd_mod_p(ia, ib) > 0:
-            return False
+def _divides(d: Polynomial, *ps: Polynomial) -> bool:
+    """True when ``exact_div`` shows that d divides every p."""
+    try:
+        for p in ps:
+            p.exact_div(d)
+    except ValueError:
+        return False
     return True
 
 
+def _univariate_gcd(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
+    """Monic gcd of a and b, which use no coordinate but x_v: the primitive
+    PRS on their dense integer coefficient lists, lowest degree first; a
+    list holds one entry per degree, so at most MAX_DEGREE + 1."""
+    unit = _field(a.nvars, v)[1]
+    f, g = sorted(([p.nums.get(d * unit, 0) for d in range(_degree_in(p, v) + 1)]
+                   for p in (a, b)), key=len, reverse=True)
+    while len(g) > 1:
+        lead = g[-1]
+        while len(f) >= len(g):
+            c, low = f[-1], len(f) - len(g)
+            f = [x * lead for x in f[:-1]]
+            for i, y in enumerate(g[:-1], low):
+                f[i] -= c * y
+            while f and not f[-1]:
+                f.pop()
+        content = gcd(*f)
+        f, g = g, [x // content for x in f]
+    if g:
+        return _one(a.nvars)
+    return _monic(Polynomial._make(a.nvars, {d * unit: c for d, c in enumerate(f) if c}))
+
+
+def _at(p: Polynomial, v: int, powers: list) -> Polynomial:
+    """p at x_v = powers[1], given the powers of that value."""
+    shift, unit = _field(p.nvars, v)
+    return Polynomial._make(p.nvars, _image(p.nums, shift, unit, powers), p.den)
+
+
+def _interpolated_gcd(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
+    """Monic gcd of a and b by evaluation at x_v = 1, 2, 3, ... and Newton
+    interpolation in x_v over Q (Brown, JACM 1971), with ``poly_gcd`` on
+    each pair of images, which use one coordinate fewer.
+
+    If the input with fewer terms divides the other, it is the gcd.  Else
+    write a as a polynomial in the other coordinates over Q[x_v]; its
+    coefficients are its groups (``_groups``), and their gcd is its content
+    in x_v.  Divide a and b by their contents, and let γ be the gcd of their
+    leading groups (grlex on the other coordinates).  The leading group L of
+    G = gcd(a, b) divides γ, so T = (γ/L)·G has leading group γ and degree
+    at most deg γ + min(deg_v a, deg_v b) in x_v; one point more fixes it.
+
+    At α with γ(α) ≠ 0, L(α) ≠ 0, so G(α) keeps its degree and divides I,
+    the monic gcd of the images: a constant I proves G = 1, and I has G's
+    degree exactly when T(α) = γ(α)·I.  So a point of higher degree than
+    the least seen is skipped, and one of lower degree restarts.
+
+    Let H be the interpolant divided by its content in x_v.  If exact_div
+    shows that H divides a and b, then H divides G with at least its degree
+    in the other coordinates, so G/H lies in Q[x_v] and divides the content
+    of a, which is 1.  Interpolation stops at the bound, or early when a
+    point leaves the interpolant unchanged; only finitely many α are
+    unlucky or leave it unchanged, and a round that reaches the bound
+    unproven had only unlucky points and starts over.  So an unlucky point
+    costs points, never an answer.
+    """
+    small, big = (a, b) if len(a.nums) <= len(b.nums) else (b, a)
+    if _divides(small, big):
+        return _monic(small)
+    n, unit = a.nvars, _field(a.nvars, v)[1]
+    ga, gb = _groups(a, v), _groups(b, v)
+    ca, cb = _content(ga.values()), _content(gb.values())
+    a, b = a.exact_div(ca), b.exact_div(cb)
+    gamma = poly_gcd(ga[max(ga)].exact_div(ca), gb[max(gb)].exact_div(cb))
+    content = poly_gcd(ca, cb)
+    da, db = _degree_in(a, v), _degree_in(b, v)
+    bound = _degree_in(gamma, v) + min(da, db) + 1
+    lowest, k, alpha = MAX_DEGREE + 1, 0, 0
+    while True:
+        alpha += 1
+        powers = [alpha ** d for d in range(max(da, db, bound) + 1)]
+        scale = _at(gamma, v, powers)
+        if not scale.nums:
+            continue
+        image = poly_gcd(_at(a, v, powers), _at(b, v, powers))
+        if image.is_constant():
+            return content
+        degree = image.total_degree()
+        if degree > lowest:
+            continue
+        if degree < lowest or k == bound:
+            lowest, h, q, k = degree, Polynomial.zero(n), _one(n), 0
+        # Newton's step: q vanishes at the points so far
+        change = image._times(scale.nums[0], scale.den) - _at(h, v, powers)
+        if change.nums:
+            h = h + change * q._times(1, _at(q, v, powers).nums[0])
+        q = q * Polynomial._make(n, {unit: 1, 0: -alpha})
+        k += 1
+        if k == bound or not change.nums:
+            cand = h.exact_div(_content(_groups(h, v).values()))
+            if _divides(cand, a, b):
+                return _monic(content * cand)
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[x1..xn]: GCDHEU, else a coprimality proof mod p, else
-    content recursion around a subresultant PRS.
+    """Monic gcd in Q[x1..xn]: GCDHEU, else interpolation one variable at a
+    time.
 
     GCDHEU (Char, Geddes and Gonnet, JSC 1989) works on A and B, the
     primitive integer parts of a and b.  For a variable v that A or B uses,
@@ -763,9 +744,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     needs is the true gcd of the images.
 
     After ``_HEU_TRIES`` points, or when an image would grow past
-    ``_HEU_MAX_BITS``, the heuristic gives up; ``_coprime_mod_p`` then tries
-    to prove the pair coprime, and the PRS runs only when it cannot.  Both
-    steps cost time, never correctness.
+    ``_HEU_MAX_BITS``, the heuristic gives up.  A pair in one variable then
+    takes ``_univariate_gcd``; any other is interpolated in the x_v of least
+    min(deg_v a, deg_v b), lowest index first (``_interpolated_gcd``).
     """
     if a.nvars != b.nvars:
         raise ValueError("dimension mismatch in gcd")
@@ -780,34 +761,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a.nums) == 1 or len(b.nums) == 1:
         return _monomial_gcd(a, b)
     used_a, used_b = _variables_used(a), _variables_used(b)
-    common = used_a & used_b
-    if not common:
+    if not used_a & used_b:
         return Polynomial.constant(a.nvars, 1)
-    g = _heu_gcd(a.nums, b.nums, a.nvars, sorted(used_a | used_b))
+    used = used_a | used_b
+    g = _heu_gcd(a.nums, b.nums, a.nvars, sorted(used))
     if g is not None:
         if len(g) == 1 and 0 in g:
             return _one(a.nvars)
         return _monic(Polynomial._make(a.nvars, g))
-    if _coprime_mod_p(a, b, sorted(common)):
-        return _one(a.nvars)
-    v = min(common, key=lambda i: (min(_degree_in(a, i), _degree_in(b, i)),
-                                   _degree_in(a, i) + _degree_in(b, i), i))
-    ua = _split_by_variable(a, v)
-    ub = _split_by_variable(b, v)
-    cont_a = _content(ua.values())
-    cont_b = _content(ub.values())
-    cont_gcd = poly_gcd(cont_a, cont_b)
-    if not cont_a.is_one():
-        ua = {d: p.exact_div(cont_a) for d, p in ua.items()}
-    if not cont_b.is_one():
-        ub = {d: p.exact_div(cont_b) for d, p in ub.items()}
-    if max(ua) < max(ub):
-        ua, ub = ub, ua
-    cand = _subresultant_prs(ua, ub, a.nvars)
-    ccont = _content(cand.values())
-    if not ccont.is_one():
-        cand = {d: p.exact_div(ccont) for d, p in cand.items()}
-    return _monic(cont_gcd * _join_by_variable(cand, v, a.nvars))
+    if len(used) == 1:
+        return _univariate_gcd(a, b, *used)
+    v = min(used, key=lambda i: (min(_degree_in(a, i), _degree_in(b, i)), i))
+    return _interpolated_gcd(a, b, v)
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:

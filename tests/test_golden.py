@@ -139,9 +139,13 @@ def test_lm_outputs_match_frozen(source: Path, capsys) -> None:
     assert "".join(out) == source.with_suffix(".lm.out").read_text()
 
 
-# coprime pairs on which GCDHEU gives up: before the proof mod p, the PRS
-# ran for over a minute on each
-@pytest.mark.parametrize("name", ["gcd_cliff_3var", "gcd_cliff_4var"])
+# pairs on which GCDHEU gives up, so that interpolation finds the gcd: two
+# coprime pairs, and three that share a factor, one with 300-digit
+# coefficients.  Each once took from 15 s to over a minute; the bound
+# catches a gcd cliff that returns.
+@pytest.mark.parametrize("name", ["gcd_cliff_3var", "gcd_cliff_4var",
+                                  "gcd_shared_3var", "gcd_shared_4var",
+                                  "gcd_shared_300digit"])
 def test_gcd_cliff_documents_print_within_the_wall_bound(name: str) -> None:
     source = GOLDEN_DIR / f"{name}.mv"
     env = dict(os.environ,

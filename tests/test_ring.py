@@ -322,7 +322,7 @@ def test_exact_div_rejects_inexact_division(num, den):
         num.exact_div(den)
 
 
-# -- gcd routes: GCDHEU, then the subresultant PRS ----------------------------
+# -- gcd routes: GCDHEU, then the primitive PRS or interpolation --------------
 
 P61 = (1 << 61) - 1
 
@@ -345,20 +345,37 @@ def count_calls(monkeypatch, name):
     return results
 
 
-def count_prs(monkeypatch):
-    return count_calls(monkeypatch, "_subresultant_prs")
+def count_interpolations(monkeypatch):
+    return count_calls(monkeypatch, "_interpolated_gcd")
 
 
 def heuristic_off(monkeypatch):
-    """Make GCDHEU give up at once, so that every gcd takes the PRS."""
+    """Make GCDHEU give up at once, so that every gcd takes the fallback."""
     monkeypatch.setattr(ring, "_heu_gcd", lambda *args: None)
 
 
+def points_tried(monkeypatch):
+    """Record (v, alpha) for every evaluation at x_v = alpha made by
+    ``ring._interpolated_gcd``: of gamma, of the inputs, and of the Newton
+    interpolant and its product of (x_v - point) factors."""
+    seen = []
+    original = ring._at
+
+    def at(p, v, powers):
+        seen.append((v, powers[1]))
+        return original(p, v, powers)
+
+    monkeypatch.setattr(ring, "_at", at)
+    return seen
+
+
 def test_coprime_pair_runs_no_prs(monkeypatch):
-    calls = count_prs(monkeypatch)
+    # GCDHEU settles both pairs: neither the PRS nor interpolation runs
+    prs = count_calls(monkeypatch, "_univariate_gcd")
+    calls = count_interpolations(monkeypatch)
     assert poly_gcd(X * X + Y * Y + ONE, X + Y) == ONE
     assert poly_gcd((X * X + Y * Y + ONE) ** 3, (X + Y) ** 2) == ONE
-    assert calls == []
+    assert prs == calls == []
 
 
 def test_constant_gcds_share_the_constant_one():
@@ -373,25 +390,24 @@ def test_constant_gcds_share_the_constant_one():
 
 
 def test_common_factor_is_still_found(monkeypatch):
-    calls = count_prs(monkeypatch)
+    calls = count_interpolations(monkeypatch)
     common = X * X + Y * Y + ONE
     a, b = common * (X + Y), common * (X - Y + ONE)
     assert poly_gcd(a, b) == common
     assert calls == []  # GCDHEU found it and division proved it
     heuristic_off(monkeypatch)
     assert poly_gcd(a, b) == common
-    assert calls
+    assert calls == [common]
 
 
-# Pairs whose images at x = 3, y = 5 modulo p = 2^61 - 1 degenerate, so a
-# modular coprime test at that point cannot settle them.
-# G = (x - 3)(y - 5) + 1 is 1 at that point: both images lose their degree
+# Pairs that degenerate at one point.  At x = 3, G = (x - 3)(y - 5) + 1 is
+# the constant 1, and (x - 3) y^2 + y + 1 loses its leading coefficient in
+# y: interpolation in x must skip that point, since gamma vanishes there.
 LOSES_ALL = (X - C(3)) * (Y - C(5)) + ONE
-# (x - 3) y^2 + y + 1 loses its leading coefficient in y at x = 3
 LOSES_LEAD = (X - C(3)) * Y * Y + Y + ONE
-# a coefficient whose denominator is p has no image mod p
+# a coefficient whose denominator is the prime 2^61 - 1, and one whose
+# numerator is
 DEN_P = X * Y + C(Fraction(1, P61))
-# the coefficient p of x y vanishes mod p: the image in y drops a degree
 NUM_P = C(P61) * X * Y + X + ONE
 
 
@@ -408,14 +424,15 @@ NUM_P = C(P61) * X * Y + X + ONE
         "loses-lead-coprime", "prime-denominator-common",
         "prime-denominator-coprime", "prime-coefficient-multiple",
         "prime-coefficient-coprime"])
-def test_fallback_pairs_take_the_prs(monkeypatch, a, b, expected):
-    # GCDHEU settles each pair; with it off, the PRS finds the same gcd
-    calls = count_prs(monkeypatch)
+def test_fallback_pairs_take_the_interpolation(monkeypatch, a, b, expected):
+    # GCDHEU settles each pair; with it off, interpolation in one of the two
+    # variables finds the same gcd
+    calls = count_interpolations(monkeypatch)
     assert poly_gcd(a, b) == ring._monic(expected)
     assert calls == []
     heuristic_off(monkeypatch)
     assert poly_gcd(a, b) == ring._monic(expected)
-    assert calls
+    assert calls[-1] == ring._monic(expected)
 
 
 def cliff_pair(n, power):
@@ -430,21 +447,128 @@ def cliff_pair(n, power):
 
 
 @pytest.mark.parametrize("n, power", [(3, 14), (4, 9)])
-def test_cliff_pairs_are_proven_coprime_mod_p(monkeypatch, n, power):
+def test_cliff_pairs_are_proven_coprime_by_their_first_image(monkeypatch, n,
+                                                              power):
     a, b = cliff_pair(n, power)
     assert ring._heu_gcd(a.nums, b.nums, n, list(range(n))) is None
-    calls = count_prs(monkeypatch)
+    calls = count_interpolations(monkeypatch)
+    points = points_tried(monkeypatch)
     start = time.perf_counter()
     assert poly_gcd(a, b) is ring._one(n)
     assert time.perf_counter() - start < 5.0
-    assert calls == []
+    # every degree ties, so x is interpolated; its first image, at x = 1,
+    # is coprime, and that proves the pair coprime
+    assert calls[-1] is ring._one(n)
+    assert {alpha for v, alpha in points if v == 0} == {1}
 
 
-def test_proof_mod_p_never_proves_a_pair_with_a_common_factor():
-    common = X * X + Y + ONE
-    assert not ring._coprime_mod_p(common * (X + Y), common * (X - Y + ONE),
-                                   [0, 1])
-    assert ring._coprime_mod_p(X * X + Y * Y + ONE, X + Y, [0, 1])
+def test_the_coprime_exit_never_fires_on_a_pair_with_a_common_factor(
+        monkeypatch):
+    heuristic_off(monkeypatch)
+    points = points_tried(monkeypatch)
+    # a coprime pair takes one image, which is constant
+    assert ring._interpolated_gcd(X * X + Y * Y + ONE, X + Y, 0) is ONE
+    assert sorted({alpha for _, alpha in points}) == [1]
+    # pairs with a common factor whose image is constant, or whose leading
+    # coefficient vanishes, at some x = alpha
+    for common in (X * X + Y + ONE, LOSES_ALL, LOSES_LEAD,
+                   (X - ONE) * Y + ONE, (X - C(2)) * Y * Y + X):
+        for v in (0, 1):
+            got = ring._interpolated_gcd(common * (X + Y),
+                                         common * (X - Y + ONE), v)
+            assert got == ring._monic(common)
+
+
+def xyz():
+    return [Polynomial.variable(3, i) for i in range(3)] + [
+        Polynomial.constant(3, 1)]
+
+
+def test_a_point_where_gamma_vanishes_is_skipped(monkeypatch):
+    # G = (z - 1) x + 1 is 1 at z = 1, where the images x + y and x - y + 1
+    # are coprime: gamma = z - 1 vanishes there, so the point is skipped
+    heuristic_off(monkeypatch)
+    x, y, z, one = xyz()
+    g = (z - one) * x + one
+    points = points_tried(monkeypatch)
+    got = ring._interpolated_gcd(g * (x + y), g * (x - y + one), 2)
+    assert got == ring._monic(g)
+    outer = [alpha for v, alpha in points if v == 2]
+    assert outer.count(1) == 1  # gamma alone is evaluated at z = 1
+    assert 2 in outer
+
+
+@pytest.mark.parametrize("shift", [1, 2], ids=["first-point", "second-point"])
+def test_an_unlucky_point_is_skipped_or_restarts(monkeypatch, shift):
+    # G (x + (z - s) y) and G (x + (z - s) y^2) also share x at z = s.  At
+    # s = 1 the first image has degree 2, and z = 2 restarts with degree 1;
+    # at s = 2 the image at z = 2 has degree 2 and is skipped
+    x, y, z, one = xyz()
+    g = x + y + z + one.scale(3)
+    t = z - one.scale(shift)
+    points = points_tried(monkeypatch)
+    assert ring._interpolated_gcd(g * (x + t * y), g * (x + t * y * y), 2) == g
+    assert sorted({alpha for v, alpha in points if v == 2}) == [1, 2, 3, 4]
+
+
+def test_an_unlucky_image_fails_the_trial_division(monkeypatch):
+    # b is free of z, so one point fixes the gcd; at z = 1 the image is
+    # G x, which divides b but not a, and z = 2 gives G itself
+    x, y, z, one = xyz()
+    g = x + y + one.scale(3)
+    points = points_tried(monkeypatch)
+    assert ring._interpolated_gcd(g * (x + (z - one) * y), g * x, 2) == g
+    assert sorted({alpha for v, alpha in points if v == 2}) == [1, 2]
+
+
+def test_a_content_both_inputs_share_is_divided_out(monkeypatch):
+    # z^2 + 1 is in the content in z of both, and G = x + y z + 1 has
+    # degree 1 in z; with the contents divided out, gamma is 1 and two
+    # points fix G
+    x, y, z, one = xyz()
+    content, g = z * z + one, x + y * z + one
+    a = content * g * (x + y)
+    b = content * (z + one.scale(5)) * g * (x - y)
+    points = points_tried(monkeypatch)
+    assert ring._interpolated_gcd(a, b, 2) == ring._monic(content * g)
+    assert sorted({alpha for v, alpha in points if v == 2}) == [1, 2]
+
+
+def test_a_power_and_its_derivative_need_no_image(monkeypatch):
+    # the denominator of the curl A stress document and its x-derivative:
+    # the derivative divides the power, so no point is evaluated
+    heuristic_off(monkeypatch)
+    x, y, z, one = xyz()
+    d = (x - y + z + one.scale(2)) ** 15
+    points = points_tried(monkeypatch)
+    assert poly_gcd(d, d.diff(0)) == (x - y + z + one.scale(2)) ** 14
+    assert points == []
+
+
+def planted_poly(rng, degree, terms, digits):
+    """A polynomial in x, y, z with ``terms`` terms, x^degree among them,
+    and coefficients of up to ``digits`` digits."""
+    coeffs = {(degree, 0, 0): rng.randint(1, 10 ** digits)}
+    while len(coeffs) < terms:
+        exps = [0, 0, 0]
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(3)] += 1
+        coeffs[tuple(exps)] = rng.randint(-10 ** digits, 10 ** digits)
+    return Polynomial(3, coeffs)
+
+
+def test_a_large_pair_with_a_planted_factor_is_quick(monkeypatch):
+    # degrees 23 and 12 with a common factor of degree 4 and coefficients
+    # of up to 19 digits: the subresultant PRS that came before took 42 s
+    rng = random.Random("planted-factor")
+    g = planted_poly(rng, 4, 6, 4)
+    a = g * planted_poly(rng, 19, 6, 15)
+    b = g * planted_poly(rng, 8, 5, 15)
+    assert (a.total_degree(), b.total_degree()) == (23, 12)
+    heuristic_off(monkeypatch)
+    start = time.perf_counter()
+    assert poly_gcd(a, b) == ring._monic(g)
+    assert time.perf_counter() - start < 2.0
 
 
 def heuristic_points(a):
@@ -470,13 +594,14 @@ def defeating_pair(g, t, c1):
     return a, g * (t + C(c2)), points
 
 
-@pytest.mark.parametrize("g, t, c1", [
-    (X * X + C(3), X, 2),
-    (X + Y + ONE, Y, 1),
-    (X * Y.scale(5) - C(7), Y, 4),
-    (X * X * Y + X + C(11), Y, -3),
+@pytest.mark.parametrize("g, t, c1, route", [
+    (X * X + C(3), X, 2, "_univariate_gcd"),
+    (X + Y + ONE, Y, 1, "_interpolated_gcd"),
+    (X * Y.scale(5) - C(7), Y, 4, "_interpolated_gcd"),
+    (X * X * Y + X + C(11), Y, -3, "_interpolated_gcd"),
 ], ids=["univariate", "outer-variable", "large-coefficient", "negative-shift"])
-def test_pairs_that_defeat_the_heuristic_reach_the_prs(monkeypatch, g, t, c1):
+def test_pairs_that_defeat_the_heuristic_reach_the_fallback(monkeypatch, g, t,
+                                                            c1, route):
     a, b, points = defeating_pair(g, t, c1)
     tried = []
     original = ring._interpolate
@@ -486,40 +611,40 @@ def test_pairs_that_defeat_the_heuristic_reach_the_prs(monkeypatch, g, t, c1):
         return original(gamma, xi, *rest)
 
     monkeypatch.setattr(ring, "_interpolate", interpolate)
-    calls = count_prs(monkeypatch)
+    calls = count_calls(monkeypatch, route)
     assert poly_gcd(a, b) == ring._monic(g)
-    assert calls
-    # every point was tried at the outer level: the construction held
-    assert [xi for xi in tried if xi in points] == points
+    assert calls[-1] == ring._monic(g)
+    # every point was tried at the outer level, before the fallback's own
+    # gcds ran: the construction held
+    assert [xi for xi in tried if xi in points][:len(points)] == points
 
 
-def test_a_huge_coprime_pair_is_proven_mod_p(monkeypatch):
+def test_a_huge_coprime_pair_takes_the_univariate_prs(monkeypatch):
     # a 4300-digit constant term and degree 32000: an image would need
     # about 14,000 bits times the degree, past GCDHEU's size guard; the
-    # images mod p are coprime and keep their degree, which proves the gcd
+    # primitive PRS on the dense lists ends after one step
     big = 10 ** 4299 + 7
     a = X ** 32000 + C(big)
     b = X ** 32000 + C(big + 1)
     images = count_calls(monkeypatch, "_image")
-    calls = count_prs(monkeypatch)
+    calls = count_calls(monkeypatch, "_univariate_gcd")
     start = time.perf_counter()
     assert poly_gcd(a, b) is ring._one(2)
     assert time.perf_counter() - start < 5.0
-    assert images == [] and calls == []
+    assert images == [] and calls == [ring._one(2)]
 
 
 def test_a_huge_pair_takes_the_size_guard_to_the_prs(monkeypatch):
-    # as above, but the leading coefficient p vanishes mod p: x loses its
-    # degree in the image, the proof is not made, and the PRS answers
+    # as above, with the leading coefficient 2^61 - 1
     big = 10 ** 4299 + 7
     a = C(P61) * X ** 32000 + C(big)
     b = X ** 32000 + C(big + 1)
     images = count_calls(monkeypatch, "_image")
-    calls = count_prs(monkeypatch)
+    calls = count_calls(monkeypatch, "_univariate_gcd")
     start = time.perf_counter()
     assert poly_gcd(a, b) == ONE
     assert time.perf_counter() - start < 5.0
-    assert images == [] and calls
+    assert images == [] and calls == [ONE]
 
 
 # -- quotient-rule memo -------------------------------------------------------

@@ -27,20 +27,20 @@ SYMBOLS = sympy.symbols("x y z")
 CASES = range(50)
 
 
-def to_sympy(p):
+def to_sympy(p, symbols=SYMBOLS):
     expr = sympy.Integer(0)
     for exps, coeff in p.terms.items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for s, e in zip(SYMBOLS, exps):
+        for s, e in zip(symbols, exps):
             term *= s ** e
         expr += term
     return expr
 
 
-def from_sympy(expr):
-    poly = sympy.Poly(expr, *SYMBOLS)
-    return Polynomial(NVARS, {exps: Fraction(int(c.p), int(c.q))
-                              for exps, c in poly.terms()})
+def from_sympy(expr, symbols=SYMBOLS):
+    poly = sympy.Poly(expr, *symbols)
+    return Polynomial(len(symbols), {exps: Fraction(int(c.p), int(c.q))
+                                     for exps, c in poly.terms()})
 
 
 def monic(p):
@@ -77,8 +77,9 @@ def test_gcd_matches_sympy(case):
     assert poly_gcd(a, b) == expected
 
 
-def assert_gcd_matches_sympy(a, b):
-    expected = monic(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+def assert_gcd_matches_sympy(a, b, symbols=SYMBOLS):
+    expected = monic(from_sympy(sympy.gcd(to_sympy(a, symbols),
+                                          to_sympy(b, symbols)), symbols))
     assert poly_gcd(a, b) == expected
 
 
@@ -99,29 +100,57 @@ def test_gcd_of_coprime_and_sharing_pairs_matches_sympy(case):
 P61 = 2 ** 61 - 1
 
 
-# pairs whose images at x = 3, y = 5, z = 7 modulo 2^61 - 1 degenerate: the
-# first factor is 1 in every image, the second loses its leading coefficient
-# in y, and the third has no image mod 2^61 - 1
-@pytest.mark.parametrize("a, b", [
+@pytest.fixture
+def heuristic_off(monkeypatch):
+    """GCDHEU gives up at once, so every gcd after the early exits takes the
+    primitive PRS (one variable) or interpolation (more)."""
+    monkeypatch.setattr(ring, "_heu_gcd", lambda *args: None)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_interpolated_gcd_matches_sympy(case, heuristic_off):
+    # the seeded pairs of test_gcd_matches_sympy, with GCDHEU off
+    test_gcd_matches_sympy(case)
+
+
+# pairs that degenerate at one point: the first common factor is 1 at
+# x = 3, y = 5, z = 7, the second loses its leading coefficient in y at
+# x = 3, and the third has the prime 2^61 - 1 as a denominator
+FALLBACK_PAIRS = [
     ("((x-3)*(y-5)*(z-7) + 1)*(x + y + z)",
      "((x-3)*(y-5)*(z-7) + 1)*(x - y + 2*z + 1)"),
     ("(x-3)*y**2 + y + 1", "((x-3)*y**2 + y + 1)*(x + z)"),
     ("(x-3)*y**2 + y + 1", "(x-3)*y**2 + 2"),
     (f"(x*y + z/{P61})*(x + 1)", f"(x*y + z/{P61})*(z + 2)"),
     (f"x*y + z/{P61}", "x + y"),
-], ids=["unit-at-point", "lead-vanishes-multiple", "lead-vanishes-coprime",
-        "prime-denominator-common", "prime-denominator-coprime"])
+]
+FALLBACK_IDS = ["unit-at-point", "lead-vanishes-multiple",
+                "lead-vanishes-coprime", "prime-denominator-common",
+                "prime-denominator-coprime"]
+
+
+@pytest.mark.parametrize("a, b", FALLBACK_PAIRS, ids=FALLBACK_IDS)
 def test_gcd_fallback_pairs_match_sympy(a, b):
     assert_gcd_matches_sympy(from_sympy(sympy.expand(sympy.sympify(a))),
                              from_sympy(sympy.expand(sympy.sympify(b))))
 
 
-# the pairs of the two gcd cliff documents: GCDHEU gives up on each, and the
-# proof mod p settles them at x_i = the i-th odd prime, modulo 2^61 - 1
-@pytest.mark.parametrize("names, a, b", [
+@pytest.mark.parametrize("a, b", FALLBACK_PAIRS, ids=FALLBACK_IDS)
+def test_interpolated_gcd_of_the_fallback_pairs_matches_sympy(a, b,
+                                                              heuristic_off):
+    test_gcd_fallback_pairs_match_sympy(a, b)
+
+
+CLIFF_PAIRS = [
     ("x y z", "(x-2*y+z+1)**14", "(x+y-z+2)**14"),
     ("x y z w", "(x-2*y+z+w+1)**9", "(x+y-z-w+2)**9"),
-], ids=["3-variable", "4-variable"])
+]
+
+
+# the pairs of the two gcd cliff documents: GCDHEU gives up on each, and
+# interpolation in x proves them coprime by their first image, at x = 1
+@pytest.mark.parametrize("names, a, b", CLIFF_PAIRS,
+                         ids=["3-variable", "4-variable"])
 def test_gcd_of_the_cliff_pairs_matches_sympy(names, a, b):
     symbols = sympy.symbols(names)
     polys = [sympy.Poly(sympy.sympify(e), *symbols) for e in (a, b)]
@@ -130,13 +159,52 @@ def test_gcd_of_the_cliff_pairs_matches_sympy(names, a, b):
     ours = [Polynomial(n, {exps: int(c) for exps, c in p.terms()})
             for p in polys]
     assert poly_gcd(*ours) == Polynomial.constant(n, 1)
-    # every image keeps its degree and the images are coprime mod p
-    primes = [3, 5, 7, 11]
-    for v, s in enumerate(symbols):
-        point = {t: primes[i] for i, t in enumerate(symbols) if i != v}
-        images = [sympy.Poly(p.eval(point), s, modulus=P61) for p in polys]
-        assert [im.degree() for im in images] == [p.degree(s) for p in polys]
-        assert sympy.gcd(*images).degree() == 0
+    # the images at x = 1 keep their degree in every other variable, and
+    # are coprime
+    images = [p.eval({symbols[0]: 1}) for p in polys]
+    for s in symbols[1:]:
+        assert [im.degree(s) for im in images] == [p.degree(s) for p in polys]
+    assert sympy.gcd(*images).as_expr() == 1
+
+
+@pytest.mark.parametrize("names, a, b", CLIFF_PAIRS,
+                         ids=["3-variable", "4-variable"])
+def test_interpolated_gcd_of_the_cliff_pairs_matches_sympy(names, a, b,
+                                                           heuristic_off):
+    test_gcd_of_the_cliff_pairs_matches_sympy(names, a, b)
+
+
+def planted_pair(rng, nvars):
+    """Two polynomials in ``nvars`` coordinates that share a factor of total
+    degree up to 4, about a third of them with rational coefficients."""
+    rational = rng.random() < 0.3
+
+    def poly(max_terms, max_degree):
+        while True:
+            terms = {}
+            for _ in range(rng.randint(1, max_terms)):
+                exps = [0] * nvars
+                for _ in range(rng.randint(0, max_degree)):
+                    exps[rng.randrange(nvars)] += 1
+                terms[tuple(exps)] = Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 6) if rational else 1)
+            p = Polynomial(nvars, terms)
+            if not p.is_zero():
+                return p
+
+    common = poly(4, 4)
+    return common * poly(5, 4), common * poly(5, 3)
+
+
+PLANTED = range(40)
+
+
+@pytest.mark.parametrize("case", PLANTED)
+def test_interpolated_gcd_of_planted_pairs_matches_sympy(case, heuristic_off):
+    nvars = 2 + case % 3
+    rng = random.Random(f"planted:{case}")
+    assert_gcd_matches_sympy(*planted_pair(rng, nvars),
+                             symbols=sympy.symbols("x y z w")[:nvars])
 
 
 @pytest.mark.parametrize("case", CASES)
