@@ -575,12 +575,7 @@ def _heu_gcd(a: Dict[int, int], b: Dict[int, int], nvars: int,
                     h = {k: c // ch for k, c in h.items()}
                 divisor = Polynomial._make(nvars, h)
                 dividends = dividends or [Polynomial._make(nvars, p) for p in (a, b)]
-                try:
-                    for p in dividends:
-                        p.exact_div(divisor)
-                except ValueError:
-                    pass
-                else:
+                if _divides(divisor, *dividends):
                     return h if content == 1 else {k: c * content for k, c in h.items()}
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
@@ -640,14 +635,20 @@ def _univariate_gcd(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
     f, g = sorted(([p.nums.get(d * unit, 0) for d in range(_degree_in(p, v) + 1)]
                    for p in (a, b)), key=len, reverse=True)
     while len(g) > 1:
-        lead = g[-1]
-        while len(f) >= len(g):
-            c, low = f[-1], len(f) - len(g)
-            f = [x * lead for x in f[:-1]]
-            for i, y in enumerate(g[:-1], low):
-                f[i] -= c * y
-            while f and not f[-1]:
-                f.pop()
+        # lead^(m+1)·f = q·g + r with q and r over the integers, m = deg f -
+        # deg g, so each quotient coefficient divides exactly and a step
+        # touches only the len(g) entries under g
+        lead, width = g[-1], len(g) - 1
+        scale = lead ** (len(f) - width)
+        f = [x * scale for x in f]
+        for top in range(len(f) - 1, width - 1, -1):
+            c = f[top] // lead
+            if c:
+                for i, y in enumerate(g[:-1], top - width):
+                    f[i] -= c * y
+        del f[width:]
+        while f and not f[-1]:
+            f.pop()
         content = gcd(*f)
         f, g = g, [x // content for x in f]
     if g:

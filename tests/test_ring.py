@@ -634,6 +634,20 @@ def test_a_huge_coprime_pair_takes_the_univariate_prs(monkeypatch):
     assert images == [] and calls == [ring._one(2)]
 
 
+def test_a_long_pseudo_division_stays_linear_in_the_dividend(monkeypatch):
+    # xi = 31 passes the size guard at degree 32000, so the PRS answers; its
+    # second division takes 31,999 steps by the remainder 1 - 2x, and a step
+    # that rebuilt the whole dividend would take minutes
+    a = X ** 32000 + ONE
+    b = X ** 31999 + C(2)
+    images = count_calls(monkeypatch, "_image")
+    calls = count_calls(monkeypatch, "_univariate_gcd")
+    start = time.perf_counter()
+    assert poly_gcd(a, b) is ring._one(2)
+    assert time.perf_counter() - start < 5.0
+    assert images == [] and calls == [ring._one(2)]
+
+
 def test_a_huge_pair_takes_the_size_guard_to_the_prs(monkeypatch):
     # as above, with the leading coefficient 2^61 - 1
     big = 10 ** 4299 + 7
