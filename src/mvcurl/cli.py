@@ -4,6 +4,10 @@ Exit codes: 0 success or predicate-true, 1 predicate-false or empty
 solution set, 2 parse/validation error, 3 mathematical error such as a zero
 denominator or a non-Poisson input where one is required.
 
+A command runs the syntax pass over its whole document, so a syntax or
+name error anywhere ends it (exit 2); ``print`` then evaluates every
+binding, any other command only those it reads and those they read.
+
 A call builds and imports only what its command runs.  When the first
 argument names a command, the parser holds that one subcommand; the full
 parser, with all of them, is built only for ``--help``, for no command and
@@ -75,10 +79,11 @@ _identities = _lazy_module("identities")
 
 
 def _load_document(args) -> Document:
+    deferred = args.command != "print"
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
-    return parse(sys.stdin.read())
+            return parse(fh.read(), deferred=deferred)
+    return parse(sys.stdin.read(), deferred=deferred)
 
 
 def _check_printable(*values) -> None:

@@ -24,8 +24,10 @@ refused before it is computed too.
 
 The whole text is tokenized first, so a lexical error (a character that
 starts no token, an over-long literal, a number such as 1e3) is reported
-ahead of any other.  After that the document is evaluated as it is read, and
-the first error in reading order is reported.
+ahead of any other.  A syntax pass then reads every line and raises each
+grammar and name error.  A binding is evaluated when it is first read, after
+the bindings it reads; ``parse`` reads them all, in document order, so the
+first error in reading order is reported.
 
 A ``lie`` binding is its own bivector: its coefficients must be homogeneous
 linear polynomials, and the Jacobi identity is proved on it as it is bound.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import re
 from math import comb, gcd, log10
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from mvcurl.exterior import (
     Chart,
@@ -65,10 +67,8 @@ __all__ = [
 Value = Union[RationalFunc, Multivector, DifferentialForm]
 
 _KEYWORDS = ("chart", "func", "mv", "form", "volume", "lie")
-# the parser evaluates as it reads, three stack frames per level of
-# parentheses (a run of unary minus signs takes none): at this bound a
-# document takes about 325 frames, ring work at the deepest level included,
-# which leaves callers over 650 of Python's default recursion limit of 1000
+# neither the syntax pass nor evaluation recurses on nesting, so this bound
+# keeps documents readable rather than the stack safe
 MAX_NESTING = 100
 # expanding and printing a power costs about the square of its term count:
 # (x+y+1)^43 has 990 terms, (x+y+1)^80 has 3321
@@ -161,7 +161,7 @@ def _scientific_message(num: str, text: str) -> str:
             f"not have: write {num}*{text} for a product, or {number}")
 
 
-# -- parsing and evaluation -------------------------------------------------
+# -- the syntax pass --------------------------------------------------------
 
 # each token kind that continues an expression, with its binary level,
 # loosest first, and the operator it applies: a number, a name or "(" right
@@ -170,249 +170,166 @@ _BINARY = {"+": (1, "+"), "-": (1, "-"), "^^": (2, "^^"), "*": (3, "*"),
            "/": (3, "/"), "NUM": (3, "*"), "IDENT": (3, "*"), "(": (3, "*")}
 
 
-class _Parser:
-    """Recursive descent that evaluates as it reads: each expression method
-    returns the value of the text it consumed, so errors come in reading
-    order."""
+class _Line(NamedTuple):
+    """A binding as the syntax pass leaves it, ``at`` its keyword."""
+    kind: str
+    name: str
+    at: tuple
+    code: list
 
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-        # identifiers read so far: a zero divisor that read none is a zero
-        # constant (exit 2), one that read some a zero expression (exit 3)
-        self.names_read = 0
-        self.chart: Optional[Chart] = None
-        self.bindings: Dict[str, Binding] = {}
-        self.symbols: Dict[str, Value] = {}  # the value of each name read
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _expected(kind: str, tok: _Token) -> DslError:
+    got = tok[1] or tok[0].lower()
+    return DslError(f"expected {kind.lower()}, found {got!r}", tok[2], tok[3])
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            got = tok[1] or tok[0].lower()
-            raise DslError(f"expected {kind.lower()}, found {got!r}",
-                           tok[2], tok[3])
-        self.pos += 1
-        return tok
 
-    def descend(self, tok: _Token) -> None:
-        """Go one nesting level down at ``tok``."""
-        if self.depth == MAX_NESTING:
-            raise DslError(f"expression nested deeper than {MAX_NESTING} levels",
-                           tok[2], tok[3])
-        self.depth += 1
+class _Reader:
+    """The syntax pass: it raises each grammar and name error and compiles
+    each binding's expression to postfix code of ``(op, token, argument)``
+    entries, whose errors are reported at the token.  A shunting-yard emits
+    each operator exactly when a left-to-right evaluation would apply it, so
+    code run in order meets values and errors in reading order."""
 
-    # -- statements ---------------------------------------------------------
-
-    def document(self) -> Document:
-        while self.tokens[self.pos][0] == "NEWLINE":
-            self.pos += 1
-        head = self.expect("IDENT")
+    def read(self, tokens: List[_Token]) -> Optional[DslError]:
+        """Read the chart, raising its errors, then return the first error in
+        the binding lines, with ``lines`` and ``code`` read up to it."""
+        self.tokens, self.lines, pos = tokens, {}, 0
+        while tokens[pos][0] == "NEWLINE":
+            pos += 1
+        head = tokens[pos]
+        if head[0] != "IDENT":
+            raise _expected("IDENT", head)
         if head[1] != "chart":
             raise DslError("document must start with a chart declaration",
                            head[2], head[3])
         names = []
-        while self.tokens[self.pos][0] == "IDENT":
-            names.append(self.advance())
+        while tokens[pos + 1][0] == "IDENT":
+            pos += 1
+            names.append(tokens[pos])
         if not names:
             raise DslError("chart declaration needs coordinate names",
                            head[2], head[3])
-        bad = self.tokens[self.pos]
+        bad = tokens[pos + 1]
         if bad[0] != "NEWLINE" and bad[0] != "EOF":
             raise DslError(f"invalid coordinate name {bad[1]!r}", bad[2], bad[3])
         self.chart = _chart([t[1] for t in names],
                             [(t[2], t[3]) for t in names], (head[2], 1))
-        while True:
-            while self.tokens[self.pos][0] == "NEWLINE":
-                self.pos += 1
-            kind, word, line, col = self.advance()
-            if kind == "EOF":
-                break
-            if kind != "IDENT" or word not in _KEYWORDS:
-                raise DslError(
-                    f"expected a binding keyword, found {word or kind!r}",
-                    line, col)
-            if word == "chart":
-                raise DslError("only one chart declaration is allowed",
-                               line, col)
-            name = self.expect("IDENT")
-            _bind(self.bindings, self.chart, word, name[1], self.value,
-                  (line, col), (name[2], name[3]))
-        return Document(self.chart, list(self.bindings.values()))
+        # a coordinate is built as a basis symbol is: see ``symbol``
+        self.coordinates = {name: (Chart.coordinate, i)
+                            for i, name in enumerate(self.chart.names)}
+        try:
+            while True:
+                pos += 1
+                while tokens[pos][0] == "NEWLINE":
+                    pos += 1
+                kind, word, line, col = tokens[pos]
+                if kind == "EOF":
+                    return None
+                self.code = []
+                if kind != "IDENT" or word not in _KEYWORDS:
+                    raise DslError(f"expected a binding keyword, found "
+                                   f"{word or kind!r}", line, col)
+                if word == "chart":
+                    raise DslError("only one chart declaration is allowed",
+                                   line, col)
+                name = tokens[pos + 1]
+                if name[0] != "IDENT":
+                    raise _expected("IDENT", name)
+                _check_name(self.lines, self.chart, name[1], (line, col),
+                            (name[2], name[3]))
+                if tokens[pos + 2][0] != "=":
+                    raise _expected("=", tokens[pos + 2])
+                pos = self.expression(pos + 3)
+                if tokens[pos][0] != "NEWLINE" and tokens[pos][0] != "EOF":
+                    raise DslError(f"unexpected {tokens[pos][1]!r} after "
+                                   "expression", tokens[pos][2], tokens[pos][3])
+                self.lines[name[1]] = _Line(word, name[1], (line, col), self.code)
+        except DslError as exc:
+            return exc
 
-    def value(self) -> Value:
-        """The ``= expr`` of a binding, which must end its line."""
-        self.expect("=")
-        value = self.expr()
-        nxt = self.tokens[self.pos]
-        if nxt[0] != "NEWLINE" and nxt[0] != "EOF":
-            raise DslError(f"unexpected {nxt[1]!r} after expression",
-                           nxt[2], nxt[3])
-        return value
-
-    # -- expressions --------------------------------------------------------
-
-    def expr(self) -> Value:
-        """Unary operands joined by binary operators, in one precedence
-        loop: ``pending`` holds each left operand whose operator waits on a
-        tighter one, and an operator applies every pending one of its level
-        or tighter first, so values and errors come in reading order."""
-        tokens = self.tokens
+    def expression(self, pos: int) -> int:
+        """Compile the expression at ``pos`` onto ``code``; return the
+        position after it.  An operand is minus signs and parentheses, then
+        an atom and its powers.  ``pending`` holds each open parenthesis and
+        each binary operator waiting on its right operand; an operator first
+        emits every pending one of its level or tighter."""
+        tokens, coordinates, emit = self.tokens, self.coordinates, self.code.append
+        depth = names_read = signs = 0  # names_read: see ``_binop``
         pending: List[tuple] = []
-        value = self.unary()
         while True:
-            tok = tokens[self.pos]
-            level, op = _BINARY.get(tok[0], (0, None))
-            while pending and pending[-1][0] >= level:
-                _, at, applied, left, names_read = pending.pop()
-                value = self.binop(at, applied, left, value,
-                                   self.names_read > names_read)
-            if not level:
-                return value
-            if op == tok[0]:
-                self.pos += 1  # an operator; a juxtaposed operand stays
-            pending.append((level, tok, op, value, self.names_read))
-            value = self.unary()
+            tok = tokens[pos]
+            pos += 1
+            if tok[0] == "-" or tok[0] == "(":
+                if depth == MAX_NESTING:
+                    raise DslError(f"expression nested deeper than "
+                                   f"{MAX_NESTING} levels", tok[2], tok[3])
+                depth += 1
+                if tok[0] == "-":
+                    signs += 1
+                else:
+                    pending.append((-1, tok, signs, names_read))
+                    signs = 0
+                continue
+            before = names_read
+            if tok[0] == "NUM":
+                emit(("atom", tok, (Chart.constant, int(tok[1]))))
+            elif tok[0] == "IDENT":
+                names_read += 1
+                emit(("atom", tok, coordinates.get(tok[1]) or self.symbol(tok)))
+            else:
+                raise DslError(f"expected an expression, found "
+                               f"{tok[1] or tok[0].lower()!r}", tok[2], tok[3])
+            while True:  # an atom, or a parenthesised operand, is read
+                tok = tokens[pos]
+                while tok[0] == "^":
+                    negative = tokens[pos + 1][0] == "-"
+                    exponent = tokens[pos + 1 + negative]
+                    if exponent[0] != "NUM":
+                        raise _expected("NUM", exponent)
+                    e = int(exponent[1])
+                    emit(("^", tok, (-e if negative else e,
+                                     names_read > before)))
+                    pos += 2 + negative
+                    tok = tokens[pos]
+                depth -= signs
+                if signs % 2:
+                    emit(("neg", None, None))
+                level, op = _BINARY.get(tok[0], (0, None))
+                while pending and pending[-1][0] >= level:
+                    _, at, applied, right_from = pending.pop()
+                    emit((applied, at, names_read > right_from))
+                if level:
+                    if op == tok[0]:
+                        pos += 1  # an operator; a juxtaposed operand stays
+                    pending.append((level, tok, op, names_read))
+                    signs = 0
+                    break
+                if not pending:
+                    return pos
+                if tok[0] != ")":
+                    raise _expected(")", tok)
+                _, _, signs, before = pending.pop()
+                depth -= 1
+                pos += 1
 
-    def unary(self) -> Value:
-        """Minus signs, an atom and the powers on it."""
-        tokens = self.tokens
-        signs = 0
-        while tokens[self.pos][0] == "-":
-            self.descend(self.advance())
-            signs += 1
-        names_read = self.names_read
-        value = self.atom()
-        while tokens[self.pos][0] == "^":
-            value = self.power(value, self.advance(),
-                               self.names_read > names_read)
-        self.depth -= signs
-        return -value if signs % 2 else value
-
-    def power(self, value: Value, op: _Token, named_base: bool) -> Value:
-        """``value`` to the ``[-]NUM`` after the ``^`` at ``op``; a zero base
-        to a negative power follows the rule of a zero divisor."""
-        negative = self.tokens[self.pos][0] == "-"
-        self.pos += negative
-        e = int(self.expect("NUM")[1])
-        exponent = -e if negative else e
-        if not isinstance(value, RationalFunc):
-            raise DslError("powers apply to scalar expressions only",
-                           op[2], op[3])
-        if exponent < 0 and value.is_zero():
-            if named_base:
-                raise ZeroDivisionError("zero expression to a negative power")
-            raise DslError("zero to a negative power", op[2], op[3])
-        if max(_power_terms(value.num, e),
-               _power_terms(value.den, e)) > MAX_POWER_TERMS:
-            raise DslError(f"power too large to expand: the result may have "
-                           f"more than {MAX_POWER_TERMS} terms", op[2], op[3])
-        # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of
-        # n, so the sum bounds either sign; each log10(H) is 0 or at least
-        # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
-        if min(e, 4 * MAX_POWER_DIGITS) * (
-                _coefficient_digits(value.num)
-                + _coefficient_digits(value.den)) >= MAX_POWER_DIGITS:
-            raise DslError(f"power too large to expand: its coefficients "
-                           f"may have more than {MAX_POWER_DIGITS} digits",
-                           op[2], op[3])
-        if e and max(_degrees(value)) * e > MAX_DEGREE:
-            raise DslError(f"power too large to expand: its degree may "
-                           f"pass {MAX_DEGREE}", op[2], op[3])
-        return value ** exponent
-
-    def atom(self) -> Value:
-        kind, word, line, col = tok = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "NUM":
-            return RationalFunc.constant(self.chart.dim, int(word))
-        if kind == "IDENT":
-            self.names_read += 1
-            value = self.symbols.get(word)
-            if value is None:
-                value = self.symbols[word] = self.lookup(tok)
-            return value
-        if kind == "(":
-            self.descend(tok)
-            value = self.expr()
-            self.depth -= 1
-            self.expect(")")
-            return value
-        raise DslError(f"expected an expression, found {word or kind.lower()!r}",
-                       line, col)
-
-    def lookup(self, tok: _Token) -> Value:
+    def symbol(self, tok: _Token) -> Optional[tuple]:
+        """``(constructor, index)`` of basis symbol ``tok``; None for a binding."""
         name, chart = tok[1], self.chart
-        if name in chart.names:
-            return RationalFunc(
-                Polynomial.variable(chart.dim, chart.names.index(name)))
+        line = self.lines.get(name)  # a bound name is never a basis symbol
+        if line is not None:
+            if line.kind == "volume":
+                raise DslError(f"volume {name!r} cannot be used in an "
+                               "expression", tok[2], tok[3])
+            return None
         m = _BASIS_RE.match(name)
-        if m:
-            index = int(m.group(1))
-            if not 1 <= index <= chart.dim:
-                raise DslError(f"basis index {index} out of range for "
-                               f"dimension {chart.dim}", tok[2], tok[3])
-            if name[0] == "e":
-                return Multivector.basis_vector(chart, index - 1)
-            return DifferentialForm.basis_form(chart, index - 1)
-        binding = self.bindings.get(name)
-        if binding is None:
+        if not m:
             raise DslError(f"unknown identifier {name!r}", tok[2], tok[3])
-        if binding.kind == "volume":
-            raise DslError(f"volume {name!r} cannot be used in an expression",
-                           tok[2], tok[3])
-        return binding.value
-
-    def binop(self, tok: _Token, op: str, left: Value, right: Value,
-              named_divisor: bool = False) -> Value:
-        kl, kr = _KIND[type(left)], _KIND[type(right)]
-        if op == "+" or op == "-":
-            if kl != kr:
-                raise DslError(f"cannot add {kl} and {kr}", tok[2], tok[3])
-            try:
-                return left + right if op == "+" else left - right
-            except ValueError as exc:
-                raise DslError(str(exc), tok[2], tok[3]) from exc
-        (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
-        if op == "/":
-            rn, rd = rd, rn
-        if max(ln + rn, ld + rd) > MAX_DEGREE:
-            raise DslError(f"product too large to expand: its degree may "
-                           f"pass {MAX_DEGREE}", tok[2], tok[3])
-        if op == "*":
-            if kl == kr == "scalar":
-                return left * right
-            if kl == "scalar":
-                return right.scale(left)
-            if kr == "scalar":
-                return left.scale(right)
-            raise DslError("use ^^ to combine non-scalar factors",
-                           tok[2], tok[3])
-        if op == "/":
-            if kr != "scalar":
-                raise DslError("division requires a scalar divisor",
-                               tok[2], tok[3])
-            if right.is_zero():
-                if named_divisor:
-                    raise ZeroDivisionError("division by a zero expression")
-                raise DslError("division by zero constant", tok[2], tok[3])
-            if kl == "scalar":
-                return left / right
-            return left.scale(right.inverse())
-        # wedge
-        if kl == "scalar":
-            return right * left if kr == "scalar" else right.scale(left)
-        if kr == "scalar":
-            return left.scale(right)
-        if kl != kr:
-            raise DslError("wedge of mixed kinds (multivector vs form)",
-                           tok[2], tok[3])
-        return wedge(left, right)
+        index = int(m.group(1))
+        if not 1 <= index <= chart.dim:
+            raise DslError(f"basis index {index} out of range for "
+                           f"dimension {chart.dim}", tok[2], tok[3])
+        return (Multivector.basis_vector if name[0] == "e"
+                else DifferentialForm.basis_form), index - 1
 
 
 # -- evaluation -------------------------------------------------------------
@@ -420,6 +337,77 @@ class _Parser:
 
 _KIND = {RationalFunc: "scalar", Multivector: "multivector",
          DifferentialForm: "form"}
+
+
+def _power(value: Value, degrees: Optional[tuple], op: _Token, exponent: int,
+           named_base: bool) -> Value:
+    """``value`` to the power after the ``^`` at ``op``; a zero base follows
+    the rule of a zero divisor."""
+    e = abs(exponent)
+    if not isinstance(value, RationalFunc):
+        raise DslError("powers apply to scalar expressions only", op[2], op[3])
+    if exponent < 0 and value.is_zero():
+        if named_base:
+            raise ZeroDivisionError("zero expression to a negative power")
+        raise DslError("zero to a negative power", op[2], op[3])
+    if max(_power_terms(value.num, e),
+           _power_terms(value.den, e)) > MAX_POWER_TERMS:
+        raise DslError(f"power too large to expand: the result may have "
+                       f"more than {MAX_POWER_TERMS} terms", op[2], op[3])
+    # the inverse of n/d is (d/c)/(n/c), c the leading coefficient of n, so
+    # the sum bounds either sign; each log10(H) is 0 or at least
+    # log10(2) > 1/4, so capping e at 4*MAX_POWER_DIGITS keeps verdicts
+    if min(e, 4 * MAX_POWER_DIGITS) * (
+            _coefficient_digits(value.num)
+            + _coefficient_digits(value.den)) >= MAX_POWER_DIGITS:
+        raise DslError(f"power too large to expand: its coefficients may "
+                       f"have more than {MAX_POWER_DIGITS} digits",
+                       op[2], op[3])
+    if e and max(degrees or _degrees(value)) * e > MAX_DEGREE:
+        raise DslError(f"power too large to expand: its degree may pass "
+                       f"{MAX_DEGREE}", op[2], op[3])
+    return value ** exponent
+
+
+def _binop(tok: _Token, op: str, left: tuple, right: tuple,
+           named_divisor: bool) -> Value:
+    """``left op right`` on two ``(value, degrees)`` operands.  A zero
+    divisor that read no name is a constant (exit 2), one that read some a
+    zero expression (exit 3)."""
+    (lv, ldeg), (rv, rdeg) = left, right
+    kl, kr = _KIND[type(lv)], _KIND[type(rv)]
+    if op == "+" or op == "-":
+        if kl != kr:
+            raise DslError(f"cannot add {kl} and {kr}", tok[2], tok[3])
+        try:
+            return lv + rv if op == "+" else lv - rv
+        except ValueError as exc:
+            raise DslError(str(exc), tok[2], tok[3]) from exc
+    (ln, ld), (rn, rd) = ldeg or _degrees(lv), rdeg or _degrees(rv)
+    if op == "/":
+        rn, rd = rd, rn
+    if max(ln + rn, ld + rd) > MAX_DEGREE:
+        raise DslError(f"product too large to expand: its degree may pass "
+                       f"{MAX_DEGREE}", tok[2], tok[3])
+    if op == "/":
+        if kr != "scalar":
+            raise DslError("division requires a scalar divisor", tok[2], tok[3])
+        if rv.is_zero():
+            if named_divisor:
+                raise ZeroDivisionError("division by a zero expression")
+            raise DslError("division by zero constant", tok[2], tok[3])
+        return lv / rv if kl == "scalar" else lv.scale(rv.inverse())
+    # a product or a wedge with a scalar factor scales the other factor
+    if kl == "scalar":
+        return lv * rv if kr == "scalar" else rv.scale(lv)
+    if kr == "scalar":
+        return lv.scale(rv)
+    if op == "*":
+        raise DslError("use ^^ to combine non-scalar factors", tok[2], tok[3])
+    if kl != kr:
+        raise DslError("wedge of mixed kinds (multivector vs form)",
+                       tok[2], tok[3])
+    return wedge(lv, rv)
 
 
 def _power_terms(p: Polynomial, exponent: int) -> int:
@@ -436,11 +424,6 @@ def _power_terms(p: Polynomial, exponent: int) -> int:
     e = min(exponent, MAX_POWER_TERMS)
     v = len(_variables_used(p))
     return min(comb(t + e - 1, e), comb(v + e * p.total_degree(), v))
-
-
-def _scalars(value: Value):
-    """The value's scalar coefficients: itself, or its blade coefficients."""
-    return [value] if isinstance(value, RationalFunc) else value.terms.values()
 
 
 def _degrees(value: Value) -> Tuple[int, int]:
@@ -473,15 +456,68 @@ class Binding(NamedTuple):
     value: object
 
 
-class Document(NamedTuple):
-    chart: Chart
-    bindings: List[Binding]
+class Document:
+    """A chart and its bindings in document order; a text binding is
+    evaluated once, when first read, after the bindings it reads."""
+
+    def __init__(self, chart: Chart, entries: Dict[str, Union[Binding, _Line]]):
+        # _entries: a Binding once evaluated, a _Line before; _symbols: see _run
+        self.chart, self._entries, self._symbols = chart, entries, {}
+
+    @property
+    def bindings(self) -> List[Binding]:
+        """Every binding, evaluated, in document order."""
+        for entry in list(self._entries.values()):
+            if type(entry) is _Line:
+                self._evaluate(entry)
+        return list(self._entries.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Document):
+            return NotImplemented
+        return self.chart == other.chart and self.bindings == other.bindings
 
     def binding(self, name: str) -> Binding:
-        for b in self.bindings:
-            if b.name == name:
-                return b
-        raise DslError(f"no binding named {name!r}")
+        entry = self._entries.get(name)
+        if entry is None:
+            raise DslError(f"no binding named {name!r}")
+        if type(entry) is _Line:
+            # it reads only bindings above it: one sweep up finds them all
+            wanted, lines = {name}, []
+            for line in reversed(list(self._entries.values())):
+                if line.name in wanted and type(line) is _Line:
+                    wanted.update(tok[1] for op, tok, arg in line.code
+                                  if op == "atom" and arg is None)
+                    lines.append(line)
+            for line in reversed(lines):
+                self._evaluate(line)
+        return self._entries[name]
+
+    def _evaluate(self, line: _Line) -> None:
+        self._entries[line.name] = _bind(line.kind, line.name,
+                                         self._run(line.code)[-1][0],
+                                         self.chart, line.at)
+
+    def _run(self, code: list) -> list:
+        """The stack of ``(value, degrees)`` operands that ``code`` leaves,
+        degrees None until needed; each number and name is built once."""
+        chart, symbols, stack = self.chart, self._symbols, []
+        for op, tok, arg in code:
+            if op == "atom":
+                operand = symbols.get(tok[1])
+                if operand is None:
+                    value = (self._entries[tok[1]].value if arg is None
+                             else arg[0](chart, arg[1]))
+                    operand = symbols[tok[1]] = (value, _degrees(value))
+                stack.append(operand)
+            elif op == "neg":
+                stack[-1] = (-stack[-1][0], stack[-1][1])
+            elif op == "^":
+                stack.append((_power(*stack.pop(), tok, *arg), None))
+            else:
+                right = stack.pop()
+                stack.append((_binop(tok, op, stack.pop(), right, arg), None))
+        return stack
 
     def _value(self, name: str, *kinds: str):
         b = self.binding(name)
@@ -500,14 +536,16 @@ class Document(NamedTuple):
         return self._value(name, "lie")
 
     def volume(self, name: Optional[str] = None) -> VolumeForm:
-        if name is not None:
-            return self._value(name, "volume")
-        volumes = [b for b in self.bindings if b.kind == "volume"]
-        if not volumes:
-            return VolumeForm.unit(self.chart)
-        if len(volumes) > 1:
-            raise DslError("multiple volume bindings; select one with --volume")
-        return volumes[0].value
+        """The volume binding ``name``, else the only one, else the unit
+        volume; no other volume binding is evaluated."""
+        if name is None:
+            volumes = [n for n, e in self._entries.items() if e.kind == "volume"]
+            if len(volumes) > 1:
+                raise DslError("multiple volume bindings; select one with --volume")
+            if not volumes:
+                return VolumeForm.unit(self.chart)
+            name = volumes[0]
+        return self._value(name, "volume")
 
 
 def has_long_coefficient(value: Value) -> bool:
@@ -515,9 +553,10 @@ def has_long_coefficient(value: Value) -> bool:
     digits, so that it cannot be printed."""
     # c/den in lowest terms is (c/g)/(den/g), g = gcd(c, den): reduce only
     # the rare pair that passes the bound before reducing
+    scalars = [value] if isinstance(value, RationalFunc) else value.terms.values()
     return any(max(abs(c), p.den) >= _DIGITS_BOUND
                and max(abs(c), p.den) // gcd(c, p.den) >= _DIGITS_BOUND
-               for rf in _scalars(value) for p in (rf.num, rf.den)
+               for rf in scalars for p in (rf.num, rf.den)
                for c in p.nums.values())
 
 
@@ -539,22 +578,21 @@ def _chart(names: List[str], name_at: Optional[List[tuple]] = None,
         raise DslError(str(exc), *at) from exc
 
 
-def _bind(bindings: Dict[str, Binding], chart: Chart, kind: str, name: str,
-          read: Callable[[], Value], at: tuple = (),
-          name_at: tuple = ()) -> None:
-    """The binding step of both readers: check ``name``, read its value with
-    ``read``, check the value against ``kind`` and add the binding.  In a
-    text document ``at`` and ``name_at`` are the (line, column) of the
-    keyword and of the name; JSON errors carry no position."""
-    if not _NAME_RE.fullmatch(name):
-        raise DslError(f"invalid binding name {name!r}", *name_at)
-    if name in _KEYWORDS or _BASIS_RE.match(name):
+def _check_name(bound, chart: Chart, name: str, at: tuple = (),
+                name_at: tuple = ()) -> None:
+    """Check a binding's name against the chart and the names ``bound``;
+    ``at`` and ``name_at`` place the keyword and the name, if known."""
+    if name in _KEYWORDS or (name[0] in "ed" and _BASIS_RE.match(name)):
         raise DslError(f"reserved name {name!r} cannot be bound", *name_at)
     if name in chart.names:
         raise DslError(f"name {name!r} is already a coordinate", *at)
-    if name in bindings:
+    if name in bound:
         raise DslError(f"duplicate binding name {name!r}", *at)
-    value = read()
+
+
+def _bind(kind: str, name: str, value: Value, chart: Chart,
+          at: tuple = ()) -> Binding:
+    """The checked binding of ``kind`` that an expression's value makes."""
     # a product of powers can build a coefficient that no power check sees
     if has_long_coefficient(value):
         raise DslError(f"a coefficient has more than {MAX_POWER_DIGITS} digits",
@@ -562,16 +600,13 @@ def _bind(bindings: Dict[str, Binding], chart: Chart, kind: str, name: str,
     if kind == "func":
         if not isinstance(value, RationalFunc):
             raise DslError("func binding must be scalar", *at)
-    elif kind == "mv":
+    elif kind == "mv" or kind == "form":
+        cls, what = ((Multivector, "a multivector") if kind == "mv"
+                     else (DifferentialForm, "a differential form"))
         if isinstance(value, RationalFunc):
-            value = Multivector.scalar(chart, value)
-        if not isinstance(value, Multivector):
-            raise DslError("mv binding must be a multivector", *at)
-    elif kind == "form":
-        if isinstance(value, RationalFunc):
-            value = DifferentialForm.scalar(chart, value)
-        if not isinstance(value, DifferentialForm):
-            raise DslError("form binding must be a differential form", *at)
+            value = cls.scalar(chart, value)
+        if not isinstance(value, cls):
+            raise DslError(f"{kind} binding must be {what}", *at)
     elif kind == "volume":
         if isinstance(value, DifferentialForm):
             if value.grade != chart.dim or set(value.terms) - {chart.full_mask}:
@@ -586,7 +621,7 @@ def _bind(bindings: Dict[str, Binding], chart: Chart, kind: str, name: str,
         value = VolumeForm(chart, value)
     else:  # lie
         value = _lie_bivector(value, chart, at)
-    bindings[name] = Binding(kind, name, value)
+    return Binding(kind, name, value)
 
 
 def _lie_bivector(value: Value, chart: Chart, at: tuple) -> Multivector:
@@ -611,9 +646,22 @@ def _lie_bivector(value: Value, chart: Chart, at: tuple) -> Multivector:
     return value
 
 
-def parse(text: str) -> Document:
-    """Parse and evaluate a document; raises DslError with positions."""
-    return _Parser(_tokenize(text)).document()
+def parse(text: str, *, deferred: bool = False) -> Document:
+    """Read a document; raises DslError with positions.  After the syntax
+    pass every binding is evaluated in document order, then the code before
+    a syntax error, so the first error in reading order wins.  With
+    ``deferred`` a syntax error is raised at once, and a binding is
+    evaluated when it is first read."""
+    reader = _Reader()
+    error = reader.read(_tokenize(text))
+    doc = Document(reader.chart, reader.lines)
+    if not deferred:
+        doc.bindings  # evaluates every binding
+        if error is not None:
+            doc._run(reader.code)
+    if error is not None:
+        raise error
+    return doc
 
 
 # -- canonical printing -----------------------------------------------------
@@ -675,12 +723,9 @@ def value_to_json(value, chart: Chart) -> dict:
     """Kind-tagged lossless encoding of a single computation result."""
     if isinstance(value, RationalFunc):
         return {"kind": "func", "value": _rf_to_json(value)}
-    if isinstance(value, Multivector):
-        return {"kind": "mv", "grade": value.grade,
-                "terms": _terms_to_json(value)}
-    if isinstance(value, DifferentialForm):
-        return {"kind": "form", "grade": value.grade,
-                "terms": _terms_to_json(value)}
+    if isinstance(value, (Multivector, DifferentialForm)):
+        return {"kind": "mv" if isinstance(value, Multivector) else "form",
+                "grade": value.grade, "terms": _terms_to_json(value)}
     if isinstance(value, VolumeForm):
         return {"kind": "volume", "density": _rf_to_json(value.density)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -715,6 +760,9 @@ def document_from_json(data: dict) -> Document:
     chart = _chart(data["chart"])
     bindings: Dict[str, Binding] = {}
     for entry in data["bindings"]:
-        _bind(bindings, chart, entry["kind"], entry["name"],
-              lambda: _value_from_json(chart, entry))
-    return Document(chart, list(bindings.values()))
+        kind, name = entry["kind"], entry["name"]
+        if not _NAME_RE.fullmatch(name):  # text names are IDENT tokens already
+            raise DslError(f"invalid binding name {name!r}")
+        _check_name(bindings, chart, name)
+        bindings[name] = _bind(kind, name, _value_from_json(chart, entry), chart)
+    return Document(chart, bindings)

@@ -73,11 +73,6 @@ _FIELD = 16
 _FIELD_MASK = (1 << _FIELD) - 1
 
 
-def grlex_key(exponents: Exponent) -> tuple:
-    """Sort key for the graded lexicographic order (total degree first)."""
-    return (sum(exponents), exponents)
-
-
 @functools.cache
 def _codec(nvars: int) -> struct.Struct:
     """The n + 1 big-endian 16-bit fields of a packed key, for unpacking."""

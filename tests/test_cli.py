@@ -596,9 +596,9 @@ def test_quotient_memo_is_empty_when_each_command_starts(tmp_path, capsys,
     seen = []
     parse = cli.parse
 
-    def recording_parse(text):
+    def recording_parse(text, **options):
         seen.append(len(ring._QUOTIENT_MEMO))
-        return parse(text)
+        return parse(text, **options)
 
     monkeypatch.setattr(cli, "parse", recording_parse)
     path = tmp_path / "cliff.mv"
@@ -804,6 +804,13 @@ def test_unicode_line_break_is_refused_not_a_line_end(tmp_path, capsys, doc,
      "division by a zero expression"),
     ("chart x x\nfunc g = (\n", 2,
      "line 1, column 1: coordinate names must be distinct"),
+    # what a line computes before its own syntax error comes first
+    ("chart x y\nfunc g = 1/(x - x) + (\n", 3, "division by a zero expression"),
+    ("chart x y\nfunc g = 1/(x - x))\n", 3, "division by a zero expression"),
+    ("chart x y\nfunc g = (x^20000 y^20000 + (\n", 2, "line 2, column 19: "
+     f"product too large to expand: its degree may pass {ring.MAX_DEGREE}"),
+    ("chart x y\nmv P = (x + e1) e2 q\n", 2,
+     "line 2, column 11: cannot add scalar and multivector"),
     # lexical errors still come first
     ("chart x y\nfunc f = q\nfunc g = x\u00a0\n", 2,
      "line 3, column 11: unexpected character '\\xa0'"),
@@ -814,6 +821,82 @@ def test_first_error_in_reading_order_is_reported(tmp_path, capsys, doc, code,
     path.write_text(doc, encoding="utf-8")
     assert run(capsys, "print", "--input", str(path)) == (
         code, "", f"error: {message}\n")
+
+
+# ------------------------------------------------ the bindings a command reads
+
+# a binding whose value raises, with the exit code and message of the error
+BAD_VALUES = {
+    "zero-divisor": ("func bad = 1/(x-x)", 3,
+                     "division by a zero expression"),
+    "power-budget": ("func bad = (x+y+1)^80", 2,
+                     "line 2, column 19: power too large to expand: the "
+                     f"result may have more than {MAX_POWER_TERMS} terms"),
+    "kind": ("func bad = x + e1", 2,
+             "line 2, column 14: cannot add scalar and multivector"),
+}
+
+
+def run_doc(tmp_path, capsys, doc, *argv):
+    path = tmp_path / "doc.mv"
+    path.write_text(doc, encoding="utf-8")
+    return run(capsys, *argv, "--input", str(path))
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_an_unread_binding_that_fails_does_not_stop_the_command(
+        tmp_path, capsys, bad):
+    line, _, _ = bad
+    without = run_doc(tmp_path, capsys, "chart x y\nmv P = x^2 e1\n",
+                      "curl", "P")
+    assert without == (0, "2*x\n", "")
+    assert run_doc(tmp_path, capsys, f"chart x y\n{line}\nmv P = x^2 e1\n",
+                   "curl", "P") == without
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_print_still_evaluates_every_binding(tmp_path, capsys, bad):
+    line, code, message = bad
+    assert run_doc(tmp_path, capsys, f"chart x y\n{line}\nmv P = x^2 e1\n",
+                   "print") == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_a_read_binding_fails_with_the_error_of_one_it_reads(tmp_path,
+                                                             capsys, bad):
+    line, code, message = bad
+    doc = f"chart x y\n{line}\nmv P = x^2 e1\nmv Q = bad e1\n"
+    assert run_doc(tmp_path, capsys, doc, "curl", "Q") == (
+        code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("func u = x)", "line 3, column 11: unexpected ')' after expression"),
+    ("func u = q", "line 3, column 10: unknown identifier 'q'"),
+    ("mv P = y e1", "line 3, column 1: duplicate binding name 'P'"),
+    ("func e1 = x", "line 3, column 6: reserved name 'e1' cannot be bound"),
+    ("func x = y", "line 3, column 1: name 'x' is already a coordinate"),
+    ("func u = x\u00a0+ y", "line 3, column 11: unexpected character '\\xa0'"),
+], ids=["stray-paren", "unknown-identifier", "duplicate-name", "reserved-name",
+        "coordinate-clash", "no-break-space"])
+def test_a_syntax_error_in_an_unread_binding_stops_every_command(
+        tmp_path, capsys, line, message):
+    doc = f"chart x y\nmv P = x^2 e1\n{line}\n"
+    for argv in (["curl", "P"], ["print"]):
+        assert run_doc(tmp_path, capsys, doc, *argv) == (
+            2, "", f"error: {message}\n")
+
+
+def test_the_default_volume_is_evaluated_only_when_it_is_the_one(tmp_path,
+                                                                 capsys):
+    doc = ("chart x y\nvolume V = 1/(x-x)\nvolume W = 1\nmv P = x^2 e1\n")
+    assert run_doc(tmp_path, capsys, doc, "curl", "P", "--volume", "W") == (
+        0, "2*x\n", "")
+    # counting the volume bindings evaluates neither of them
+    assert run_doc(tmp_path, capsys, doc, "curl", "P") == (
+        2, "", "error: multiple volume bindings; select one with --volume\n")
+    assert run_doc(tmp_path, capsys, doc, "curl", "P", "--volume", "V") == (
+        3, "", "error: division by a zero expression\n")
 
 
 # ---------------------------------------------------------------- JSON output

@@ -19,6 +19,7 @@ from mvcurl.dsl import (
     print_canonical,
     value_to_json,
 )
+from mvcurl import dsl
 from mvcurl.dsl import _coefficient_digits, _power_terms
 from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm
 from mvcurl.poisson import StructureConstants, lie_poisson
@@ -259,10 +260,9 @@ def _frames() -> int:
 
 
 def test_nesting_limit_leaves_room_for_callers():
-    # evaluation runs inside the parser's frames: 99 parentheses around a
-    # rational body whose own parentheses reach the limit, and whose division
-    # needs a non-trivial gcd in 16 variables, still parse when the call to
-    # parse is 600 frames deep
+    # 99 parentheses around a rational body whose own parentheses reach the
+    # limit, and whose division needs a non-trivial gcd in 16 variables,
+    # still parse when the call to parse is 600 frames deep
     names = [f"x{i}" for i in range(1, 17)]
     s = "+".join(names)
     source = ("chart " + " ".join(names) + "\nfunc f = " + "(" * 99
@@ -276,6 +276,41 @@ def test_nesting_limit_leaves_room_for_callers():
                                    for i in range(16)), RationalFunc.zero(16))
     with pytest.raises(DslError, match="nested deeper than 100 levels"):
         parse(source.replace("func f = ", "func f = ("))
+
+
+def test_a_long_chain_of_bindings_is_read_without_recursion():
+    # each binding reads the one above it, so reading the last one evaluates
+    # all 3000, in one sweep, from a call 600 frames deep
+    source = "chart x\nfunc f0 = x\n" + "".join(
+        f"func f{i} = f{i - 1} + 1\n" for i in range(1, 3000))
+
+    def below(frames):
+        if frames > 1:
+            return below(frames - 1)
+        return parse(source, deferred=True).scalar("f2999")
+
+    assert below(600 - _frames()) == (RationalFunc.variable(1, 0)
+                                      + RationalFunc.constant(1, 2999))
+
+
+def test_a_binding_is_evaluated_once_when_first_read(monkeypatch):
+    evaluated = []
+    bind = dsl._bind
+
+    def recording_bind(kind, name, *rest):
+        evaluated.append(name)
+        return bind(kind, name, *rest)
+
+    monkeypatch.setattr(dsl, "_bind", recording_bind)
+    doc = parse("chart x y\nfunc q = x + 1\nfunc f = 1/q\nfunc u = 1/(y-y)\n"
+                "mv A = f e1\nmv B = q f e2\n", deferred=True)
+    assert evaluated == []
+    for name in ("B", "A", "B"):
+        doc.multivector(name)
+    # B's dependencies in document order, then B; A's only new one is A
+    assert evaluated == ["q", "f", "B", "A"]
+    with pytest.raises(ZeroDivisionError):
+        doc.scalar("u")
 
 
 def test_computed_zero_division_is_a_math_error():

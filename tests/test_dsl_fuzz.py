@@ -4,13 +4,17 @@ Seeded random documents, with every budget's edge among them, go through
 ``mvcurl print`` and ``mvcurl print --json`` in process.  Each must end in a
 documented exit code (0, 2 or 3) within a wall bound, with no exception
 escaping ``main``; a printed document must parse back to the document it
-was printed from, as text and as JSON.
+was printed from, as text and as JSON.  Each also goes through ``mvcurl
+curl`` of its first ``mv`` binding, which evaluates only the bindings that
+one reads: where the whole document evaluates, it must print what it
+prints on the document evaluated whole.
 """
 
 import contextlib
 import io
 import json
 import random
+import re
 import sys
 import time
 
@@ -211,3 +215,38 @@ def test_every_document_ends_in_a_documented_exit():
     # the corpus reaches every outcome: parsed, refused, and a zero divisor
     assert min(codes.count(0), codes.count(2)) > len(codes) // 5
     assert codes.count(3) >= 3
+
+
+_FIRST_MV_RE = re.compile(r"^mv +([A-Za-z_][A-Za-z_0-9]*)", re.MULTILINE)
+
+
+def _run_on_the_whole_document(argv, doc):
+    """``_run`` with the command's document evaluated whole first."""
+    deferred = cli.parse
+    cli.parse = lambda text, **options: deferred(text)
+    try:
+        return _run(argv, doc)
+    finally:
+        cli.parse = deferred
+
+
+def test_a_command_reading_one_binding_agrees_with_the_whole_document():
+    compared = spared = 0
+    for doc in corpus():
+        first_mv = _FIRST_MV_RE.search(doc)
+        argv = ["curl", first_mv.group(1)] if first_mv else ["print"]
+        start = time.perf_counter()
+        code, out, err = _run(argv, doc)
+        assert time.perf_counter() - start < WALL_BOUND_S, doc
+        assert code in (0, 1, 2, 3), doc
+        assert "Traceback" not in err, doc
+        try:
+            parse(doc)
+        except Exception:  # the whole document fails; the command may not
+            spared += code == 0
+            continue
+        assert (code, out, err) == _run_on_the_whole_document(argv, doc), doc
+        compared += first_mv is not None
+    # the corpus reaches both sides: a curl on a document that evaluates
+    # whole, and one that succeeds where the whole document fails
+    assert min(compared, spared) >= 10

@@ -13,6 +13,11 @@ from mvcurl import ring
 from mvcurl.ring import Polynomial, RationalFunc, poly_gcd, poly_lcm
 
 
+def grlex_key(exponents):
+    """Sort key for the graded lexicographic order (total degree first)."""
+    return (sum(exponents), exponents)
+
+
 def P(nvars, terms):
     return Polynomial(nvars, {e: Fraction(c) for e, c in terms.items()})
 
@@ -713,13 +718,13 @@ def ref_diff(a, index):
 
 
 def ref_exact_div(a, b):
-    lead_e = max(b, key=ring.grlex_key)
+    lead_e = max(b, key=grlex_key)
     lead_c = b[lead_e]
     tail = [(e, c) for e, c in b.items() if e != lead_e]
     rem = dict(a)
     quotient = {}
     while rem:
-        re = max(rem, key=ring.grlex_key)
+        re = max(rem, key=grlex_key)
         qe = tuple(x - y for x, y in zip(re, lead_e))
         if min(qe) < 0:
             raise ValueError("inexact polynomial division")
@@ -872,7 +877,7 @@ def test_packed_keys_follow_grlex(case):
     n, e, f = case
     ke, kf = ring._pack(e), ring._pack(f)
     assert ring._unpack(n, ke) == e and ring._unpack(n, kf) == f
-    assert (ke < kf) == (ring.grlex_key(e) < ring.grlex_key(f))
+    assert (ke < kf) == (grlex_key(e) < grlex_key(f))
     assert (ke == kf) == (e == f)
     if sum(e) + sum(f) <= ring.MAX_DEGREE:
         assert ring._unpack(n, ke + kf) == tuple(map(operator.add, e, f))
@@ -900,9 +905,9 @@ def test_sixteen_variable_arithmetic_matches_the_reference():
     assert dict(a.diff(7).terms) == ref_diff(ta, 7)
     assert (a * b).exact_div(b) == a
     assert poly_gcd(a * b, b * b) == ring._monic(b)
-    assert (a * b).leading_exponent() == max(ref_mul(ta, tb), key=ring.grlex_key)
+    assert (a * b).leading_exponent() == max(ref_mul(ta, tb), key=grlex_key)
     assert [e for e, _, _ in (a * b).sorted_terms()] == sorted(
-        ref_mul(ta, tb), key=ring.grlex_key, reverse=True)
+        ref_mul(ta, tb), key=grlex_key, reverse=True)
 
 
 @pytest.mark.parametrize("build", [

@@ -14,7 +14,7 @@ from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm
 from mvcurl.identities import (density_pool, denominator_pool, random_multiplier,
                                random_multivector, random_polynomial)
 from mvcurl.poisson import unimodularity_check
-from mvcurl.ring import Polynomial, RationalFunc, grlex_key
+from mvcurl.ring import Polynomial, RationalFunc
 from mvcurl.solver import (
     MAX_ANSATZ_SIZE,
     AnsatzSpace,
@@ -34,6 +34,11 @@ from mvcurl.solver import (
 from oracles import combined_by_elements, direct_columns, monomial_element
 
 F = Fraction
+
+
+def grlex_key(exponents):
+    """Sort key for the graded lexicographic order (total degree first)."""
+    return (sum(exponents), exponents)
 
 
 def rf(poly: Polynomial) -> RationalFunc:

@@ -17,9 +17,14 @@ import pytest
 
 from mvcurl import cli
 from mvcurl.dsl import _poly_to_json
-from mvcurl.ring import Polynomial, grlex_key
+from mvcurl.ring import Polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def grlex_key(exponents):
+    """Sort key for the graded lexicographic order (total degree first)."""
+    return (sum(exponents), exponents)
 
 
 def _parse(capsys, parser, argv):
