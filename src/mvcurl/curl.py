@@ -1,9 +1,10 @@
 """Curl operator on multivector fields and the Schouten bracket.
 
-The curl lowers grade by one via the composition sharp . d . flat against a
-fixed volume form; on vector fields it is the divergence.  The Schouten
-bracket is implemented directly as the derivation-based blade formula, not
-through the curl, so the curl/wedge compatibility law stays a genuine
+The curl against the volume rho dx_1 ^ ... ^ dx_n lowers grade by one: a
+blade c e_I gives +-d_j(rho c)/rho on e_{I-j} for each j in I, which is
+sharp . d . flat (the tests' reference) and the divergence on vector
+fields.  The Schouten bracket is the derivation-based blade formula, not
+built on the curl, so the curl/wedge compatibility law stays a genuine
 cross-check between two independent computations.
 
 Logarithms never appear symbolically: the bracket of a multivector with
@@ -34,7 +35,6 @@ from mvcurl.exterior import (
     flat,
     merge_sign,
     pairing,
-    sharp,
 )
 from mvcurl.ring import (
     Polynomial,
@@ -46,12 +46,23 @@ from mvcurl.ring import (
 
 
 def curl(volume: VolumeForm, a: Multivector) -> Multivector:
-    """Grade-lowering curl; zero on scalars, divergence on vector fields."""
+    """The curl by its coordinate formula; zero on scalars.  The sign on
+    e_{I-j} sorts I-j in front of x_j, and rho divides the sum once."""
     if volume.chart != a.chart:
         raise ValueError("chart mismatch")
     if a.grade == 0:
         return Multivector.zero(a.chart, 0)
-    return sharp(volume, exterior_derivative(flat(volume, a)))
+    rho = None if volume.density.is_one() else volume.density
+    pairs = []
+    for mask, coeff in a.terms.items():
+        coeff = coeff if rho is None else coeff * rho
+        for j in blade_indices(mask):
+            dj = coeff.diff(j)
+            if not dj.is_zero():
+                rest = mask & ~(1 << j)
+                pairs.append((rest, _signed(merge_sign(rest, 1 << j), dj)))
+    out = Multivector._summed(a.chart, a.grade - 1, pairs)
+    return out if rho is None else out.scale(rho.inverse())
 
 
 def divergence(volume: VolumeForm, x: Multivector) -> RationalFunc:
@@ -225,7 +236,7 @@ def _in_witten_kernel(m: RationalFunc, omega: DifferentialForm) -> bool:
 def is_last_multiplier(volume: VolumeForm, m: RationalFunc, a: Multivector) -> bool:
     """Three independent routes; any disagreement is an internal error.
 
-    (a) the curl residual of m*a vanishes;
+    (a) the curl residual of m*a, by the coordinate formula, vanishes;
     (b) flat(a) lies in the kernel of the operator d_m + (m-1)d, which is
         dm^ + m d: every blade of dm ^ flat(a) + m d(flat(a)), cleared to
         integer numerators with shared factors cancelled, is zero, with its

@@ -77,19 +77,13 @@ MAX_POWER_TERMS = 1000
 # coefficient past it could be computed but never printed
 MAX_POWER_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_POWER_DIGITS
-_BASIS_RE = re.compile(r"^[ed]([0-9]+)$")
-_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_NAME_RE = re.compile(_NAME)
-# lines end at \n, \r\n or \r only: str.splitlines would also end them at
-# \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029, which are characters here
-_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 # one match per token: the blanks before it, then a number (with the
 # ``e3`` of a misspelt scientific-notation number, refused), a name, an
 # operator, or any other character, refused where it stands; blanks are
 # spaces and tabs
 _TOKEN_RE = re.compile(
     r"([ \t]*)(?:([0-9]+)([eE][0-9]+)?"
-    rf"|({_NAME})"
+    r"|([A-Za-z_][A-Za-z_0-9]*)"
     r"|(\^\^|[-+*/^()=])"
     r"|(.))")
 # longest exponent whose number an error message writes out in full
@@ -119,7 +113,9 @@ def _tokenize(text: str) -> List[_Token]:
     starts no token, an over-long literal or a number such as 1e3 raises."""
     tokens: List[_Token] = []
     append = tokens.append
-    lines = _LINE_END_RE.split(text)
+    # lines end at \n, \r\n or \r only, not as in str.splitlines at \x0b,
+    # \x0c, \x1c-\x1e, \x85, U+2028 or U+2029, which are characters here
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not lines[-1]:
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
@@ -321,10 +317,9 @@ class _Reader:
                 raise DslError(f"volume {name!r} cannot be used in an "
                                "expression", tok[2], tok[3])
             return None
-        m = _BASIS_RE.match(name)
-        if not m:
+        if not (name[:1] in ("e", "d") and name[1:].isdigit()):
             raise DslError(f"unknown identifier {name!r}", tok[2], tok[3])
-        index = int(m.group(1))
+        index = int(name[1:])
         if not 1 <= index <= chart.dim:
             raise DslError(f"basis index {index} out of range for "
                            f"dimension {chart.dim}", tok[2], tok[3])
@@ -477,6 +472,13 @@ class Document:
             return NotImplemented
         return self.chart == other.chart and self.bindings == other.bindings
 
+    def __repr__(self) -> str:
+        """The chart and each entry; only an evaluated one shows its value."""
+        entries = "".join(f"; {e.kind} {e.name}" + (
+            f" = {print_canonical(e.value, self.chart)}" if type(e) is Binding
+            else "") for e in self._entries.values())
+        return f"Document(chart {' '.join(self.chart.names)}{entries})"
+
     def binding(self, name: str) -> Binding:
         entry = self._entries.get(name)
         if entry is None:
@@ -567,9 +569,9 @@ def _chart(names: List[str], name_at: Optional[List[tuple]] = None,
     line's; JSON errors carry no position."""
     for i, name in enumerate(names):
         where = name_at[i] if name_at else ()
-        if not _NAME_RE.fullmatch(name):
+        if not (name.isascii() and name.isidentifier()):
             raise DslError(f"invalid coordinate name {name!r}", *where)
-        if name in _KEYWORDS or _BASIS_RE.match(name):
+        if name in _KEYWORDS or (name[:1] in ("e", "d") and name[1:].isdigit()):
             raise DslError(f"reserved name {name!r} cannot be a coordinate",
                            *where)
     try:
@@ -582,7 +584,7 @@ def _check_name(bound, chart: Chart, name: str, at: tuple = (),
                 name_at: tuple = ()) -> None:
     """Check a binding's name against the chart and the names ``bound``;
     ``at`` and ``name_at`` place the keyword and the name, if known."""
-    if name in _KEYWORDS or (name[0] in "ed" and _BASIS_RE.match(name)):
+    if name in _KEYWORDS or (name[:1] in ("e", "d") and name[1:].isdigit()):
         raise DslError(f"reserved name {name!r} cannot be bound", *name_at)
     if name in chart.names:
         raise DslError(f"name {name!r} is already a coordinate", *at)
@@ -761,7 +763,7 @@ def document_from_json(data: dict) -> Document:
     bindings: Dict[str, Binding] = {}
     for entry in data["bindings"]:
         kind, name = entry["kind"], entry["name"]
-        if not _NAME_RE.fullmatch(name):  # text names are IDENT tokens already
+        if not (name.isascii() and name.isidentifier()):  # as IDENT tokens are
             raise DslError(f"invalid binding name {name!r}")
         _check_name(bindings, chart, name)
         bindings[name] = _bind(kind, name, _value_from_json(chart, entry), chart)

@@ -17,7 +17,10 @@ from mvcurl.exterior import (
     Multivector,
     VolumeForm,
     blade_indices,
+    exterior_derivative,
+    flat,
     interior_product_vector,
+    sharp,
 )
 from mvcurl.ring import Polynomial, RationalFunc, _exact
 
@@ -91,42 +94,26 @@ def hamiltonian_field(pi: Multivector, f: RationalFunc) -> Multivector:
 
 
 def modular_field(volume: VolumeForm, pi: Multivector) -> Multivector:
-    """Curl of the bivector; with unit density the coordinate formula
-    X^i = sum_j d(pi^ij)/dx_j is computed as an internal cross-check."""
+    """The curl of pi, checked against sharp . d . flat for every density."""
     if pi.grade != 2 and not pi.is_zero():
         raise ValueError(f"expected a bivector, got grade {pi.grade}")
     field = curl(volume, pi)
-    if volume.density.is_one():
-        # the multiplier residuals of m = 1 are the components of the curl
-        components = lm_system_residuals(volume, volume.density, pi)
-        direct = Multivector(volume.chart, 1,
-                             {1 << i: c for i, c in enumerate(components)})
-        if direct != field:
-            raise RuntimeError("modular field routes disagree")
+    if field != sharp(volume, exterior_derivative(flat(volume, pi))):
+        raise RuntimeError("modular field routes disagree")
     return field
 
 
 def lm_system_residuals(volume: VolumeForm, m: RationalFunc,
                         pi: Multivector) -> List[RationalFunc]:
-    """Component equations sum_j d(m pi^ij)/dx_j for the unit-density volume.
-
-    All components vanish exactly when m is a last multiplier of the
-    bivector; for other densities use the curl residual instead.
-    """
+    """The components sum_j d(m pi^ij)/dx_j of curl(m pi) against the unit
+    volume, on e_1, ..., e_n; all vanish exactly when m is a last multiplier
+    of pi.  For other densities use the curl residual instead."""
     if not volume.density.is_one():
         raise ValueError("component residuals require the unit-density volume")
     if pi.grade != 2 and not pi.is_zero():
         raise ValueError(f"expected a bivector, got grade {pi.grade}")
-    n = volume.chart.dim
-    residuals = [RationalFunc.zero(n) for _ in range(n)]
-    for mask, coeff in pi.terms.items():
-        # the component pi^ij, i < j, sits on the blade e_i ^ e_j
-        i = (mask & -mask).bit_length() - 1
-        j = mask.bit_length() - 1
-        scaled = m * coeff
-        residuals[i] = residuals[i] + scaled.diff(j)
-        residuals[j] = residuals[j] - scaled.diff(i)
-    return residuals
+    residual = curl(volume, pi.scale(m))
+    return [residual.coefficient(1 << i) for i in range(volume.chart.dim)]
 
 
 class StructureConstants:

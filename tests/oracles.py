@@ -1,8 +1,31 @@
-"""Reference constructions the solver tests check the solver against."""
+"""Reference constructions the tests check the solver and the curl against."""
 
 from mvcurl import solver
-from mvcurl.exterior import Multivector
+from mvcurl.exterior import Multivector, exterior_derivative, flat, sharp
 from mvcurl.ring import Polynomial, RationalFunc
+
+
+def composed_curl(volume, a):
+    """The curl as sharp . d . flat, zero on scalars: lower the index
+    against the volume, apply d, raise the index back."""
+    if a.grade == 0:
+        return Multivector.zero(a.chart, 0)
+    return sharp(volume, exterior_derivative(flat(volume, a)))
+
+
+def component_residuals(m, pi):
+    """sum_j d(m pi^ij)/dx_j for each i, written out blade by blade from the
+    bivector pi: the component equations for the unit volume."""
+    n = pi.chart.dim
+    residuals = [RationalFunc.zero(n) for _ in range(n)]
+    for mask, coeff in pi.terms.items():
+        # the component pi^ij, i < j, sits on the blade e_i ^ e_j
+        i = (mask & -mask).bit_length() - 1
+        j = mask.bit_length() - 1
+        scaled = m * coeff
+        residuals[i] = residuals[i] + scaled.diff(j)
+        residuals[j] = residuals[j] - scaled.diff(i)
+    return residuals
 
 
 def direct_columns(residual_map, elements, nvars, extra=()):

@@ -38,6 +38,8 @@ from mvcurl.identities import (
     run_identity_suite,
 )
 from mvcurl.ring import Polynomial, RationalFunc
+from curl_cases import curl_cases, curl_densities
+from oracles import composed_curl
 from witten_cases import CASES_PER_DIMENSION, route_b_cases, witten_sum_vanishes
 
 CH = Chart(("x", "y"))
@@ -80,6 +82,47 @@ def test_nambu_top_multivector_is_exact():
         vol = VolumeForm(chart, f)
         nambu = Multivector.blade(chart, tuple(range(chart.dim))).scale(f.inverse())
         assert is_exact(vol, nambu)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_curl_equals_sharp_d_flat_on_seeded_cases(dim):
+    chart = Chart(("x", "y", "z", "w", "u", "v")[:dim])
+    cases = list(curl_cases(dim, 4))
+    assert len(cases) == len(curl_densities(chart)) * (dim + 1) * 4
+    assert len({v.density for v, _ in cases}) == len(curl_densities(chart))
+    assert {a.grade for _, a in cases} == set(range(dim + 1))
+    assert any(not c.den.is_one() for _, a in cases for c in a.terms.values())
+    results = [curl(vol, a) for vol, a in cases]
+    graded = [r for (_, a), r in zip(cases, results) if a.grade]
+    assert sum(not r.is_zero() for r in graded) > len(graded) // 2
+    for (vol, a), result in zip(cases, results):
+        assert result == composed_curl(vol, a), (vol, a)
+        assert result.grade == max(a.grade - 1, 0)
+
+
+def test_curl_runs_no_flat_sharp_or_exterior_derivative(monkeypatch):
+    cases = [case for dim in (2, 3) for case in curl_cases(dim, 1)]
+    expected = [composed_curl(vol, a) for vol, a in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("curl called a refused function")
+
+    for name in ("flat", "sharp", "exterior_derivative", "_complement"):
+        monkeypatch.setattr(exterior, name, refuse)
+        monkeypatch.setattr(curl_module, name, refuse, raising=False)
+    assert [curl(vol, a) for vol, a in cases] == expected
+
+
+def test_curl_of_a_unit_density_multiplies_nothing(monkeypatch):
+    a = E1.scale(X * Y) + E2.scale(X * X + Y)
+    expected = curl(VOL, a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product under the unit density")
+
+    monkeypatch.setattr(RationalFunc, "__mul__", refuse)
+    assert curl(VOL, a) == expected
+    assert curl(VolumeForm(CH, X), Multivector.scalar(CH, Y)).is_zero()
 
 
 def test_divergence():
@@ -282,6 +325,21 @@ def test_route_b_case_count_and_verdicts():
     assert len(cases) >= 1000
     verdicts = [is_last_multiplier(*case) for case in cases[::7]]
     assert any(verdicts) and not all(verdicts)
+
+
+def test_a_sign_slip_in_flat_makes_the_routes_disagree(monkeypatch):
+    # route (a) is the coordinate curl, which calls no flat: a flat that
+    # negates the dx2 blade misleads routes (b) and (c) only
+    def slipped(volume, a):
+        omega = flat(volume, a)
+        return DifferentialForm(omega.chart, omega.grade, {
+            mask: -c if mask == 0b10 else c for mask, c in omega.terms.items()})
+
+    monkeypatch.setattr(curl_module, "flat", slipped)
+    doc = parse("chart x y\nmv A = x e1 - y e2\n")
+    with pytest.raises(RuntimeError, match="multiplier routes disagree"):
+        is_last_multiplier(VolumeForm.unit(doc.chart), doc.chart.one_rf(),
+                           doc.multivector("A"))
 
 
 def test_disagreeing_witten_route_raises(monkeypatch):

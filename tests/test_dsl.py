@@ -232,6 +232,57 @@ def test_line_ends_and_the_end_of_input():
         assert err.value.line == line
 
 
+def test_basis_names_are_e_or_d_then_digits():
+    # e0 and d007 are basis symbols, reserved whether in range or not
+    for name in ("e0", "d007"):
+        for source in (f"chart {name} y\n", f"chart x y\nfunc {name} = x\n"):
+            with pytest.raises(DslError, match=f"reserved name '{name}'"):
+                parse(source)
+    with pytest.raises(DslError, match="basis index 0 out of range"):
+        parse("chart x y\nmv P = e0\n")
+    seven = parse("chart a b c f g h k\nform w = d007\n")
+    assert seven.binding("w").value == DifferentialForm.basis_form(seven.chart, 6)
+    # e and e1x are ordinary names, as coordinates and as bindings
+    doc = parse("chart e e1x\nfunc f = e * e1x\n")
+    assert doc.scalar("f") == RationalFunc.variable(2, 0) * RationalFunc.variable(2, 1)
+    doc = parse("chart x y\nfunc e = x\nmv e1x = e e1\n")
+    assert doc.multivector("e1x") == Multivector.basis_vector(doc.chart, 0).scale(
+        RationalFunc.variable(2, 0))
+    with pytest.raises(DslError, match="unknown identifier 'e1y'"):
+        parse("chart x y\nmv P = e1y\n")
+
+
+def test_names_outside_ascii_are_refused_in_json():
+    # str.isdigit and str.isidentifier accept more than ASCII: an Arabic-Indic
+    # digit neither names a basis symbol nor makes an identifier here
+    for name in ("e\u0661", "\u00e91"):
+        with pytest.raises(DslError, match="invalid coordinate name"):
+            document_from_json({"chart": [name], "bindings": []})
+    data = _json_entries("chart x y\nfunc f = x\n", name="e\u0661")
+    with pytest.raises(DslError, match="invalid binding name"):
+        document_from_json(data)
+
+
+def test_document_repr_shows_only_what_is_evaluated(monkeypatch):
+    doc = parse("chart x y\nvolume V = 1 + x^2\nfunc f = x/y\nmv P = f e1^^e2\n"
+                "func g = y\n", deferred=True)
+
+    def refuse(self, line):
+        raise AssertionError("repr evaluated a binding")
+
+    evaluate = dsl.Document._evaluate
+    monkeypatch.setattr(dsl.Document, "_evaluate", refuse)
+    assert repr(doc) == "Document(chart x y; volume V; func f; mv P; func g)"
+    monkeypatch.setattr(dsl.Document, "_evaluate", evaluate)
+    doc.multivector("P")
+    monkeypatch.setattr(dsl.Document, "_evaluate", refuse)
+    assert repr(doc) == ("Document(chart x y; volume V; func f = (x)/(y); "
+                         "mv P = ((x)/(y)) e1^^e2; func g)")
+    monkeypatch.setattr(dsl.Document, "_evaluate", evaluate)
+    assert repr(parse("chart x\nvolume V = 1 + x^2\n")) == (
+        "Document(chart x; volume V = x^2 + 1)")
+
+
 # a document with more than one error reports the first lexical error, if
 # any, and otherwise the first error in reading order (more cases with exit
 # codes are in test_cli.py)

@@ -3,8 +3,9 @@
 Regenerating an .out file is a deliberate act; any drift in printing,
 parsing, or normalization shows up here first.  The ``*.solvers.out`` files
 freeze the solver commands on the three Lie-Poisson documents the same way,
-and the ``*.lm.out`` files the last-multiplier commands on every document
-with an ``mv`` binding.
+the ``*.lm.out`` files the last-multiplier commands on every document with
+an ``mv`` binding, and the ``*.curl.out`` files the curl, divergence and
+modular-field commands on every document with an ``mv`` or ``lie`` binding.
 """
 
 import importlib.util
@@ -126,6 +127,7 @@ def test_collecting_this_module_parses_no_document(monkeypatch) -> None:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.LM_SOURCES == LM_SOURCES
+    assert module.CURL_SOURCES == CURL_SOURCES
 
 
 @pytest.mark.parametrize("source", LM_SOURCES, ids=lambda p: p.stem)
@@ -137,6 +139,46 @@ def test_lm_outputs_match_frozen(source: Path, capsys) -> None:
         assert code in (0, 1) and captured.err == "", command
         out.append(f"$ mvcurl {command}\n{captured.out}")
     assert "".join(out) == source.with_suffix(".lm.out").read_text()
+
+
+def curl_commands(source: Path) -> list:
+    """``curl A`` for each mv or lie binding A, ``div A`` for the grade-1
+    ones and ``modular A`` for the lie ones, each first with the default
+    volume and then with ``--volume V`` for each volume binding V, each as
+    text and JSON."""
+    bindings = parse(source.read_text()).bindings
+    volumes = [""] + [f" --volume {b.name}" for b in bindings
+                      if b.kind == "volume"]
+    commands = []
+    for b in bindings:
+        if b.kind in ("mv", "lie"):
+            commands.append(f"curl {b.name}")
+            if b.value.grade == 1:
+                commands.append(f"div {b.name}")
+            if b.kind == "lie":
+                commands.append(f"modular {b.name}")
+    return [command + volume + json for command in commands
+            for volume in volumes for json in ("", " --json")]
+
+
+CURL_SOURCES = [GOLDEN_DIR / p.name.replace(".curl.out", ".mv")
+                for p in sorted(GOLDEN_DIR.glob("*.curl.out"))]
+
+
+def test_every_curl_golden_has_a_document() -> None:
+    assert CURL_SOURCES == [s for s in SOURCES if curl_commands(s)]
+    assert sum(len(curl_commands(s)) for s in CURL_SOURCES) == 92
+
+
+@pytest.mark.parametrize("source", CURL_SOURCES, ids=lambda p: p.stem)
+def test_curl_outputs_match_frozen(source: Path, capsys) -> None:
+    out = []
+    for command in curl_commands(source):
+        code = cli.main(command.split() + ["--input", str(source)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), command
+        out.append(f"$ mvcurl {command}\n{captured.out}")
+    assert "".join(out) == source.with_suffix(".curl.out").read_text()
 
 
 # pairs on which GCDHEU gives up, so that interpolation finds the gcd: two

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvcurl import cli, poisson
+from mvcurl import cli, exterior, poisson
 from mvcurl.curl import (
     curl,
     curl_scaled,
@@ -17,8 +17,13 @@ from mvcurl.curl import (
     schouten,
     vector_apply,
 )
-from mvcurl.exterior import Chart, Multivector, VolumeForm, wedge
-from mvcurl.identities import random_polynomial
+from mvcurl.exterior import Chart, DifferentialForm, Multivector, VolumeForm, wedge
+from mvcurl.identities import (
+    density_pool,
+    random_multiplier,
+    random_multivector,
+    random_polynomial,
+)
 from mvcurl.poisson import (
     NonPoissonError,
     StructureConstants,
@@ -31,6 +36,7 @@ from mvcurl.poisson import (
     unimodularity_check,
 )
 from mvcurl.ring import Polynomial, RationalFunc
+from oracles import component_residuals
 
 F = Fraction
 
@@ -218,6 +224,26 @@ def test_modular_with_scaled_volume_differs_by_log_term():
     assert field == expected
 
 
+def test_modular_field_checks_the_composed_curl_for_every_density(monkeypatch):
+    # a flat that negates the dx3 blade changes only the reference route
+    def slipped(volume, a):
+        omega = exterior.flat(volume, a)
+        return DifferentialForm(omega.chart, omega.grade, {
+            mask: -c if mask == 0b100 else c for mask, c in omega.terms.items()})
+
+    chart = Chart(["x", "y", "z"])
+    x, y, z = (var(3, i) for i in range(3))
+    pi = Multivector(chart, 2, {0b011: x * z, 0b110: y})
+    assert modular_field(VolumeForm.unit(chart), pi) == Multivector(
+        chart, 1, {0b010: -z, 0b100: RationalFunc.constant(3, -1)})
+    monkeypatch.setattr(poisson, "flat", slipped)
+    for density in density_pool(chart) + (x * x + y * y + z,):
+        with pytest.raises(RuntimeError, match="modular field routes disagree"):
+            modular_field(VolumeForm(chart, density), pi)
+    # a zero curl is zero by either route
+    assert modular_field(VolumeForm(chart, x), pi.scale(0)).is_zero()
+
+
 # -- component residual system ----------------------------------------------
 
 
@@ -232,6 +258,23 @@ def test_lm_system_matches_curl_residual():
         direct = last_multiplier_residual(vol, m, pi)
         assert direct == Multivector(
             chart, 1, {1 << i: c for i, c in enumerate(parts) if not c.is_zero()})
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_lm_system_matches_the_component_loop(dim):
+    chart = Chart(("x", "y", "z", "w", "u")[:dim])
+    vol = VolumeForm.unit(chart)
+    rng = random.Random(f"lm-system:{dim}")
+    nonzero = 0
+    for _ in range(12):
+        pi = random_multivector(rng, chart, 2, max_blades=3)
+        if rng.random() < 0.5:
+            pi = pi.scale(random_multiplier(rng, dim))
+        m = random_multiplier(rng, dim)
+        parts = lm_system_residuals(vol, m, pi)
+        assert parts == component_residuals(m, pi), (m, pi)
+        nonzero += any(not c.is_zero() for c in parts)
+    assert nonzero >= 6
 
 
 def test_lm_system_planar_form():
