@@ -7,10 +7,6 @@ fields.  The Schouten bracket is the derivation-based blade formula, not
 built on the curl, so the curl/wedge compatibility law stays a genuine
 cross-check between two independent computations.
 
-Logarithms never appear symbolically: the bracket of a multivector with
-log(m) is realized as the difference of two curls, which keeps the
-coefficient field closed under every operation.
-
 A last multiplier is checked three ways, one per characterization in the
 paper.  The Witten route tests omega = flat(A) against d_m + (m-1)d, where
 d_m = dm^ + d is the Witten differential at t = 1.  That operator is
@@ -124,11 +120,6 @@ def last_multiplier_residual(volume: VolumeForm, m: RationalFunc,
 _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
-def _integral(p: Polynomial) -> Polynomial:
-    """p times the positive integer that clears its denominator."""
-    return p if p.den == 1 else Polynomial._make(p.nvars, p.nums)
-
-
 def _value_and_gradient(p: Polynomial, point: Sequence[int]) -> tuple:
     """(p(a), [d_i p(a) for each i]) for integer numerators p at an integer
     point a with non-zero coordinates: a term c x^e adds e_i c a^e / a_i to
@@ -180,7 +171,9 @@ def _in_witten_kernel(m: RationalFunc, omega: DifferentialForm) -> bool:
 
     and a blade K sums Phi, signed, over the pairs (i, J) with x_i ^ J = K.
     Phi is linear in each of p, q, the family W and D, so constant factors
-    only scale it; and for any polynomial g the terms in dg cancel in
+    only scale it: values are read from the integer numerators of p and q,
+    and D and the W_J stay integral when divided by the monic g1 and g2
+    below (Gauss's lemma).  For any polynomial g the terms in dg cancel in
 
         Phi(g p, q, W, g D) = g^2 Phi(p, q, W, D),
         Phi(p, g q, g W, D) = g^2 Phi(p, q, W, D).
@@ -196,18 +189,18 @@ def _in_witten_kernel(m: RationalFunc, omega: DifferentialForm) -> bool:
     """
     n = omega.chart.dim
     d, numerators = common_denominator(n, list(omega.terms.values()))
-    p, q = _integral(m.num), _integral(m.den)
+    p, q = m.num, m.den
     g1 = poly_gcd(p, d)
     if not g1.is_constant():
-        p, d = _integral(p.exact_div(g1)), _integral(d.exact_div(g1))
+        p, d = p.exact_div(g1), d.exact_div(g1)
     g2 = q
     for w in numerators:
         if g2.is_constant():
             break
         g2 = poly_gcd(g2, w)
     if not g2.is_constant():
-        q = _integral(q.exact_div(g2))
-        numerators = [_integral(w.exact_div(g2)) for w in numerators]
+        q = q.exact_div(g2)
+        numerators = [w.exact_div(g2) for w in numerators]
     # blade K -> its (sign, i, j) with x_i ^ J = K and W_J = numerators[j],
     # the sign from sorting x_i into J
     blades: Dict[int, list] = {}
@@ -255,18 +248,6 @@ def is_last_multiplier(volume: VolumeForm, m: RationalFunc, a: Multivector) -> b
             f"multiplier routes disagree: curl={via_curl} "
             f"witten={via_witten} marsden={via_marsden}")
     return via_curl
-
-
-def curl_scaled(volume: VolumeForm, m: RationalFunc, a: Multivector) -> Multivector:
-    """Curl against the rescaled volume m*V."""
-    if m.is_zero():
-        raise ZeroDivisionError("volume multiplier must be non-zero")
-    return curl(volume.scaled(m), a)
-
-
-def log_bracket(volume: VolumeForm, a: Multivector, m: RationalFunc) -> Multivector:
-    """Bracket of a with log(m), realized as curl_scaled - curl."""
-    return curl_scaled(volume, m, a) - curl(volume, a)
 
 
 def is_exact(volume: VolumeForm, a: Multivector) -> bool:

@@ -569,7 +569,7 @@ def _chart(names: List[str], name_at: Optional[List[tuple]] = None,
     line's; JSON errors carry no position."""
     for i, name in enumerate(names):
         where = name_at[i] if name_at else ()
-        if not (name.isascii() and name.isidentifier()):
+        if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
             raise DslError(f"invalid coordinate name {name!r}", *where)
         if name in _KEYWORDS or (name[:1] in ("e", "d") and name[1:].isdigit()):
             raise DslError(f"reserved name {name!r} cannot be a coordinate",
@@ -697,8 +697,17 @@ def _poly_to_json(p: Polynomial) -> list:
             for exps, num, den in p.sorted_terms()]
 
 
+def _key(obj, key: str, kind: type = object):
+    """obj[key], which must exist and be a ``kind``, else a DslError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DslError(f"expected a JSON object with key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise DslError(f"JSON key {key!r} holds {obj[key]!r}, not a {kind.__name__}")
+    return obj[key]
+
+
 def _poly_from_json(nvars: int, data: list) -> Polynomial:
-    return Polynomial(nvars, {tuple(item["exps"]): item["coeff"] for item in data})
+    return Polynomial(nvars, {tuple(_key(t, "exps")): _key(t, "coeff") for t in data})
 
 
 def _rf_to_json(rf: RationalFunc) -> dict:
@@ -706,8 +715,8 @@ def _rf_to_json(rf: RationalFunc) -> dict:
 
 
 def _rf_from_json(nvars: int, data: dict) -> RationalFunc:
-    return RationalFunc(_poly_from_json(nvars, data["num"]),
-                        _poly_from_json(nvars, data["den"]))
+    return RationalFunc(_poly_from_json(nvars, _key(data, "num")),
+                        _poly_from_json(nvars, _key(data, "den")))
 
 
 def _terms_to_json(obj) -> list:
@@ -717,8 +726,8 @@ def _terms_to_json(obj) -> list:
 
 
 def _terms_from_json(nvars: int, data: list) -> Dict[int, RationalFunc]:
-    return {blade_mask(i - 1 for i in item["blade"]):
-            _rf_from_json(nvars, item["coeff"]) for item in data}
+    return {blade_mask(i - 1 for i in _key(item, "blade")):
+            _rf_from_json(nvars, _key(item, "coeff")) for item in data}
 
 
 def value_to_json(value, chart: Chart) -> dict:
@@ -747,22 +756,22 @@ def document_to_json(doc: Document) -> dict:
 def _value_from_json(chart: Chart, entry: dict) -> Value:
     n, kind = chart.dim, entry["kind"]
     if kind == "func":
-        return _rf_from_json(n, entry["value"])
+        return _rf_from_json(n, _key(entry, "value"))
     if kind == "volume":
-        return _rf_from_json(n, entry["density"])
+        return _rf_from_json(n, _key(entry, "density"))
     if kind in ("mv", "lie", "form"):
         cls = DifferentialForm if kind == "form" else Multivector
-        return cls(chart, entry["grade"], _terms_from_json(n, entry["terms"]))
+        return cls(chart, _key(entry, "grade"), _terms_from_json(n, _key(entry, "terms")))
     raise DslError(f"unknown binding kind {kind!r} in JSON document")
 
 
 def document_from_json(data: dict) -> Document:
     """Read a document written by ``document_to_json``; each entry passes the
     same binding step as a text binding."""
-    chart = _chart(data["chart"])
+    chart = _chart(_key(data, "chart", list))
     bindings: Dict[str, Binding] = {}
-    for entry in data["bindings"]:
-        kind, name = entry["kind"], entry["name"]
+    for entry in _key(data, "bindings", list):
+        kind, name = _key(entry, "kind"), _key(entry, "name", str)
         if not (name.isascii() and name.isidentifier()):  # as IDENT tokens are
             raise DslError(f"invalid binding name {name!r}")
         _check_name(bindings, chart, name)

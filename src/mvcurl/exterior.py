@@ -54,9 +54,6 @@ class Chart:
     def constant(self, value) -> RationalFunc:
         return RationalFunc.constant(self.dim, value)
 
-    def zero_rf(self) -> RationalFunc:
-        return RationalFunc.zero(self.dim)
-
     def one_rf(self) -> RationalFunc:
         return RationalFunc.constant(self.dim, 1)
 
@@ -318,10 +315,6 @@ class VolumeForm:
         if m.is_zero():
             raise ZeroDivisionError("volume scaling factor must be non-zero")
         return VolumeForm(self.chart, self.density * m)
-
-    def top_form(self) -> DifferentialForm:
-        return DifferentialForm(self.chart, self.chart.dim,
-                                {self.chart.full_mask: self.density})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VolumeForm):

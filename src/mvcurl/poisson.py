@@ -8,7 +8,8 @@ failure of Hamiltonian flows to preserve that volume.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from mvcurl.curl import curl, schouten
 from mvcurl.exterior import (
@@ -58,14 +59,21 @@ def jacobi_residual(pi: Multivector) -> Multivector:
 
 
 # bivectors proved Poisson, by value: equality is structural on canonical
-# coefficients, so an equal bivector is proved too; bounded, and emptied by
-# ``clear_poisson_memo`` (the CLI does so once per command)
+# coefficients, so an equal bivector is proved too; least recently used out
+# first, and emptied by ``clear_poisson_memo`` (the CLI does so per command)
 POISSON_MEMO_SIZE = 256
-_PROVEN: Set[Multivector] = set()
 
 
-def clear_poisson_memo() -> None:
-    _PROVEN.clear()
+@functools.lru_cache(maxsize=POISSON_MEMO_SIZE)
+def _prove(pi: Multivector) -> None:
+    """Prove [pi, pi] = 0; a failure raises, so only proofs are memoised."""
+    residual = jacobi_residual(pi)
+    if not residual.is_zero():
+        triple = min(blade_indices(mask) for mask in residual.terms)
+        raise NonPoissonError(f"Jacobi identity fails on triple {triple}")
+
+
+clear_poisson_memo = _prove.cache_clear
 
 
 def require_poisson(pi: Multivector) -> Multivector:
@@ -73,15 +81,7 @@ def require_poisson(pi: Multivector) -> Multivector:
     first index triple (i, j, k), 0-based and in lexicographic order, on
     which it fails.  A bivector equal to one already proved is not proved
     again."""
-    if pi in _PROVEN:
-        return pi
-    residual = jacobi_residual(pi)
-    if not residual.is_zero():
-        triple = min(blade_indices(mask) for mask in residual.terms)
-        raise NonPoissonError(f"Jacobi identity fails on triple {triple}")
-    if len(_PROVEN) >= POISSON_MEMO_SIZE:
-        _PROVEN.clear()
-    _PROVEN.add(pi)
+    _prove(pi)
     return pi
 
 
@@ -159,11 +159,6 @@ class StructureConstants:
         if i < j:
             return self.c.get((i, j, k), Fraction(0))
         return -self.c.get((j, i, k), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self.dim == other.dim and self.c == other.c
 
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim}, nonzero={len(self.c)})"

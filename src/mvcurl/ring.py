@@ -240,10 +240,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return _unpack(self.nvars, max(self.nums))
 
-    def leading_coefficient(self) -> Fraction:
-        from fractions import Fraction
-        return Fraction(self.nums[max(self.nums)], self.den)
-
     def sorted_terms(self) -> list:
         """Terms in descending graded lexicographic order (leading first), as
         (exponent tuple, numerator, denominator) with the coefficient
@@ -804,15 +800,22 @@ def common_denominator(nvars: int, coeffs: Sequence[RationalFunc]
             [p._times(scale, 1) for p in numerators])
 
 
-# (denominator, index) -> (h, e, d·h, content of d in x_index) for the
-# quotient rule in ``RationalFunc.diff``; bounded, and emptied by
-# ``clear_quotient_memo`` (the CLI does so once per command)
+# the quotient-rule parts of ``RationalFunc.diff`` by (denominator, index),
+# least recently used out first; the CLI empties it once per command
 QUOTIENT_MEMO_SIZE = 256
-_QUOTIENT_MEMO: Dict[Tuple[Polynomial, int], tuple] = {}
 
 
-def clear_quotient_memo() -> None:
-    _QUOTIENT_MEMO.clear()
+@functools.lru_cache(maxsize=QUOTIENT_MEMO_SIZE)
+def _quotient_parts(den: Polynomial, index: int) -> tuple:
+    """(h, e, d·h, c) of ``RationalFunc.diff`` for d = ``den`` and x_index."""
+    dden = den.diff(index)
+    g = poly_gcd(den, dden)
+    h = den.exact_div(g)
+    return (h, dden.exact_div(g), den * h,
+            _content(_split_by_variable(den, index).values()))
+
+
+clear_quotient_memo = _quotient_parts.cache_clear
 
 
 @functools.cache
@@ -1022,17 +1025,7 @@ class RationalFunc:
         num, den = self.num, self.den
         if den.is_one():
             return RationalFunc._poly(num.diff(index))
-        parts = _QUOTIENT_MEMO.get((den, index))
-        if parts is None:
-            dden = den.diff(index)
-            g = poly_gcd(den, dden)
-            h = den.exact_div(g)
-            parts = (h, dden.exact_div(g), den * h,
-                     _content(_split_by_variable(den, index).values()))
-            if len(_QUOTIENT_MEMO) >= QUOTIENT_MEMO_SIZE:
-                _QUOTIENT_MEMO.clear()
-            _QUOTIENT_MEMO[(den, index)] = parts
-        h, e, bottom, c = parts
+        h, e, bottom, c = _quotient_parts(den, index)
         top = num.diff(index) * h - num * e
         if not top.nums:
             return RationalFunc._poly(top)

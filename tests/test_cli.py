@@ -597,7 +597,7 @@ def test_quotient_memo_is_empty_when_each_command_starts(tmp_path, capsys,
     parse = cli.parse
 
     def recording_parse(text, **options):
-        seen.append(len(ring._QUOTIENT_MEMO))
+        seen.append(ring._quotient_parts.cache_info().currsize)
         return parse(text, **options)
 
     monkeypatch.setattr(cli, "parse", recording_parse)
@@ -605,7 +605,7 @@ def test_quotient_memo_is_empty_when_each_command_starts(tmp_path, capsys,
     path.write_text(cliff(3))
     for _ in range(2):
         assert run(capsys, "curl", "A", "--input", str(path))[0] == 0
-        assert ring._QUOTIENT_MEMO
+        assert ring._quotient_parts.cache_info().currsize
     assert seen == [0, 0]
 
 

@@ -9,13 +9,11 @@ from mvcurl import curl as curl_module
 from mvcurl import exterior, ring
 from mvcurl.curl import (
     curl,
-    curl_scaled,
     divergence,
     first_integral_check,
     is_exact,
     is_last_multiplier,
     last_multiplier_residual,
-    log_bracket,
     schouten,
     vector_apply,
 )
@@ -40,7 +38,8 @@ from mvcurl.identities import (
 from mvcurl.ring import Polynomial, RationalFunc
 from curl_cases import curl_cases, curl_densities
 from oracles import composed_curl
-from witten_cases import CASES_PER_DIMENSION, route_b_cases, witten_sum_vanishes
+from witten_cases import (CASES_PER_DIMENSION, CURL_QUOTIENT_DRAWS,
+                          curl_quotient_cases, route_b_cases, witten_sum_vanishes)
 
 CH = Chart(("x", "y"))
 X = CH.coordinate(0)
@@ -216,7 +215,7 @@ def test_is_last_multiplier():
     assert is_last_multiplier(VOL, h.inverse(), bivector(h))
     assert not is_last_multiplier(VOL, X, E1)
     with pytest.raises(ZeroDivisionError):
-        is_last_multiplier(VOL, CH.zero_rf(), E1)
+        is_last_multiplier(VOL, RationalFunc.zero(CH.dim), E1)
 
 
 def test_first_integral_multipliers_of_divergence_free_field():
@@ -229,11 +228,12 @@ def test_first_integral_multipliers_of_divergence_free_field():
 
 
 def test_curl_scaled():
+    # the curl against the rescaled volume m*V
     h = X * X + Y * Y + CH.one_rf()
-    assert curl_scaled(VOL, CH.one_rf(), bivector(h)) == curl(VOL, bivector(h))
-    assert curl_scaled(VOL, h.inverse(), bivector(h)).is_zero()
+    assert curl(VOL.scaled(CH.one_rf()), bivector(h)) == curl(VOL, bivector(h))
+    assert curl(VOL.scaled(h.inverse()), bivector(h)).is_zero()
     with pytest.raises(ZeroDivisionError):
-        curl_scaled(VOL, CH.zero_rf(), E1)
+        curl(VOL.scaled(RationalFunc.zero(CH.dim)), E1)
 
 
 def test_curl_scaled_compatibility_random():
@@ -243,10 +243,14 @@ def test_curl_scaled_compatibility_random():
         vol = random_volume(rng, chart)
         m = random_multiplier(rng, chart.dim)
         a = random_multivector(rng, chart, rng.randint(1, min(3, chart.dim)))
-        assert curl(vol, a.scale(m)) == curl_scaled(vol, m, a).scale(m)
+        assert curl(vol, a.scale(m)) == curl(vol.scaled(m), a).scale(m)
 
 
 def test_log_bracket():
+    # the bracket [A, log m] is the difference of two curls, curl_{mV} - curl_V
+    def log_bracket(vol, a, m):
+        return curl(vol.scaled(m), a) - curl(vol, a)
+
     assert log_bracket(VOL, bivector(X), CH.constant(5)).is_zero()
     # grade 1: [X, log m] = X(m)/m
     x = LINE.coordinate(0)
@@ -272,7 +276,7 @@ def test_inverse_multiplier_check():
     assert not is_last_multiplier(LVOL, x.inverse(),
                                   Multivector.basis_vector(LINE, 0))
     with pytest.raises(ZeroDivisionError):
-        LINE.zero_rf().inverse()
+        RationalFunc.zero(LINE.dim).inverse()
 
 
 def test_first_integral_check():
@@ -289,9 +293,9 @@ def test_bracket_closure_of_multiplier_kernel():
         vol = VolumeForm(chart, chart.constant(rng.choice((1, 2))))
         m = RationalFunc(random_polynomial(rng, chart.dim, max_degree=1,
                                            allow_zero=False))
-        a = curl_scaled(vol, m, random_multivector(rng, chart, 2,
+        a = curl(vol.scaled(m), random_multivector(rng, chart, 2,
                                                    max_blades=1, max_degree=1))
-        b = curl_scaled(vol, m, random_multivector(rng, chart, 3,
+        b = curl(vol.scaled(m), random_multivector(rng, chart, 3,
                                                    max_blades=1, max_degree=1))
         if a.is_zero() or b.is_zero():
             continue
@@ -318,6 +322,45 @@ def test_witten_route_agrees_with_the_summed_witten_form(dim):
         verdicts.append(verdict)
     assert len(verdicts) >= CASES_PER_DIMENSION
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("dim", range(2, 5))
+def test_witten_route_finds_every_curl_quotient_a_multiplier(dim):
+    cases = list(curl_quotient_cases(dim))
+    assert len(cases) == 4 * CURL_QUOTIENT_DRAWS
+    for vol, m, a in cases:
+        omega = flat(vol, a)
+        assert curl_module._in_witten_kernel(m, omega), (vol, m, a)
+        assert witten_sum_vanishes(m, omega), (vol, m, a)
+
+
+def slipped_blade_sums(blades, zero, p, q, d, numerators):
+    """``curl._blade_sums`` with one sign slip: the W_J d_i D term is added,
+    not subtracted, on the pairs of negative sign."""
+    (p, dp), (q, dq), (d, dd) = p, q, d
+    pq = p * q
+    slopes = [q * a - p * b for a, b in zip(dp, dq)]
+    for terms in blades.values():
+        inner = outer = zero
+        for sign, i, j in terms:
+            w, dw = numerators[j]
+            part_in, part_out = w * slopes[i] + pq * dw[i], w * dd[i]
+            if sign < 0:
+                inner, outer = inner - part_in, outer + part_out
+            else:
+                inner, outer = inner + part_in, outer + part_out
+        yield d * inner - pq * outer
+
+
+def test_a_sign_slip_in_the_witten_blade_sums_is_caught(monkeypatch):
+    # the slipped term is zero wherever D is constant once gcd(p, D) is
+    # divided out; a curl quotient keeps q of B in D
+    vol, m, a = next(curl_quotient_cases(2))
+    omega = flat(vol, a)
+    assert witten_sum_vanishes(m, omega)
+    assert curl_module._in_witten_kernel(m, omega)
+    monkeypatch.setattr(curl_module, "_blade_sums", slipped_blade_sums)
+    assert not curl_module._in_witten_kernel(m, omega)
 
 
 def test_route_b_case_count_and_verdicts():
@@ -430,6 +473,25 @@ def test_witten_route_with_rational_coefficients_in_m():
         "form other = (y - 2/5) d1 + 1/7*x d2\n")
     assert witten_verdict(v["m"], v["eta"])  # m eta = d(x^2 y)
     assert not witten_verdict(v["m"], v["other"])
+
+
+def test_routes_agree_on_a_multiplier_and_density_with_rational_coefficients():
+    # in normal form m = (2/3 x + 1/3)/(y + 2/3) and the density's
+    # denominator is x^2 + 3/5: neither p, q nor it is integral, and
+    # (y^2 + 1)^2 stays in D once gcd(p, D) is divided out
+    chart, v = bindings(
+        "chart x y\nvolume V = 1/(5*x^2 + 3)\n"
+        "func m = (2*x + 1)/(3*y + 2)\n"
+        "func g = (5*x^2 + 3)*(3*y + 2)/(2*x + 1)\n"
+        "mv A = -2*x*y*g/(y^2 + 1)^2 e1 - g/(y^2 + 1) e2\n"
+        "mv B = y*g/(y^2 + 1) e1 - g/(y^2 + 1) e2\n")
+    vol, m = v["V"], v["m"]
+    assert (m.num.den, m.den.den, vol.density.den.den) == (3, 3, 5)
+    # m A = (5 x^2 + 3)(h_y e1 - h_x e2) with h = x/(y^2 + 1)
+    assert is_last_multiplier(vol, m, v["A"])
+    assert not is_last_multiplier(vol, m, v["B"])
+    assert witten_verdict(m, flat(vol, v["A"]))
+    assert not witten_verdict(m, flat(vol, v["B"]))
 
 
 def test_witten_route_when_the_first_point_is_a_zero_of_the_denominator():

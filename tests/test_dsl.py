@@ -492,6 +492,43 @@ def test_json_reader_refuses_what_the_text_parser_refuses(source, data):
     assert not str(json_err.value).startswith("line ")
 
 
+def _without(data, *path):
+    """``data`` with the key at the end of ``path`` removed."""
+    *parents, key = path
+    inner = data
+    for step in parents:
+        inner = inner[step]
+    del inner[key]
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    # a coordinate or binding name that is not a string
+    ({"chart": [1], "bindings": []}, "invalid coordinate name 1"),
+    (_json_entries("chart x y\nfunc f = x\n", name=2),
+     "JSON key 'name' holds 2, not a str"),
+    # a chart that is not a list, though a string iterates as names
+    ({"chart": "xy", "bindings": []}, "JSON key 'chart' holds 'xy', not a list"),
+    # a missing key, at each level of an entry
+    ({"chart": ["x", "y"]}, "expected a JSON object with key 'bindings'"),
+    (_without(_json_entries("chart x y\nfunc f = x\n"), "bindings", 0, "value"),
+     "expected a JSON object with key 'value'"),
+    (_without(_json_entries("chart x y\nmv A = x e1\n"), "bindings", 0, "grade"),
+     "expected a JSON object with key 'grade'"),
+    (_without(_json_entries("chart x y\nmv A = x e1\n"),
+              "bindings", 0, "terms", 0, "coeff", "den"),
+     "expected a JSON object with key 'den'"),
+    (_without(_json_entries("chart x y\nfunc f = x\n"),
+              "bindings", 0, "value", "num", 0, "exps"),
+     "expected a JSON object with key 'exps'"),
+], ids=["int-coordinate", "int-binding-name", "string-chart", "no-bindings",
+        "no-value", "no-grade", "no-den", "no-exps"])
+def test_json_reader_refuses_malformed_documents(data, message):
+    with pytest.raises(DslError) as err:
+        document_from_json(data)
+    assert str(err.value) == message
+
+
 def test_json_reader_refuses_names_the_grammar_cannot_read():
     # such a document would print text that does not parse
     with pytest.raises(DslError, match=r"^invalid coordinate name 'x y'$"):

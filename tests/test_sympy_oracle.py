@@ -43,9 +43,13 @@ def from_sympy(expr, symbols=SYMBOLS):
                                      for exps, c in poly.terms()})
 
 
+def leading_coefficient(p):
+    # in the ring's graded-lex order, which sympy does not use
+    return Fraction(p.nums[max(p.nums)], p.den)
+
+
 def monic(p):
-    # monic in the ring's graded-lex order, which sympy does not use
-    return p.scale(1 / p.leading_coefficient())
+    return p.scale(1 / leading_coefficient(p))
 
 
 def random_poly(rng, max_terms=3, max_exp=2, used=NVARS):
@@ -63,7 +67,7 @@ def random_poly(rng, max_terms=3, max_exp=2, used=NVARS):
 def sympy_normal_form(expr):
     num, den = sympy.fraction(sympy.cancel(expr))
     num, den = from_sympy(num), from_sympy(den)
-    lc = den.leading_coefficient()
+    lc = leading_coefficient(den)
     return num.scale(1 / lc), den.scale(1 / lc)
 
 

@@ -5,13 +5,15 @@ Stdlib-only, so it also runs where pytest is not installed:
 
     PYTHONPATH=src python tests/witten_cases.py
 
-runs every seeded case through both and exits 1 on any disagreement.
+runs every seeded case of each stratum through both, prints the count of
+each, and exits 1 on any disagreement or on a stratum with fewer cases than
+its minimum.
 """
 
 import random
 import sys
 
-from mvcurl.curl import _in_witten_kernel
+from mvcurl.curl import _in_witten_kernel, curl
 from mvcurl.exterior import (
     Chart,
     DifferentialForm,
@@ -23,6 +25,7 @@ from mvcurl.exterior import (
     witten_derivative,
 )
 from mvcurl.identities import (
+    denominator_pool,
     density_pool,
     random_form,
     random_multiplier,
@@ -32,6 +35,7 @@ from mvcurl.identities import (
 from mvcurl.ring import RationalFunc
 
 CASES_PER_DIMENSION = 260
+CURL_QUOTIENT_DRAWS = 14
 
 
 def witten_sum_vanishes(m, omega):
@@ -74,18 +78,48 @@ def route_b_cases(dim):
             yield vol, (c * density).inverse(), top
 
 
+def curl_quotient_cases(dim):
+    """CURL_QUOTIENT_DRAWS cases A = curl_V(B)/m per pool density, with B a
+    random multivector over a denominator q of ``denominator_pool``: m is a
+    last multiplier, since curl_V(m A) = curl_V(curl_V(B)) = 0, and in most
+    draws q stays in the denominator D of flat(A) after gcd(p, D) is divided
+    out, so the W_J d_i D terms of route (b) are reached."""
+    chart = Chart(("x", "y", "z", "w")[:dim])
+    rng = random.Random(f"curl-quotient:{dim}")
+    for density in density_pool(chart):
+        vol = VolumeForm(chart, density)
+        for _ in range(CURL_QUOTIENT_DRAWS):
+            q = RationalFunc(rng.choice(denominator_pool(dim)))
+            b = random_multivector(rng, chart, rng.randint(2, dim), max_degree=1)
+            m = random_multiplier(rng, dim)
+            yield vol, m, curl(vol, b.scale(q.inverse())).scale(m.inverse())
+
+
+# name -> (cases of one dimension, its dimensions, least number of cases)
+STRATA = {
+    "seeded": (route_b_cases, range(1, 5), 4 * CASES_PER_DIMENSION),
+    "curl quotient": (curl_quotient_cases, range(2, 5),
+                      3 * 4 * CURL_QUOTIENT_DRAWS),
+}
+
+
 def main() -> int:
-    cases = disagreements = 0
-    for dim in range(1, 5):
-        for vol, m, a in route_b_cases(dim):
-            omega = flat(vol, a)
-            cases += 1
-            if _in_witten_kernel(m, omega) != witten_sum_vanishes(m, omega):
-                disagreements += 1
-                print(f"disagreement in dimension {dim}: m = {m!r}, "
-                      f"A = {a!r}, {vol!r}")
-    print(f"{cases} route (b) cases, {disagreements} disagreements")
-    return 1 if disagreements else 0
+    failed = False
+    for name, (cases_of, dims, least) in STRATA.items():
+        cases = disagreements = 0
+        for dim in dims:
+            for vol, m, a in cases_of(dim):
+                omega = flat(vol, a)
+                cases += 1
+                if _in_witten_kernel(m, omega) != witten_sum_vanishes(m, omega):
+                    disagreements += 1
+                    print(f"disagreement in dimension {dim}: m = {m!r}, "
+                          f"A = {a!r}, {vol!r}")
+        print(f"{name}: {cases} route (b) cases, {disagreements} disagreements")
+        if cases < least:
+            print(f"{name}: fewer than {least} cases")
+        failed = failed or cases < least or disagreements > 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
