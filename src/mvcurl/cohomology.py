@@ -22,25 +22,18 @@ from __future__ import annotations
 from typing import List, NamedTuple, Tuple
 
 from mvcurl.curl import curl, schouten
-from mvcurl.exterior import Chart, Multivector, VolumeForm
+from mvcurl.exterior import Multivector, VolumeForm
 from mvcurl.poisson import NonExactError, require_poisson
 from mvcurl.solver import (ExactMatrix, MonomialSpace, collect_linear_system,
                            kernel_basis)
 
 __all__ = [
     "NonExactError",
-    "MultivectorBasis",
     "lichnerowicz_delta",
     "exact_basis",
     "truncated_exact_cohomology",
     "TruncatedComplexReport",
 ]
-
-
-def MultivectorBasis(chart: Chart, grade: int,
-                     max_degree: int) -> MonomialSpace:
-    """Grade-k multivectors x^beta e_I with total degree <= max_degree."""
-    return MonomialSpace(chart, grade, max_degree)
 
 
 def lichnerowicz_delta(pi: Multivector, a: Multivector) -> Multivector:
@@ -54,7 +47,7 @@ def exact_basis(volume: VolumeForm, grade: int,
     """Spanning set of the curl-free grade-k multivectors with polynomial
     coefficients of total degree <= max_degree."""
     return kernel_basis(lambda a: curl(volume, a),
-                        MultivectorBasis(volume.chart, grade, max_degree))
+                        MonomialSpace(volume.chart, grade, max_degree))
 
 
 def _exact_and_kernel_dims(volume: VolumeForm, pi: Multivector, grade: int,
@@ -63,13 +56,13 @@ def _exact_and_kernel_dims(volume: VolumeForm, pi: Multivector, grade: int,
     from one stacked assembly: curl and [pi, .] run on each blade, on each
     blade times each coordinate and, from degree 2, on one check element
     per blade, not on every basis element."""
-    ambient = MultivectorBasis(volume.chart, grade, max_degree)
+    ambient = MonomialSpace(volume.chart, grade, max_degree)
     stacked = collect_linear_system(
         lambda a: (curl(volume, a), schouten(pi, a)), ambient)
     # row labels are ((part, blade), monomial); part 0 is the curl
     curl_rows = [row for label, row in zip(stacked.labels, stacked.entries)
                  if label[0][0] == 0]
-    rank_c = ExactMatrix.from_rows(stacked.cols, curl_rows).rank()
+    rank_c = ExactMatrix(stacked.cols, curl_rows).rank()
     return ambient.dimension - rank_c, ambient.dimension - stacked.rank()
 
 

@@ -86,6 +86,8 @@ _TOKEN_RE = re.compile(
     r"|([A-Za-z_][A-Za-z_0-9]*)"
     r"|(\^\^|[-+*/^()=])"
     r"|(.))")
+# a name spelt as a basis symbol, e1 or d2; names reaching it are ASCII
+_is_basis_symbol = re.compile(r"[ed][0-9]+").fullmatch
 # longest exponent whose number an error message writes out in full
 _SPELLED_EXPONENT = 12
 
@@ -317,7 +319,7 @@ class _Reader:
                 raise DslError(f"volume {name!r} cannot be used in an "
                                "expression", tok[2], tok[3])
             return None
-        if not (name[:1] in ("e", "d") and name[1:].isdigit()):
+        if not _is_basis_symbol(name):
             raise DslError(f"unknown identifier {name!r}", tok[2], tok[3])
         index = int(name[1:])
         if not 1 <= index <= chart.dim:
@@ -571,7 +573,7 @@ def _chart(names: List[str], name_at: Optional[List[tuple]] = None,
         where = name_at[i] if name_at else ()
         if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
             raise DslError(f"invalid coordinate name {name!r}", *where)
-        if name in _KEYWORDS or (name[:1] in ("e", "d") and name[1:].isdigit()):
+        if name in _KEYWORDS or _is_basis_symbol(name):
             raise DslError(f"reserved name {name!r} cannot be a coordinate",
                            *where)
     try:
@@ -584,7 +586,7 @@ def _check_name(bound, chart: Chart, name: str, at: tuple = (),
                 name_at: tuple = ()) -> None:
     """Check a binding's name against the chart and the names ``bound``;
     ``at`` and ``name_at`` place the keyword and the name, if known."""
-    if name in _KEYWORDS or (name[:1] in ("e", "d") and name[1:].isdigit()):
+    if name in _KEYWORDS or _is_basis_symbol(name):
         raise DslError(f"reserved name {name!r} cannot be bound", *name_at)
     if name in chart.names:
         raise DslError(f"name {name!r} is already a coordinate", *at)
@@ -707,7 +709,7 @@ def _key(obj, key: str, kind: type = object):
 
 
 def _poly_from_json(nvars: int, data: list) -> Polynomial:
-    return Polynomial(nvars, {tuple(_key(t, "exps")): _key(t, "coeff") for t in data})
+    return Polynomial(nvars, {tuple(_key(t, "exps", list)): _key(t, "coeff") for t in data})
 
 
 def _rf_to_json(rf: RationalFunc) -> dict:
@@ -715,8 +717,8 @@ def _rf_to_json(rf: RationalFunc) -> dict:
 
 
 def _rf_from_json(nvars: int, data: dict) -> RationalFunc:
-    return RationalFunc(_poly_from_json(nvars, _key(data, "num")),
-                        _poly_from_json(nvars, _key(data, "den")))
+    return RationalFunc(_poly_from_json(nvars, _key(data, "num", list)),
+                        _poly_from_json(nvars, _key(data, "den", list)))
 
 
 def _terms_to_json(obj) -> list:
@@ -726,7 +728,7 @@ def _terms_to_json(obj) -> list:
 
 
 def _terms_from_json(nvars: int, data: list) -> Dict[int, RationalFunc]:
-    return {blade_mask(i - 1 for i in _key(item, "blade")):
+    return {blade_mask(i - 1 for i in _key(item, "blade", list)):
             _rf_from_json(nvars, _key(item, "coeff")) for item in data}
 
 
@@ -761,7 +763,8 @@ def _value_from_json(chart: Chart, entry: dict) -> Value:
         return _rf_from_json(n, _key(entry, "density"))
     if kind in ("mv", "lie", "form"):
         cls = DifferentialForm if kind == "form" else Multivector
-        return cls(chart, _key(entry, "grade"), _terms_from_json(n, _key(entry, "terms")))
+        return cls(chart, _key(entry, "grade", int),
+                   _terms_from_json(n, _key(entry, "terms", list)))
     raise DslError(f"unknown binding kind {kind!r} in JSON document")
 
 
@@ -775,5 +778,8 @@ def document_from_json(data: dict) -> Document:
         if not (name.isascii() and name.isidentifier()):  # as IDENT tokens are
             raise DslError(f"invalid binding name {name!r}")
         _check_name(bindings, chart, name)
-        bindings[name] = _bind(kind, name, _value_from_json(chart, entry), chart)
+        try:  # such as a blade outside its grade or the chart
+            bindings[name] = _bind(kind, name, _value_from_json(chart, entry), chart)
+        except ValueError as exc:
+            raise DslError(str(exc)) from exc
     return Document(chart, bindings)

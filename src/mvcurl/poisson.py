@@ -88,9 +88,12 @@ def require_poisson(pi: Multivector) -> Multivector:
 def hamiltonian_field(pi: Multivector, f: RationalFunc) -> Multivector:
     """Contraction of df into pi; convention fixed so that on the plane with
     pi = e1^e2 the Hamiltonian x gives the field e2."""
-    require_poisson(pi)
-    df = DifferentialForm.differential(pi.chart, f)
-    return interior_product_vector(df, pi)
+    return _contract_differential(require_poisson(pi), f)
+
+
+def _contract_differential(pi: Multivector, f: RationalFunc) -> Multivector:
+    """The Hamiltonian field of f, df contracted into pi, without the proof."""
+    return interior_product_vector(DifferentialForm.differential(pi.chart, f), pi)
 
 
 def modular_field(volume: VolumeForm, pi: Multivector) -> Multivector:
@@ -196,8 +199,7 @@ def unimodularity_check(volume: VolumeForm, pi: Multivector,
     require_poisson(pi)
     target = curl(volume, pi)
     space = AnsatzSpace(volume.chart, max_degree)
-    df_contract = lambda f: interior_product_vector(
-        DifferentialForm.differential(pi.chart, f), pi)
+    df_contract = functools.partial(_contract_differential, pi)
     matrix, rhs = collect_affine_system(df_contract, space, target)
     solution = matrix.solve(rhs)
     if solution is None:

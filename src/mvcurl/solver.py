@@ -19,9 +19,10 @@ element: it builds only those probes, and ``combine`` builds a member of a
 kernel vector with one polynomial and one normal form per blade.
 
 The values come straight from the ring's integer numerators, so a system
-is stored as sparse rows of ``int`` and eliminated fraction-free; no dense
-matrix is built on any solver path, and ``ExactMatrix.data`` is a dense view
-made only when something reads it.
+is stored as sparse rows of ``int`` and eliminated fraction-free.
+``ExactMatrix`` is built only from sparse rows, which it shares and never
+changes; no dense matrix is built on any solver path, and
+``ExactMatrix.data`` is a dense view made only when something reads it.
 """
 
 from __future__ import annotations
@@ -170,36 +171,21 @@ class ExactMatrix:
     """Matrix of exact rationals stored as sparse rows.
 
     ``entries`` holds one ``{column: value}`` dict per row with only the
-    non-zero values; assembly from the ring gives ``int`` values.  ``data``
-    is a dense ``Fraction`` view built on demand.  ``labels`` names the rows
-    of a matrix assembled by ``from_columns``, in row order, and is None
-    otherwise.
+    non-zero values, every column below ``cols``; assembly from the ring
+    gives ``int`` values.  The rows are kept as given, shared and never
+    copied or changed.  ``labels`` names the rows of a matrix assembled by
+    ``from_columns``, in row order, and is None otherwise.  ``data`` is a
+    dense ``Fraction`` view for readers that count cells, built on demand.
     """
 
     __slots__ = ("rows", "cols", "entries", "labels")
 
-    def __init__(self, rows: int, cols: int,
-                 data: List[List[Fraction]] | None = None):
-        if data is None:
-            data = [[0] * cols for _ in range(rows)]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("inconsistent matrix shape")
-        self.rows = rows
+    def __init__(self, cols: int, entries: List[Dict[int, Fraction]],
+                 labels: List[object] | None = None):
+        self.rows = len(entries)
         self.cols = cols
-        self.entries = [{j: v for j, v in enumerate(r) if v} for r in data]
-        self.labels: List[object] | None = None
-
-    @classmethod
-    def from_rows(cls, cols: int, entries: List[Dict[int, Fraction]],
-                  labels: List[object] | None = None) -> "ExactMatrix":
-        """Wrap sparse rows as they are: non-zero values only, every column
-        below ``cols``.  The rows are shared, never copied or changed."""
-        out = object.__new__(cls)
-        out.rows = len(entries)
-        out.cols = cols
-        out.entries = entries
-        out.labels = labels
-        return out
+        self.entries = entries
+        self.labels = labels
 
     @classmethod
     def from_columns(cls, columns: List[Dict[object, Fraction]]) -> "ExactMatrix":
@@ -212,7 +198,7 @@ class ExactMatrix:
             for k, v in col.items():
                 if v:
                     entries[index[k]][j] = v
-        return cls.from_rows(len(columns), entries, labels)
+        return cls(len(columns), entries, labels)
 
     @property
     def data(self) -> List[List[Fraction]]:
@@ -222,12 +208,6 @@ class ExactMatrix:
             for j, v in row.items():
                 out[j] = Fraction(v)
         return dense
-
-    def multiply_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [sum((x * v[j] for j, x in row.items()), Fraction(0))
-                for row in self.entries]
 
     def _rref(self) -> Tuple[List[Dict[int, Fraction]], List[int]]:
         """Reduced row echelon form: the non-zero rows as ``{column: value}``
@@ -297,13 +277,9 @@ class ExactMatrix:
         if len(b) != self.rows:
             raise ValueError("right-hand side length does not match rows")
         last = self.cols
-        aug = []
-        for row, bi in zip(self.entries, b):
-            if bi:
-                row = dict(row)
-                row[last] = bi
-            aug.append(row)
-        reduced, pivots = ExactMatrix.from_rows(last + 1, aug)._rref()
+        aug = [{**row, last: bi} if bi else row  # [M | b], sharing M's rows
+               for row, bi in zip(self.entries, b)]
+        reduced, pivots = ExactMatrix(last + 1, aug)._rref()
         if last in pivots:
             return None
         x = [0] * last
@@ -458,12 +434,8 @@ def collect_affine_system(residual_map: Callable, space: MonomialSpace,
     augmented = ExactMatrix.from_columns(
         _system_columns(residual_map, space, (target,)))
     last = augmented.cols - 1
-    entries, b = [], []
-    for row in augmented.entries:
-        row = dict(row)
-        b.append(row.pop(last, 0))
-        entries.append(row)
-    return ExactMatrix.from_rows(last, entries), b
+    b = [row.pop(last, 0) for row in augmented.entries]  # rows no caller holds
+    return ExactMatrix(last, augmented.entries), b
 
 
 def _linearity_spot_check(residual_map: Callable, space: MonomialSpace,

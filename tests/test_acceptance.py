@@ -11,8 +11,8 @@ import time
 from pathlib import Path
 
 from mvcurl.cli import main
-from mvcurl.cohomology import (MultivectorBasis, exact_basis,
-                               lichnerowicz_delta, truncated_exact_cohomology)
+from mvcurl.cohomology import (exact_basis, lichnerowicz_delta,
+                               truncated_exact_cohomology)
 from mvcurl.curl import (curl, divergence, first_integral_check, is_exact,
                          is_last_multiplier, last_multiplier_residual,
                          schouten, vector_apply)
@@ -24,9 +24,10 @@ from mvcurl.identities import (DEFAULT_SEED, random_chart, random_multiplier,
 from mvcurl.poisson import (StructureConstants, hamiltonian_field, lie_poisson,
                             lm_system_residuals, modular_field)
 from mvcurl.ring import Polynomial, RationalFunc
-from mvcurl.solver import (AnsatzSpace, ExactMatrix, casimir_solve,
-                           function_span_contains, function_spans_equal,
-                           lm_solve, vector_span_contains)
+from mvcurl.solver import (AnsatzSpace, ExactMatrix, MonomialSpace,
+                           casimir_solve, function_span_contains,
+                           function_spans_equal, lm_solve,
+                           vector_span_contains)
 
 ACCEPT_SEED = 20260823
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -356,15 +357,15 @@ def test_criterion_09_rotation_algebra_battery():
 def _kernel_vectors(pi, vol, k, d):
     """Kernel of delta on the curl-free part and on the whole ansatz."""
     chart = vol.chart
-    ambient = MultivectorBasis(chart, k, d)
+    ambient = MonomialSpace(chart, k, d)
     exact_els = exact_basis(vol, k, d)
     if k + 1 > chart.dim:
         for e in ambient.basis + exact_els:
             assert lichnerowicz_delta(pi, e).is_zero()
-        full_null = ExactMatrix(0, ambient.dimension).nullspace()
+        full_null = ExactMatrix(ambient.dimension, []).nullspace()
         return list(exact_els), full_null, ambient
     deg_pi = max((c.num.total_degree() for c in pi.terms.values()), default=0)
-    target = MultivectorBasis(chart, k + 1, d + max(deg_pi - 1, 0) + 2)
+    target = MonomialSpace(chart, k + 1, d + max(deg_pi - 1, 0) + 2)
 
     def column(e):
         coords = target.coordinates(lichnerowicz_delta(pi, e))

@@ -8,7 +8,6 @@ import pytest
 
 import mvcurl.cohomology as cohomology
 from mvcurl.cohomology import (
-    MultivectorBasis,
     NonExactError,
     TruncatedComplexReport,
     exact_basis,
@@ -48,18 +47,18 @@ def so3_setup():
 
 def test_multivector_basis_enumeration():
     chart, _ = plane()
-    mb = MultivectorBasis(chart, 1, 1)
+    mb = MonomialSpace(chart, 1, 1)
     # two blades, three monomials each, blade-major order
     assert mb.dimension == 6
     assert mb.basis[0] == Multivector.basis_vector(chart, 0)
     assert mb.basis[3] == Multivector.basis_vector(chart, 1)
     with pytest.raises(ValueError):
-        MultivectorBasis(chart, 3, 1)
+        MonomialSpace(chart, 3, 1)
 
 
 def test_coordinates_roundtrip_and_rejection():
     chart, _ = plane()
-    mb = MultivectorBasis(chart, 1, 2)
+    mb = MonomialSpace(chart, 1, 2)
     rng = random.Random(7)
     coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(mb.dimension)]
     assert mb.coordinates(mb.combine(coeffs)) == coeffs
@@ -75,7 +74,7 @@ def test_coordinates_roundtrip_and_rejection():
 def test_coordinates_refuse_another_chart():
     # the same blade on (u, v) is not a member, as + already says
     chart, _ = plane()
-    mb = MultivectorBasis(chart, 1, 1)
+    mb = MonomialSpace(chart, 1, 1)
     other = Multivector.basis_vector(Chart(["u", "v"]), 0)
     with pytest.raises(ValueError, match="chart mismatch"):
         mb.basis[0] + other
@@ -103,7 +102,7 @@ def test_basis_past_the_ansatz_budget_is_refused():
     chart = Chart([f"x{i}" for i in range(1, 17)])
     # C(16, 8) = 12870 blades of grade 8, before any monomial is enumerated
     with pytest.raises(ValueError, match="ansatz too large: 12870 "):
-        MultivectorBasis(chart, 8, 0)
+        MonomialSpace(chart, 8, 0)
 
 
 # -- the differential -------------------------------------------------------
@@ -207,7 +206,7 @@ def test_exact_kernel_embeds_in_full_kernel():
     # kernel computed on the full polynomial complex
     chart, vol, pi = so3_setup()
     delta = lambda a: lichnerowicz_delta(pi, a)
-    ambient = MultivectorBasis(chart, 1, 1)
+    ambient = MonomialSpace(chart, 1, 1)
     full_kernel = collect_linear_system(delta, ambient).nullspace()
 
     exact = exact_basis(vol, 1, 1)
@@ -317,6 +316,6 @@ def test_report_takes_ranks_without_a_curl_free_basis(monkeypatch):
     # last element (the first-order check), plus the two linearity
     # spot checks per assembly; the curl once more on pi itself
     per_grade = (3 * (1 + 3 + 1) + 2) + (1 * (1 + 3 + 1) + 2)
-    assert per_grade == 24 < (MultivectorBasis(chart, 1, 2).dimension + 2
-                              + MultivectorBasis(chart, 0, 2).dimension + 2)
+    assert per_grade == 24 < (MonomialSpace(chart, 1, 2).dimension + 2
+                              + MonomialSpace(chart, 0, 2).dimension + 2)
     assert calls == {"curl": per_grade + 1, "schouten": per_grade}

@@ -502,6 +502,16 @@ def _without(data, *path):
     return data
 
 
+def _with(data, value, *path):
+    """``data`` with the key at the end of ``path`` set to ``value``."""
+    *parents, key = path
+    inner = data
+    for step in parents:
+        inner = inner[step]
+    inner[key] = value
+    return data
+
+
 @pytest.mark.parametrize("data, message", [
     # a coordinate or binding name that is not a string
     ({"chart": [1], "bindings": []}, "invalid coordinate name 1"),
@@ -521,8 +531,34 @@ def _without(data, *path):
     (_without(_json_entries("chart x y\nfunc f = x\n"),
               "bindings", 0, "value", "num", 0, "exps"),
      "expected a JSON object with key 'exps'"),
+    # a value of the wrong kind, at each level of an entry
+    (_with(_json_entries("chart x y\nmv A = x e1\n"), 1,
+           "bindings", 0, "terms", 0, "blade"),
+     "JSON key 'blade' holds 1, not a list"),
+    (_with(_json_entries("chart x y\nfunc f = x\n"), 5,
+           "bindings", 0, "value", "num", 0, "exps"),
+     "JSON key 'exps' holds 5, not a list"),
+    (_json_entries("chart x y\nmv A = x e1\n", grade="1"),
+     "JSON key 'grade' holds '1', not a int"),
+    (_json_entries("chart x y\nmv A = x e1\n", terms=5),
+     "JSON key 'terms' holds 5, not a list"),
+    (_with(_json_entries("chart x y\nfunc f = x\n"), 1,
+           "bindings", 0, "value", "den"),
+     "JSON key 'den' holds 1, not a list"),
+    # a blade outside its grade or the chart
+    (_json_entries("chart x y\nmv A = x e1\n", grade=2),
+     "blade 1 does not have grade 2"),
+    (_with(_json_entries("chart x y\nform w = x d1\n"), [3],
+           "bindings", 0, "terms", 0, "blade"),
+     "blade 100 exceeds chart dimension 2"),
+    # a monomial that does not fit the chart
+    (_with(_json_entries("chart x y\nfunc f = x\n"), [1],
+           "bindings", 0, "value", "num", 0, "exps"),
+     "exponent tuple (1,) does not match 2 variables"),
 ], ids=["int-coordinate", "int-binding-name", "string-chart", "no-bindings",
-        "no-value", "no-grade", "no-den", "no-exps"])
+        "no-value", "no-grade", "no-den", "no-exps", "int-blade", "int-exps",
+        "string-grade", "int-terms", "int-den", "blade-off-grade",
+        "blade-off-chart", "short-exps"])
 def test_json_reader_refuses_malformed_documents(data, message):
     with pytest.raises(DslError) as err:
         document_from_json(data)

@@ -196,20 +196,30 @@ def test_assembly_builds_only_the_probed_elements(monkeypatch):
 # -- exact matrices ---------------------------------------------------------
 
 
+def times(m, v):
+    """M v, exactly, from the stored rows."""
+    return [sum((x * v[j] for j, x in row.items()), F(0)) for row in m.entries]
+
+
+def from_dense(cols, data):
+    """The matrix whose sparse rows hold the non-zeros of dense ``data``."""
+    return ExactMatrix(cols, [{j: v for j, v in enumerate(r) if v} for r in data])
+
+
 def test_rank_and_nullspace_oracle():
-    m = ExactMatrix(2, 2, [[F(1), F(1)], [F(2), F(2)]])
+    m = ExactMatrix(2, [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}])
     assert m.rank() == 1
     null = m.nullspace()
     assert len(null) == 1
-    assert m.multiply_vector(null[0]) == [F(0), F(0)]
+    assert times(m, null[0]) == [F(0), F(0)]
     # free column is the second one, pivot solved as its negative
     assert null[0] == [F(-1), F(1)]
 
 
 def test_solve_consistent_and_inconsistent():
-    m = ExactMatrix(2, 2, [[F(1), F(0)], [F(0), F(2)]])
+    m = ExactMatrix(2, [{0: F(1)}, {1: F(2)}])
     assert m.solve([F(3), F(5)]) == [F(3), F(5, 2)]
-    singular = ExactMatrix(2, 2, [[F(1), F(1)], [F(2), F(2)]])
+    singular = ExactMatrix(2, [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}])
     assert singular.solve([F(1), F(2)]) == [F(1), F(0)]
     assert singular.solve([F(1), F(3)]) is None
 
@@ -218,6 +228,19 @@ def test_from_columns_sparse_assembly():
     m = ExactMatrix.from_columns([{("a", 1): F(2)}, {("b", 0): F(1), ("a", 1): F(3)}])
     assert (m.rows, m.cols) == (2, 2)
     assert m.rank() == 2
+
+
+def test_matrix_shares_and_keeps_the_rows_it_is_given():
+    rows = [{0: 2, 2: F(-1, 3)}, {}, {1: 4, 2: 6}, {0: -4, 2: F(2, 3)}]
+    given_rows, contents = list(rows), [dict(row) for row in rows]
+    m = ExactMatrix(3, rows)
+    assert (m.rows, m.cols, m.labels) == (4, 3, None)
+    assert m.rank() == 2
+    assert len(m.nullspace()) == 1
+    assert m.solve([1, 0, 2, -2]) == [F(1, 2), F(1, 2), 0]
+    assert m.solve([1, 0, 2, 0]) is None
+    assert all(m.entries[i] is row for i, row in enumerate(given_rows))
+    assert m.entries == contents
 
 
 # -- exact matrices against a dense reference -------------------------------
@@ -252,7 +275,7 @@ def matrices(draw):
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
-    return ExactMatrix(rows, cols, data)
+    return from_dense(cols, data)
 
 
 @st.composite
@@ -277,7 +300,7 @@ def test_rank_plus_nullity_and_kernel(m):
     null = m.nullspace()
     assert m.rank() + len(null) == m.cols
     for v in null:
-        assert m.multiply_vector(v) == [F(0)] * m.rows
+        assert times(m, v) == [F(0)] * m.rows
     ref_rows, ref_pivots = dense_rref(m.data, m.cols)
     free = [j for j in range(m.cols) if j not in ref_pivots]
     assert [v[j] for v in null for j in free] == [
@@ -290,10 +313,10 @@ def test_rank_plus_nullity_and_kernel(m):
 @given(matrices_and_vectors())
 def test_solve_finds_a_solution_of_a_reachable_target(pair):
     m, x = pair
-    b = m.multiply_vector(x)
+    b = times(m, x)
     y = m.solve(b)
     assert y is not None
-    assert m.multiply_vector(y) == b
+    assert times(m, y) == b
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,8 +327,8 @@ def test_solve_refuses_an_inconsistent_target(pair, data):
     weights = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
     combo = [sum((w * row[j] for w, row in zip(weights, m.data)), F(0))
              for j in range(m.cols)]
-    b = m.multiply_vector(x)
-    extended = ExactMatrix(m.rows + 1, m.cols, m.data + [combo])
+    b = times(m, x)
+    extended = from_dense(m.cols, m.data + [combo])
     target = b + [sum((w * bi for w, bi in zip(weights, b)), F(0)) + 1]
     assert extended.solve(target) is None
 
@@ -351,9 +374,9 @@ def test_mixed_entries_and_explicit_zeros_match_dense_reference(system):
     assert [[v[c] for c in ref_pivots] for v in null] == [
         [-row[k] for row in ref_rows] for k in free]
     assert only_exact_ints(c for v in null for c in v)
-    b = m.multiply_vector(x)
+    b = times(m, x)
     y = m.solve(b)
-    assert m.multiply_vector(y) == b
+    assert times(m, y) == b
     assert only_exact_ints(y)
     # free unknowns are zero and pivots read off the augmented RREF
     aug_rows, aug_pivots = dense_rref(
@@ -367,12 +390,12 @@ def test_mixed_entries_and_explicit_zeros_match_dense_reference(system):
 
 
 def test_rref_normalises_pivots_without_fractions():
-    m = ExactMatrix(2, 3, [[-1, 2, 0], [0, -1, F(-3)]])
+    m = ExactMatrix(3, [{0: -1, 1: 2}, {1: -1, 2: F(-3)}])
     reduced, pivots = m._rref()
     assert pivots == [0, 1]
     assert reduced == [{0: 1, 2: 6}, {1: 1, 2: 3}]
     assert all(type(v) is int for row in reduced for v in row.values())
-    assert ExactMatrix(1, 2, [[2, 1]])._rref()[0] == [{0: 1, 1: F(1, 2)}]
+    assert ExactMatrix(2, [{0: 2, 1: 1}])._rref()[0] == [{0: 1, 1: F(1, 2)}]
 
 
 # -- residual collection ----------------------------------------------------
@@ -675,7 +698,7 @@ def test_span_membership_matches_two_ranks(pair, data):
     m, x = pair
     columns = [{i: row[j] for i, row in enumerate(m.data)}
                for j in range(m.cols)]
-    reachable = m.multiply_vector(x)
+    reachable = times(m, x)
     other = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
     for target in (reachable, other):
         candidate = dict(enumerate(target))

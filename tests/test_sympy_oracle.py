@@ -312,7 +312,8 @@ def from_sympy_rational(x):
 def test_rank_rref_and_nullspace_match_sympy(case):
     rng = random.Random(f"matrix:{case}")
     data, cols = random_matrix(rng, case)
-    m = ExactMatrix(len(data), cols, [row[:] for row in data])
+    m = ExactMatrix(cols, [{j: v for j, v in enumerate(row) if v}
+                           for row in data])
     s = to_sympy_matrix(data, cols)
     assert m.rank() == s.rank()
     s_rref, s_pivots = s.rref()
